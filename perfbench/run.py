@@ -10,7 +10,7 @@ passes of the workload for its share of ``--seconds``.  The last stdout
 line is one JSON object with ``correct``, ``attempted``, ``failed`` and
 ``metrics``: the end-to-end metrics untraced, the per-layer metrics
 traced.  Lines before it give every metric with its unit and the output
-digest of every (experiment, seed).  See ``perfbench/README.md``.
+digest of every (operation, seed).  See ``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import statistics
 import subprocess
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -37,10 +37,19 @@ PROCESSES = 3
 #: Whole-run limit, host seconds; a worker still running then is killed.
 RUN_LIMIT_S = 170
 
+#: glibc allocator settings of the workers: freed memory stays in the heap
+#: and is reused, instead of going back to the OS and being faulted in
+#: again.  Fresh-page faults on this kind of shared VM cost a varying
+#: amount that depends on the host, and fig20 allocates about 860 MiB of
+#: trajectory cubes a pass; with these settings six fig20 passes in one
+#: process spread by about 7% instead of 17%.
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": str(2**30), "MALLOC_TRIM_THRESHOLD_": str(2**30)}
+
 #: End-to-end metrics and their units, in report order.
 END_TO_END = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
 
 sys.path.insert(0, str(HERE))
+from reference import REF_S  # noqa: E402
 from tracer import COUNTERS, HOST_SPAN_EXPERIMENTS, LAYERS, SPANS  # noqa: E402
 from workloads import SWEEP_METRICS, WORKLOADS, account  # noqa: E402
 
@@ -68,6 +77,7 @@ def spawn_worker(args, start: int, budget_s: float, trace: bool, scratch: Path, 
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(MALLOC_ENV)
     command = [
         sys.executable, str(HERE / "worker.py"),
         "--workload", args.workload, "--seed", str(args.seed), "--start", str(start),
@@ -107,17 +117,25 @@ def _stop_group(proc: subprocess.Popen) -> None:
 def summarise(args, reports: list[dict]) -> dict:
     """Aggregate worker reports into the final result object.
 
-    ``wall_s`` is the mean over pass seeds of each seed's fastest pass:
-    the minimum filters out passes slowed by other tenants of the host,
-    the mean over seeds evens out inputs of different size.  Per-layer
-    values are (low) medians over the traced passes, so counts stay whole.
+    Host times are scaled to reference speed: times ``REF_S`` over the
+    median of every reference-kernel time of the run.  ``wall_s`` is, per
+    pass seed, the sum over the pass's timed units of each unit's fastest
+    host time, then the mean over pass seeds, scaled: the minimum filters
+    out short slowdowns of the host, the scaling those that last the
+    whole run, and the mean over seeds evens out inputs of different
+    size.  ``setup_s`` is the median over processes of the set-up time,
+    scaled.  ``peak_rss_mb`` is the largest first-pass peak over the
+    processes: one process's peak varies between two levels from one
+    interpreter to the next (allocation order), the largest is steady.
+    Per-layer values are (low) medians over the traced passes, so counts
+    stay whole.
     """
     passes = [record for report in reports for record in report["passes"]]
     ops = [op for record in passes for op in record["ops"]]
     attempted, failed, digests = account(ops)
-    for (experiment, seed), seen in sorted(digests.items()):
+    for (label, seed), seen in sorted(digests.items()):
         flag = "  MISMATCH" if len(seen) > 1 else ""
-        print(f"digest {experiment} seed={seed} {' '.join(seen) or '-'}{flag}")
+        print(f"digest {label} seed={seed} {' '.join(seen) or '-'}{flag}")
     for message, count in Counter(op["error"] for op in ops if op["error"]).items():
         print(f"failed x{count}: {message}")
     if args.trace:
@@ -127,17 +145,26 @@ def summarise(args, reports: list[dict]) -> dict:
         values["trace.overhead_frac"] = report["overhead_frac"]
         units = per_layer_units()
     else:
-        fastest: dict[int, float] = {}
+        fastest: dict[tuple[int, str], float] = {}
         for record in passes:
-            fastest[record["seed"]] = min(record["wall_s"], fastest.get(record["seed"], math.inf))
+            for label, host_s in record["units"]:
+                key = (record["seed"], label)
+                fastest[key] = min(host_s, fastest.get(key, math.inf))
+        per_seed: dict[int, float] = defaultdict(float)
+        for (seed, _), host_s in fastest.items():
+            per_seed[seed] += host_s
+        references = [reference_s for record in passes for reference_s in record["references"]]
+        reference = statistics.median(references)
+        print(f"reference kernel: median {reference * 1e3:.2f} ms over {len(references)} calls "
+              f"(REF_S {REF_S * 1e3:g} ms); unscaled wall_s {statistics.fmean(per_seed.values()):.4f} s")
         values = {
-            "wall_s": statistics.fmean(fastest.values()),
-            "setup_s": statistics.median(report["setup_s"] for report in reports),
-            "peak_rss_mb": statistics.median(report["passes"][0]["peak_rss_mb"] for report in reports),
+            "wall_s": statistics.fmean(per_seed.values()) * REF_S / reference,
+            "setup_s": statistics.median(report["setup_s"] for report in reports) * REF_S / reference,
+            "peak_rss_mb": max(report["passes"][0]["peak_rss_mb"] for report in reports),
         }
         units = END_TO_END
     print(f"{args.workload}: {len(reports)} process(es), {len(passes)} pass(es)")
-    print("pass seed:wall_s: " + " ".join(f"{record['seed']}:{record['wall_s']:.4f}" for record in passes))
+    print("pass seed:host_s: " + " ".join(f"{record['seed']}:{record['wall_s']:.4f}" for record in passes))
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in units.items()}
     for name, metric in metrics.items():
         print(f"  {name:40s} {metric['value']:>14.6g} {metric['unit']}")

@@ -47,7 +47,7 @@ def check(condition: bool, label: str) -> None:
 
 
 def digests(result) -> list[tuple[str, int, str]]:
-    return [(op.experiment, op.seed, op.digest) for op in result.ops]
+    return [(op.label, op.seed, op.digest) for op in result.ops]
 
 
 def traced_pass(workload: str, seed: int | None, scratch: Path):

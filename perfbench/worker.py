@@ -5,8 +5,10 @@ so ``setup_s`` and ``peak_rss_mb`` describe this workload alone and not
 whatever ran before it.  Prints one JSON report as its last stdout line.
 
 Untraced mode runs passes until the pass budget is spent, cycling over
-the run's pass seeds.  Trace mode runs the first pass seed only and
-spends half the budget on untraced passes and half on traced ones, so
+the run's pass seeds, and times the reference kernel (``reference.py``)
+after every pass.  Trace mode runs the first pass seed only, without the
+reference kernel, and spends half the budget on untraced passes and
+half on traced ones, so
 the report also carries the tracing overhead and lets the parent check
 that traced and untraced outputs have the same digests.
 """
@@ -22,25 +24,32 @@ from dataclasses import asdict
 from pathlib import Path
 
 import workloads
+from reference import gauge
 from tracer import Tracer
 
 
-def run_passes(workload: str, seeds: list[int], start: int, budget_s: float, scratch: Path, tracer=None):
+def run_passes(workload: str, seeds: list[int], start: int, budget_s: float, scratch: Path,
+               tracer=None, gauge=None):
     """Run passes back to back for about ``budget_s`` host seconds.
 
     Pass ``i`` runs at ``seeds[(start + i) % len(seeds)]``.  At least one
     pass runs; another starts while it would end nearer the budget than
     stopping now does.  With a tracer, each pass is traced on its own and
-    carries its per-layer metrics.
+    carries its per-layer metrics; with a gauge, each pass carries the
+    reference-kernel times taken right after it.  The peak resident set
+    is read after the first pass, before the kernel first runs, so the
+    kernel's arrays never count in it.
     """
     deadline = time.monotonic() + budget_s
     passes = []
     while True:
         seed = seeds[(start + len(passes)) % len(seeds)]
         result = workloads.run_pass(workload, seed, scratch, tracer)
-        record = {"seed": seed, "wall_s": result.wall_s, "ops": [asdict(op) for op in result.ops]}
+        record = {"seed": seed, "wall_s": result.wall_s, "units": result.units, "ops": [asdict(op) for op in result.ops]}
         if not passes:
             record["peak_rss_mb"] = peak_rss_mb()
+        if gauge is not None:
+            record["references"] = gauge(result.wall_s)
         if result.layers is not None:
             record["layers"] = {**dict.fromkeys(workloads.SWEEP_METRICS, 0), **result.layers}
         passes.append(record)
@@ -66,7 +75,7 @@ def run(args) -> dict:
         seeds = seeds[:1]
     common = (args.workload, seeds, args.start)
     if not args.trace:
-        report["passes"] = run_passes(*common, args.budget, args.scratch)
+        report["passes"] = run_passes(*common, args.budget, args.scratch, gauge=gauge)
     else:
         untraced = run_passes(*common, args.budget / 2, args.scratch)
         tracer = Tracer()

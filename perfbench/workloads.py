@@ -3,9 +3,9 @@
 A workload is a closed loop of *operations* — one operation is one
 experiment run or one sweep cell — executed back to back in a single
 process.  :func:`run_pass` runs one pass of a workload (its timed body)
-and returns the pass's host time plus one :class:`Op` record per
-operation; :func:`account` turns the records of a whole benchmark run
-into attempted/failed counts.
+and returns the pass's host time, the host time of each timed unit and
+one :class:`Op` record per operation; :func:`account` turns the records
+of a whole benchmark run into attempted/failed counts.
 
 Importing this module imports nothing from ``repro``; the worker process
 does that inside its measured set-up.
@@ -36,15 +36,21 @@ EXPERIMENTS = {
 WORKLOADS = tuple(EXPERIMENTS)
 
 #: Distinct experiment seeds one benchmark run cycles through per workload.
-#: A run's passes cover several inputs, so its median pass time depends
-#: little on which seed the run was given; each seed still runs at least
-#: twice in a run (in different processes), so digests are compared.
-SEEDS_PER_RUN = {"joint_sync": 4, "mesh_flows": 9, "link_faults": 3, "sweep_resume": 1}
+#: A run's passes cover several inputs, so its pass time depends little
+#: on which seed the run was given; each seed still runs at least twice
+#: in a run (in different processes), so digests are compared.
+SEEDS_PER_RUN = {"joint_sync": 3, "mesh_flows": 9, "link_faults": 1, "sweep_resume": 1}
 
-#: The sweep workload: experiment, number of grid cells (one seed each) and
-#: supervisor worker processes (the box has two cores).
+#: The sweep workload: experiment, preset, number of grid cells (one seed
+#: each) and supervisor worker processes (the box has two cores).  Cells
+#: run at the ``quick`` preset (about 35 ms each), so the sweep's time is
+#: mostly the supervisor, cache and manifest rather than fig18's lanes
+#: (which ``mesh_flows`` measures), and a pass is short enough to repeat
+#: many times in a run: eight ``full`` cells on two workers took 2.7-4.4 s
+#: a pass and spread by a quarter from one run to the next.
 SWEEP_EXPERIMENT = "fig18"
-SWEEP_CELLS = 8
+SWEEP_PRESET = "quick"
+SWEEP_CELLS = 32
 SWEEP_JOBS = 2
 
 #: Host seconds one operation (or one whole sweep call) may take before it
@@ -56,9 +62,12 @@ _PLACEHOLDER = re.compile(r"\{[a-zA-Z_][a-zA-Z0-9_]*\}")
 
 @dataclass
 class Op:
-    """Outcome of one operation: identity, output digest and any failure."""
+    """Outcome of one operation: identity, output digest and any failure.
 
-    experiment: str
+    ``label`` names the operation: the experiment it ran.
+    """
+
+    label: str
     seed: int
     digest: str | None = None
     error: str | None = None
@@ -78,11 +87,14 @@ SWEEP_METRICS = {
 class PassResult:
     """One pass of a workload's timed body.
 
-    ``layers`` holds the pass's per-layer metrics when it ran traced.
+    ``units`` holds one ``(label, host_s)`` pair per timed unit (an
+    operation, or the whole pass of ``sweep_resume``).  ``layers`` holds
+    the pass's per-layer metrics when it ran traced.
     """
 
     wall_s: float
     ops: list[Op] = field(default_factory=list)
+    units: list[tuple[str, float]] = field(default_factory=list)
     layers: dict[str, float] | None = None
 
 
@@ -112,11 +124,11 @@ def missing_summary_keys(spec, summary) -> list[str]:
     return missing
 
 
-def check_result(spec, seed: int, result) -> Op:
+def check_result(label: str, spec, seed: int, result) -> Op:
     """The :class:`Op` record of one finished run: digest plus key check."""
     missing = missing_summary_keys(spec, result.summary)
     error = f"summary lacks declared keys {missing}" if missing else None
-    return Op(spec.name, seed, output_digest(result), error)
+    return Op(label, seed, output_digest(result), error)
 
 
 def experiment_seed(name: str, seed: int | None) -> int:
@@ -143,6 +155,17 @@ def sweep_seeds(seed: int | None) -> list[int]:
     return [base * SWEEP_CELLS + cell for cell in range(SWEEP_CELLS)]
 
 
+def operations(workload: str, seed: int | None) -> list[tuple[str, object, object]]:
+    """``(label, spec, config)`` of every operation of one lane-workload pass."""
+    from repro.experiments import registry
+
+    ops = []
+    for name in EXPERIMENTS[workload]:
+        spec = registry.get(name)
+        ops.append((name, spec, spec.make_config("full", {"seed": experiment_seed(name, seed)})))
+    return ops
+
+
 def setup(workload: str) -> None:
     """Imports, registry lookups and one ``smoke`` run per experiment.
 
@@ -166,31 +189,29 @@ def run_pass(workload: str, seed: int | None, scratch: Path, tracer=None) -> Pas
     """
     if workload == "sweep_resume":
         return _sweep_pass(seed, scratch, tracer)
-    from repro.experiments import registry
-
-    configs = []
-    for name in EXPERIMENTS[workload]:
-        spec = registry.get(name)
-        exp_seed = experiment_seed(name, seed)
-        configs.append((spec, exp_seed, spec.make_config("full", {"seed": exp_seed})))
+    todo = operations(workload, seed)
     results = []
+    units = []
     if tracer is not None:
         tracer.reset()
-    start = time.perf_counter()
-    for spec, exp_seed, config in configs:
+    for label, spec, config in todo:
+        start = time.perf_counter()
         try:
             with _deadline():
-                results.append((spec, exp_seed, spec.run(config)))
+                out = spec.run(config)
         except Exception as exc:  # noqa: BLE001 - a failed op is counted, not fatal
-            results.append((spec, exp_seed, exc))
-    wall_s = time.perf_counter() - start
+            out = exc
+        host_s = time.perf_counter() - start
+        results.append((label, spec, config.seed, out))
+        units.append((label, host_s))
+    wall_s = sum(host_s for _, host_s in units)
     layers = tracer.metrics(wall_s) if tracer is not None else None
     ops = [
-        Op(spec.name, exp_seed, error=f"{type(out).__name__}: {out}")
-        if isinstance(out, Exception) else check_result(spec, exp_seed, out)
-        for spec, exp_seed, out in results
+        Op(label, exp_seed, error=f"{type(out).__name__}: {out}")
+        if isinstance(out, Exception) else check_result(label, spec, exp_seed, out)
+        for label, spec, exp_seed, out in results
     ]
-    return PassResult(wall_s, ops, layers)
+    return PassResult(wall_s, ops, units, layers)
 
 
 def _sweep_pass(seed: int | None, scratch: Path, tracer) -> PassResult:
@@ -205,7 +226,7 @@ def _sweep_pass(seed: int | None, scratch: Path, tracer) -> PassResult:
     def timed_sweep():
         start = time.perf_counter()
         with _deadline():
-            run = run_sweep(SWEEP_EXPERIMENT, grid, preset="full", jobs=SWEEP_JOBS, run_dir=run_dir)
+            run = run_sweep(SWEEP_EXPERIMENT, grid, preset=SWEEP_PRESET, jobs=SWEEP_JOBS, run_dir=run_dir)
         return time.perf_counter() - start, run
 
     if tracer is not None:
@@ -218,10 +239,12 @@ def _sweep_pass(seed: int | None, scratch: Path, tracer) -> PassResult:
     except Exception as exc:  # noqa: BLE001 - every cell of the pass counts as failed
         error = f"{type(exc).__name__}: {exc}"
         ops = [Op(spec.name, cell_seed, error=error) for cell_seed in grid["seed"] * 2]
-        return PassResult(time.perf_counter() - start, ops)
+        elapsed = time.perf_counter() - start
+        return PassResult(elapsed, ops, [("sweep", elapsed)])
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
-    layers = tracer.metrics(cold_s + resume_s) if tracer is not None else None
+    wall_s = cold_s + resume_s
+    layers = tracer.metrics(wall_s) if tracer is not None else None
     ops = []
     for phase, run, wanted in (("cold", cold, {"completed", "cached"}), ("resume", resume, {"cached"})):
         for outcome in run.outcomes:
@@ -229,7 +252,7 @@ def _sweep_pass(seed: int | None, scratch: Path, tracer) -> PassResult:
             if outcome.status not in wanted or outcome.result is None:
                 ops.append(Op(spec.name, cell_seed, error=f"{phase} cell ended {outcome.status!r}"))
             else:
-                ops.append(check_result(spec, cell_seed, outcome.result))
+                ops.append(check_result(spec.name, spec, cell_seed, outcome.result))
     if layers is not None:
         outcomes = cold.outcomes + resume.outcomes
         layers.update({
@@ -239,7 +262,7 @@ def _sweep_pass(seed: int | None, scratch: Path, tracer) -> PassResult:
             "experiments.cache.mb_written": written / 2**20,
             "experiments.supervisor.attempts": sum(len(outcome.attempts) for outcome in outcomes),
         })
-    return PassResult(cold_s + resume_s, ops, layers)
+    return PassResult(wall_s, ops, [("sweep", wall_s)], layers)
 
 
 @contextlib.contextmanager
@@ -263,16 +286,16 @@ def account(ops: list[dict]) -> tuple[int, int, dict[tuple[str, int], list[str]]
 
     An op fails when it raised, timed out, lacked a declared summary key or
     (for sweep cells) ended in the wrong state — and every op of an
-    (experiment, seed) pair whose runs disagree on the output digest fails.
+    (label, seed) pair whose runs disagree on the output digest fails.
     Also returns the distinct digests seen per pair.
     """
     digests: dict[tuple[str, int], list[str]] = defaultdict(list)
     for op in ops:
-        seen = digests[(op["experiment"], op["seed"])]
+        seen = digests[(op["label"], op["seed"])]
         if op["digest"] is not None and op["digest"] not in seen:
             seen.append(op["digest"])
     failed = sum(
-        op["error"] is not None or len(digests[(op["experiment"], op["seed"])]) > 1
+        op["error"] is not None or len(digests[(op["label"], op["seed"])]) > 1
         for op in ops
     )
     return len(ops), failed, dict(digests)
