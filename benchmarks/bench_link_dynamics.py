@@ -1,10 +1,11 @@
 """Benchmark: fault injection overhead (``BENCH_link_dynamics.json``).
 
-Gilbert–Elliott dynamics add one upfront trajectory draw plus a per-slot
-multiplier gather to every transfer; this benchmark measures what that
-costs through the traffic layer at two burst regimes (short shallow
-bursts vs long deep ones), for the lockstep mesh engine and the per-flow
-sequential oracle.  Bit-identity between the two engines is asserted at
+Gilbert–Elliott dynamics add one upfront trajectory draw (kept as 1-byte
+transition codes) to every transfer, plus a lazy evaluation of each link
+the transfer reads and a per-slot multiplier lookup; this benchmark
+measures what that costs through the traffic layer at two burst regimes
+(short shallow bursts vs long deep ones), for the lockstep mesh engine
+and the per-flow sequential oracle.  Bit-identity between the two engines is asserted at
 both regimes before any number is recorded — a fast lockstep path that
 drifts from the oracle is a bug, not a speedup.
 """

@@ -70,12 +70,7 @@ import numpy as np
 
 from repro.analysis.error_models import delivery_probabilities, delivery_probabilities_rates
 from repro.channel.awgn import db_to_linear, linear_to_db
-from repro.channel.dynamics import (
-    LinkStateTrajectory,
-    link_order,
-    materialise_trajectory,
-    trajectory_from_states,
-)
+from repro.channel.dynamics import LinkStateTrajectory, materialise_trajectory
 from repro.channel.multipath import rayleigh_taps_batch
 from repro.engine import Lane, LockstepScheduler, resolve_chains
 from repro.lasthop.controller import SourceSyncController
@@ -558,40 +553,6 @@ def _prime_lane_caches(lane: ExorLane) -> None:
         prime_testbeds_lockstep([lane.testbed], lane.rate_mbps, config.payload_bytes)
 
 
-def _materialise_root_trajectories(wrappers: list["_ExorEngineLane"]) -> None:
-    """Draw the root lanes' link-state trajectories, evolved cross-lane.
-
-    Each lane's uniform block is still that lane's own single draw (its
-    sequential stream position: after priming, before the first transfer
-    draw), but the Gilbert–Elliott scan runs once per distinct process over
-    the *stacked* blocks of all lanes sharing it — the scan is pure
-    comparisons, so the stacked evolution is bit-identical to evolving each
-    lane alone.  Chained lanes are excluded: they draw at activation.
-    """
-    groups: dict[tuple, list[tuple["_ExorEngineLane", np.ndarray]]] = {}
-    for wrapper in wrappers:
-        lane = wrapper.spec
-        dynamics = lane.config.dynamics
-        if dynamics is None:
-            continue
-        n_links = len(link_order(lane.testbed.node_ids))
-        uniforms = dynamics.draw_state_uniforms(lane.rng, n_links)
-        if uniforms is None:  # grid-only spec: deterministic, no draws
-            wrapper._trajectory = trajectory_from_states(
-                dynamics, lane.testbed.node_ids, lane.rate_mbps, None
-            )
-            continue
-        key = (dynamics.gilbert_elliott, dynamics.horizon_slots, n_links)
-        groups.setdefault(key, []).append((wrapper, uniforms))
-    for (process, _, _), rows in groups.items():
-        states = process.evolve_states(np.stack([block for _, block in rows]))
-        for (wrapper, _), lane_states in zip(rows, states):
-            lane = wrapper.spec
-            wrapper._trajectory = trajectory_from_states(
-                lane.config.dynamics, lane.testbed.node_ids, lane.rate_mbps, lane_states
-            )
-
-
 class _ExorEngineLane(Lane):
     """One :class:`ExorLane` spec as a lane on the shared lockstep engine."""
 
@@ -632,9 +593,14 @@ class _ExorEngineLane(Lane):
             )
         for (rate_mbps, payload), testbeds in data_groups.items():
             prime_testbeds_lockstep(testbeds, rate_mbps, payload)
-        # Link-state trajectories: root lanes draw now (their post-priming
-        # stream position) with the evolution scan stacked across lanes.
-        _materialise_root_trajectories(lanes)
+        # Link-state trajectories: root lanes draw now, in their
+        # post-priming stream position; chained lanes draw at activation.
+        for wrapper in lanes:
+            lane = wrapper.spec
+            if lane.config.dynamics is not None:
+                wrapper._trajectory = materialise_trajectory(
+                    lane.config.dynamics, lane.testbed.node_ids, lane.rate_mbps, lane.rng
+                )
 
     def prime(self) -> None:
         """Chained activation: cache priming plus the trajectory draw.

@@ -20,10 +20,11 @@ import pytest
 from repro.channel.dynamics import (
     GilbertElliott,
     LinkDynamics,
-    LinkStateTrajectory,
     LossRateGrid,
     link_order,
     materialise_trajectory,
+    trajectory_from_states,
+    trajectory_from_uniforms,
 )
 from repro.experiments.fig18_opportunistic import random_relay_topology
 from repro.experiments.runner import run_sweep
@@ -88,11 +89,67 @@ class TestGilbertElliott:
         assert float(lengths.mean()) == pytest.approx(4.0, rel=0.1)
 
     def test_stacked_lanes_bit_identical_to_each_alone(self):
-        """The lockstep engine's cross-lane evolution is comparison-only."""
+        """The kernel is comparison-only: leading axes evolve independently."""
         uniforms = np.random.default_rng(2).random((3, 200, 5))
         stacked = _GE.evolve_states(uniforms)
         for lane in range(3):
             np.testing.assert_array_equal(stacked[lane], _GE.evolve_states(uniforms[lane]))
+
+
+def _loop_states(process, uniforms):
+    """Reference per-slot scan: the Markov chain written out slot by slot."""
+    u = np.asarray(uniforms)
+    states = np.empty(u.shape, dtype=bool)
+    states[..., 0, :] = u[..., 0, :] < process.stationary_bad_fraction()
+    for t in range(1, u.shape[-2]):
+        previous = states[..., t - 1, :]
+        states[..., t, :] = np.where(
+            previous, u[..., t, :] >= process.p_bad_to_good, u[..., t, :] < process.p_good_to_bad
+        )
+    return states
+
+
+class TestLoopFreeKernel:
+    """``evolve_states`` against the per-slot loop it replaces."""
+
+    @pytest.mark.parametrize("burst", [1.0, 2.0, 8.0, 32.0])
+    def test_matches_per_slot_loop_across_burst_lengths(self, burst):
+        process = GilbertElliott.from_burst(burst, 0.3 if burst > 1.0 else 0.4)
+        uniforms = np.random.default_rng(int(burst)).random((700, 9))
+        np.testing.assert_array_equal(process.evolve_states(uniforms), _loop_states(process, uniforms))
+
+    @pytest.mark.parametrize(
+        "process",
+        [
+            GilbertElliott(0.0, 0.3),  # p = 0: never fails after slot 0
+            GilbertElliott(1.0, 0.3),  # p = 1: a good link always fails
+            GilbertElliott(0.2, 1.0),  # r = 1: bad lasts exactly one slot
+            GilbertElliott(1.0, 1.0),  # every slot flips
+        ],
+        ids=["p0", "p1", "r1", "p1r1"],
+    )
+    def test_matches_per_slot_loop_at_edge_probabilities(self, process):
+        uniforms = np.random.default_rng(5).random((300, 7))
+        np.testing.assert_array_equal(process.evolve_states(uniforms), _loop_states(process, uniforms))
+
+    def test_single_slot_is_the_stationary_sample(self):
+        uniforms = np.random.default_rng(6).random((1, 40))
+        np.testing.assert_array_equal(_GE.evolve_states(uniforms), _loop_states(_GE, uniforms))
+
+    def test_stacked_leading_axes_match_the_loop(self):
+        uniforms = np.random.default_rng(7).random((2, 3, 130, 4))
+        np.testing.assert_array_equal(_GE.evolve_states(uniforms), _loop_states(_GE, uniforms))
+
+    def test_flip_parity_survives_long_runs_of_flips(self):
+        """More than 255 flips in a row (the parity counter wraps)."""
+        process = GilbertElliott(1.0, 1.0)
+        uniforms = np.full((600, 2), 0.5)
+        uniforms[0] = (0.9, 0.1)  # one link starts good, one bad
+        np.testing.assert_array_equal(process.evolve_states(uniforms), _loop_states(process, uniforms))
+
+    def test_rejects_blocks_without_a_slot_axis(self):
+        with pytest.raises(ValueError):
+            _GE.evolve_states(np.zeros(5))
 
 
 class TestLossRateGrid:
@@ -128,21 +185,142 @@ class TestTrajectory:
             )
 
     def test_accessors_agree_and_joint_senders_take_the_best_link(self):
-        cube = np.ones((2, 3, 3))
-        cube[0, 0, 2] = 0.25  # link 0→2 bad at slot 0
-        cube[0, 1, 2] = 0.75  # link 1→2 better at slot 0
-        trajectory = LinkStateTrajectory(
-            horizon_slots=2, node_index={0: 0, 1: 1, 2: 2}, multipliers=cube
+        dynamics = LinkDynamics(
+            gilbert_elliott=GilbertElliott(0.5, 0.5, bad_multiplier=0.25), horizon_slots=2
         )
+        states = np.zeros((2, 6), dtype=bool)
+        states[0, link_order([0, 1, 2]).index((0, 2))] = True  # link 0→2 bad at slot 0
+        trajectory = trajectory_from_states(dynamics, [0, 1, 2], 12.0, states)
         assert trajectory.pair_multiplier(0, 0, 2) == 0.25
         np.testing.assert_array_equal(trajectory.rows(0, 2, 0, [2])[:, 0], [0.25, 1.0])
         # A joint (0, 1) transmission towards 2 rides the best sender's state.
         np.testing.assert_array_equal(
-            trajectory.receiver_multipliers(0, [0, 1], [2]), [0.75]
+            trajectory.receiver_multipliers(0, [0, 1], [2]), [1.0]
         )
 
     def test_link_order_is_all_ordered_pairs(self):
         assert link_order([3, 5]) == [(3, 5), (5, 3)]
+
+    @pytest.mark.parametrize("build", ["uniforms", "states"])
+    def test_wrong_block_shape_is_rejected(self, build):
+        nodes = [0, 1, 2]
+        for shape in ((_DYNAMICS.horizon_slots, 5), (_DYNAMICS.horizon_slots - 1, 6), (6,)):
+            block = np.zeros(shape, dtype=bool if build == "states" else np.float64)
+            with pytest.raises(ValueError, match="horizon_slots, n\\*\\(n-1\\)"):
+                if build == "states":
+                    trajectory_from_states(_DYNAMICS, nodes, 12.0, block)
+                else:
+                    trajectory_from_uniforms(_DYNAMICS, nodes, 12.0, block)
+
+    def test_compact_storage_is_one_byte_per_slot_and_link(self):
+        trajectory = materialise_trajectory(_DYNAMICS, [4, 7, 9], 12.0, np.random.default_rng(8))
+        assert trajectory.multipliers.dtype == np.uint8
+        assert trajectory.multipliers.shape == (_DYNAMICS.horizon_slots, 6)
+
+
+def _dense_cube(dynamics, node_ids, rate_mbps, uniforms):
+    """Oracle: the dense ``(slot, src, dst)`` multiplier cube, self links 1."""
+    n = len(node_ids)
+    cube = np.ones((dynamics.horizon_slots, n, n))
+    if dynamics.gilbert_elliott is not None:
+        process = dynamics.gilbert_elliott
+        flat = np.where(
+            _loop_states(process, uniforms), process.bad_multiplier, process.good_multiplier
+        )
+        index = {node: k for k, node in enumerate(node_ids)}
+        for column, (a, b) in enumerate(link_order(node_ids)):
+            cube[:, index[a], index[b]] = flat[:, column]
+    if dynamics.grid is not None:
+        cube = cube * (1.0 - dynamics.grid.loss_rate_for(rate_mbps))
+    return cube
+
+
+_GRID = LossRateGrid((6.0, 24.0), (0.02, 0.1))
+
+
+class TestLazyAccessors:
+    """Every accessor against a dense cube built from the per-slot loop."""
+
+    nodes = [10, 3, 7, 5]
+
+    def build(self, dynamics, seed=9):
+        n_links = len(self.nodes) * (len(self.nodes) - 1)
+        uniforms = dynamics.draw_state_uniforms(np.random.default_rng(seed), n_links)
+        trajectory = materialise_trajectory(
+            dynamics, self.nodes, 12.0, np.random.default_rng(seed)
+        )
+        cube = _dense_cube(dynamics, self.nodes, 12.0, uniforms)
+        return trajectory, cube
+
+    def at(self, cube, slot, src, dst):
+        index = {node: k for k, node in enumerate(self.nodes)}
+        return cube[slot % cube.shape[0], index[src], index[dst]]
+
+    @pytest.mark.parametrize(
+        "dynamics",
+        [
+            LinkDynamics(gilbert_elliott=_GE, horizon_slots=24),
+            LinkDynamics(grid=_GRID, horizon_slots=24),
+            LinkDynamics(gilbert_elliott=_GE, grid=_GRID, horizon_slots=24),
+        ],
+        ids=["ge", "grid", "ge+grid"],
+    )
+    def test_every_accessor_matches_the_dense_cube(self, dynamics):
+        trajectory, cube = self.build(dynamics)
+        horizon = dynamics.horizon_slots
+        # Slots past the horizon wrap; rows straddle the wrap point.
+        for slot in (0, 5, horizon - 1, horizon, 3 * horizon + 2):
+            for src in self.nodes:
+                for dst in self.nodes:
+                    if src != dst:
+                        assert trajectory.pair_multiplier(slot, src, dst) == (
+                            self.at(cube, slot, src, dst)
+                        )
+        receivers = [3, 5, 10]
+        block = trajectory.rows(horizon - 3, 7, 7, receivers)
+        assert block.shape == (7, 3)
+        for k in range(7):
+            for r, node in enumerate(receivers):
+                assert block[k, r] == self.at(cube, horizon - 3 + k, 7, node)
+        assert trajectory.rows(0, 4, 7, []).shape == (4, 0)
+        for slot in (1, horizon + 1):
+            joint = trajectory.receiver_multipliers(slot, [10, 7], receivers)
+            expected = [
+                max(self.at(cube, slot, 10, node), self.at(cube, slot, 7, node))
+                for node in receivers
+            ]
+            np.testing.assert_array_equal(joint, expected)
+            single = trajectory.receiver_multipliers(slot, [3], [5, 7])
+            np.testing.assert_array_equal(
+                single, [self.at(cube, slot, 3, 5), self.at(cube, slot, 3, 7)]
+            )
+
+    def test_a_sender_that_also_receives_reads_the_self_level(self):
+        """Self links read 1 × grid, as the dense cube's diagonal did."""
+        dynamics = LinkDynamics(gilbert_elliott=_GE, grid=_GRID, horizon_slots=16)
+        trajectory, cube = self.build(dynamics)
+        factor = 1.0 - _GRID.loss_rate_for(12.0)
+        joint = trajectory.receiver_multipliers(4, [3, 7], [3, 5])
+        np.testing.assert_array_equal(
+            joint,
+            [
+                max(factor, self.at(cube, 4, 7, 3)),
+                max(self.at(cube, 4, 3, 5), self.at(cube, 4, 7, 5)),
+            ],
+        )
+        assert trajectory.pair_multiplier(9, 5, 5) == factor
+        np.testing.assert_array_equal(trajectory.rows(14, 4, 5, [5])[:, 0], [factor] * 4)
+
+    def test_read_order_cannot_change_a_multiplier(self):
+        """Evaluating columns alone or together gives the same floats."""
+        dynamics = LinkDynamics(gilbert_elliott=_GE, grid=_GRID, horizon_slots=40)
+        together, _ = self.build(dynamics)
+        alone, _ = self.build(dynamics)
+        receivers = [3, 5, 10]
+        block = together.rows(0, 40, 7, receivers)
+        for r, node in enumerate(receivers):
+            column = [alone.pair_multiplier(slot, 7, node) for slot in range(40)]
+            np.testing.assert_array_equal(block[:, r], column)
 
 
 def _close_pair_testbed(seed):
