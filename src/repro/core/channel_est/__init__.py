@@ -11,6 +11,7 @@ from repro.core.channel_est.phase_tracking import (
     PerSenderPhaseTracker,
     pilot_owner,
     pilot_scale_pattern,
+    track_phases_batch,
 )
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "PerSenderPhaseTracker",
     "pilot_owner",
     "pilot_scale_pattern",
+    "track_phases_batch",
 ]

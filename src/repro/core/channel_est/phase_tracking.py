@@ -12,6 +12,14 @@ pilot subcarriers only in the data symbols it "owns" (and is silent on the
 pilots otherwise), co-sender ``i`` owns a different set of symbols, and the
 receiver maintains one residual-phase estimate per sender, updating it
 whenever that sender owns the pilots.
+
+:class:`PerSenderPhaseTracker` follows one frame symbol by symbol;
+:func:`track_phases_batch` runs the same recursion for a stack of frames
+that share a data-section geometry.  Everything except the phase unwrap is
+independent of the running estimate, so the batched tracker correlates
+every symbol's pilots with its owner's expected pilots in one pass, and
+only the unwrap loops over symbols, updating every frame's owner phase at
+once.
 """
 
 from __future__ import annotations
@@ -21,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.phy.equalizer import ChannelEstimate
-from repro.phy.ofdm import PILOT_VALUES, pilot_polarity
+from repro.phy.ofdm import PILOT_VALUES, pilot_polarities, pilot_polarity
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["pilot_owner", "pilot_scale_pattern", "PerSenderPhaseTracker"]
+__all__ = ["pilot_owner", "pilot_scale_pattern", "PerSenderPhaseTracker", "track_phases_batch"]
 
 
 def pilot_owner(symbol_index: int, n_senders: int) -> int:
@@ -48,6 +56,9 @@ def pilot_scale_pattern(n_symbols: int, sender_index: int, n_senders: int) -> np
 @dataclass
 class PerSenderPhaseTracker:
     """Tracks one residual phase trajectory per sender across data symbols.
+
+    This is the one-frame form; :func:`track_phases_batch` runs the same
+    recursion for a stack of frames, bit for bit.
 
     Attributes
     ----------
@@ -135,3 +146,61 @@ class PerSenderPhaseTracker:
         if not self._history:
             return np.zeros((0, self.n_senders))
         return np.asarray(self._history)
+
+
+def track_phases_batch(
+    freq: np.ndarray,
+    responses: np.ndarray,
+    gate: np.ndarray,
+    params: OFDMParams = DEFAULT_PARAMS,
+    smoothing: float = 1.0,
+) -> np.ndarray:
+    """Per-sender residual phases of a stack of frames, after every symbol.
+
+    Parameters
+    ----------
+    freq:
+        ``(n_frames, n_symbols, n_fft)`` received data symbols (FFT bins).
+    responses:
+        ``(n_frames, n_senders, n_fft)`` per-sender channel responses.
+    gate:
+        ``(n_frames, n_senders)``; a symbol owned by a sender whose gate is
+        False leaves that frame's phases untouched, as if
+        :meth:`PerSenderPhaseTracker.update` had not been called for it.
+    params, smoothing:
+        As in :class:`PerSenderPhaseTracker`.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n_frames, n_symbols, n_senders)`` phases, row ``t`` being what
+        the scalar tracker's :attr:`~PerSenderPhaseTracker.phases` reads
+        after symbol ``t``.  Every float follows the scalar tracker's
+        operations, so the two agree bit for bit.
+    """
+    n_frames, n_symbols, _ = freq.shape
+    n_senders = responses.shape[1]
+    pilot_bins = params.pilot_bins()
+    owners = np.arange(n_symbols) % n_senders
+    expected = (responses[:, :, pilot_bins] * PILOT_VALUES)[:, owners] * pilot_polarities(
+        n_symbols
+    )[None, :, None]
+    # Summed along a C-contiguous last axis, each frame's four products take
+    # the same pairwise order as the scalar tracker's 1-D sum; the layout
+    # numpy picks for the fancy-indexed product may reorder the additions.
+    products = np.ascontiguousarray(freq[:, :, pilot_bins] * np.conj(expected))
+    correlation = np.sum(products, axis=-1)
+    update = gate[:, owners] & (np.abs(correlation) > 1e-15)
+    measured = np.angle(correlation)
+    phases = np.zeros((n_frames, n_senders), dtype=np.float64)
+    track = np.empty((n_frames, n_symbols, n_senders), dtype=np.float64)
+    for t in range(n_symbols):
+        rows = update[:, t]
+        if rows.any():
+            owner = owners[t]
+            previous = phases[rows, owner]
+            # Unwrap relative to the running estimate, as the scalar update does.
+            delta = np.angle(np.exp(1j * (measured[rows, t] - previous)))
+            phases[rows, owner] = previous + smoothing * delta
+        track[:, t] = phases
+    return track

@@ -96,13 +96,13 @@ def alamouti_decode(
     ----------
     received:
         Received (already FFT'd, non-equalised) data-subcarrier values,
-        shape ``(n_symbols, n_subcarriers)`` with ``n_symbols`` even.
+        shape ``(..., n_symbols, n_subcarriers)`` with ``n_symbols`` even;
+        leading axes, if any, index independent frames of a stack.
     channel_a, channel_b:
         Channels of branch A and branch B.  Either shape
-        ``(n_subcarriers,)`` for a static channel or
-        ``(n_symbols, n_subcarriers)`` when the Joint Channel Estimator
-        tracks per-symbol rotation (§5).  A missing sender is represented by
-        an all-zero channel.
+        ``(n_subcarriers,)`` for a static channel or the received shape
+        when the Joint Channel Estimator tracks per-symbol rotation (§5).
+        A missing sender is represented by an all-zero channel.
     return_gain:
         When True, also return the per-pair combining gain
         ``|hA|^2 + |hB|^2`` (used to scale noise for soft demapping).
@@ -113,40 +113,45 @@ def alamouti_decode(
         Estimated data symbols, same shape as ``received``.
     """
     received = np.asarray(received, dtype=np.complex128)
-    if received.ndim != 2 or received.shape[0] % 2 != 0:
-        raise ValueError("received must be 2-D with an even number of symbols")
-    n_symbols, n_sc = received.shape
+    if received.ndim < 2 or received.shape[-2] % 2 != 0:
+        raise ValueError("received must be (..., n_symbols, n_sc) with an even symbol count")
 
     def expand(channel: np.ndarray) -> np.ndarray:
         channel = np.asarray(channel, dtype=np.complex128)
         if channel.ndim == 1:
-            return np.broadcast_to(channel, (n_symbols, n_sc))
-        if channel.shape != (n_symbols, n_sc):
+            return np.broadcast_to(channel, received.shape)
+        if channel.shape != received.shape:
             raise ValueError("per-symbol channel must match the received shape")
         return channel
 
     ha = expand(channel_a)
     hb = expand(channel_b)
 
-    y1 = received[0::2]
-    y2 = received[1::2]
+    y1 = received[..., 0::2, :]
+    y2 = received[..., 1::2, :]
     # Use the channel of the first slot of each pair; the estimator keeps the
     # per-symbol values, and averaging over the pair is equivalent to first
     # order.
-    ha_pair = 0.5 * (ha[0::2] + ha[1::2])
-    hb_pair = 0.5 * (hb[0::2] + hb[1::2])
+    ha_pair = 0.5 * (ha[..., 0::2, :] + ha[..., 1::2, :])
+    hb_pair = 0.5 * (hb[..., 0::2, :] + hb[..., 1::2, :])
 
     gain = np.abs(ha_pair) ** 2 + np.abs(hb_pair) ** 2
     gain_safe = np.maximum(gain, 1e-15)
-    x1 = (np.conj(ha_pair) * y1 + hb_pair * np.conj(y2)) / gain_safe
-    x2 = (np.conj(ha_pair) * y2 - hb_pair * np.conj(y1)) / gain_safe
+    # Named operands keep every complex product in (left, right) order: numpy
+    # reuses a large temporary right operand of a commutative ufunc as the
+    # output and swaps the operands, which rounds complex products
+    # differently, so a stacked call would drift from per-frame calls.
+    ha_conj = np.conj(ha_pair)
+    y1_conj = np.conj(y1)
+    y2_conj = np.conj(y2)
+    x1 = (ha_conj * y1 + hb_pair * y2_conj) / gain_safe
+    x2 = (ha_conj * y2 - hb_pair * y1_conj) / gain_safe
 
     decoded = np.empty_like(received)
-    decoded[0::2] = x1
-    decoded[1::2] = x2
+    decoded[..., 0::2, :] = x1
+    decoded[..., 1::2, :] = x2
     if return_gain:
-        pair_gain = np.repeat(gain, 2, axis=0).reshape(n_symbols, n_sc)
-        return decoded, pair_gain
+        return decoded, np.repeat(gain, 2, axis=-2)
     return decoded
 
 

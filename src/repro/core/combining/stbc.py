@@ -44,6 +44,17 @@ CombinerScheme = str
 _SCHEMES = ("alamouti", "replicated_alamouti", "qostbc", "naive")
 
 
+def _codewords(sender_channels: list[np.ndarray], codeword_indices: list[int] | None) -> list[int]:
+    """Validated codeword of every sender channel (codeword order by default)."""
+    if not sender_channels:
+        raise ValueError("at least one sender channel is required")
+    if codeword_indices is None:
+        return list(range(len(sender_channels)))
+    if len(codeword_indices) != len(sender_channels):
+        raise ValueError("codeword_indices must match sender_channels")
+    return list(codeword_indices)
+
+
 @dataclass(frozen=True)
 class SmartCombiner:
     """Distributed space-time encoder/decoder shared by all senders.
@@ -128,12 +139,7 @@ class SmartCombiner:
         is ``(n_subcarriers,)`` or ``(n_symbols, n_subcarriers)``.  The
         result has shape ``(n_branches, ...)``.
         """
-        if not sender_channels:
-            raise ValueError("at least one sender channel is required")
-        if codeword_indices is None:
-            codeword_indices = list(range(len(sender_channels)))
-        if len(codeword_indices) != len(sender_channels):
-            raise ValueError("codeword_indices must match sender_channels")
+        codeword_indices = _codewords(sender_channels, codeword_indices)
         n_branches = 1 if self.scheme == "naive" else (
             QOSTBC_BRANCHES if self.scheme == "qostbc" else 2
         )
@@ -171,18 +177,18 @@ class SmartCombiner:
             joint receiver to scale noise for soft demapping.
         """
         received = np.atleast_2d(np.asarray(received, dtype=np.complex128))
+        if self.scheme != "qostbc":
+            # Naive and Alamouti decoding is decode_batch on a stack of one.
+            codeword_indices = _codewords(sender_channels, codeword_indices)
+            n_slots = max(codeword_indices) + 1
+            stack = np.zeros((1, n_slots) + received.shape, dtype=np.complex128)
+            active = np.zeros((1, n_slots), dtype=bool)
+            for channel, codeword in zip(sender_channels, codeword_indices):
+                stack[0, codeword] += np.asarray(channel, dtype=np.complex128)
+                active[0, codeword] = True
+            decoded, gain = self.decode_batch(received[None], stack, active)
+            return (decoded[0], gain[0]) if return_gain else decoded[0]
         branches = self.combine_branch_channels(sender_channels, codeword_indices)
-        if self.scheme == "naive":
-            combined = branches[0]
-            if combined.ndim == 1:
-                combined = np.broadcast_to(combined, received.shape)
-            gain = np.abs(combined) ** 2
-            safe = np.where(np.abs(combined) < 1e-12, 1e-12, combined)
-            decoded = received / safe
-            return (decoded, gain) if return_gain else decoded
-        if self.scheme in ("alamouti", "replicated_alamouti"):
-            result = alamouti_decode(received, branches[0], branches[1], return_gain=return_gain)
-            return result
         static_branches = branches if branches.ndim == 2 else branches.mean(axis=1)
         decoded = qostbc_decode(received, static_branches, constellation)
         if not return_gain:
@@ -190,6 +196,67 @@ class SmartCombiner:
         gain = np.sum(np.abs(static_branches) ** 2, axis=0)
         gain_full = np.broadcast_to(gain, received.shape)
         return decoded, gain_full
+
+    def decode_batch(
+        self,
+        received: np.ndarray,
+        sender_channels: np.ndarray,
+        active: np.ndarray,
+        constellation: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`decode` with ``return_gain`` for a stack of frames.
+
+        Parameters
+        ----------
+        received:
+            ``(n_frames, n_symbols, n_subcarriers)`` raw data-subcarrier
+            values.
+        sender_channels:
+            ``(n_frames, n_senders, n_symbols, n_subcarriers)`` per-symbol
+            channels of every *intended* sender; sender ``k`` uses codeword
+            ``k``.
+        active:
+            ``(n_frames, n_senders)``; inactive senders contribute nothing,
+            exactly as if they were left out of :meth:`decode`'s list.
+        constellation:
+            As in :meth:`decode`.
+
+        The branch sums add the active senders in codeword order, and the
+        Alamouti and naive decoders are elementwise over the frame axis, so
+        each frame gets the same floats as a stack of one; :meth:`decode`
+        is that stack of one.  The ``qostbc`` decoder loops over blocks and
+        subcarriers and stays per frame.
+        """
+        received = np.asarray(received, dtype=np.complex128)
+        sender_channels = np.asarray(sender_channels, dtype=np.complex128)
+        active = np.asarray(active, dtype=bool)
+        if self.scheme == "qostbc":
+            decoded = np.empty_like(received)
+            gain = np.empty(received.shape, dtype=np.float64)
+            for frame in range(received.shape[0]):
+                senders = np.nonzero(active[frame])[0].tolist()
+                decoded[frame], gain[frame] = self.decode(
+                    received[frame],
+                    list(sender_channels[frame, senders]),
+                    codeword_indices=senders,
+                    constellation=constellation,
+                    return_gain=True,
+                )
+            return decoded, gain
+        n_branches = 1 if self.scheme == "naive" else 2
+        branches = np.zeros((n_branches,) + received.shape, dtype=np.complex128)
+        for codeword in range(sender_channels.shape[1]):
+            branch = self.branch_for_codeword(codeword)
+            branches[branch] = np.where(
+                active[:, codeword, None, None],
+                branches[branch] + sender_channels[:, codeword],
+                branches[branch],
+            )
+        if self.scheme == "naive":
+            combined = branches[0]
+            safe = np.where(np.abs(combined) < 1e-12, 1e-12, combined)
+            return received / safe, np.abs(combined) ** 2
+        return alamouti_decode(received, branches[0], branches[1], return_gain=True)
 
     def effective_gain(self, sender_channels: list[np.ndarray], codeword_indices: list[int] | None = None) -> np.ndarray:
         """Post-combining channel power per subcarrier.

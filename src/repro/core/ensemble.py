@@ -74,9 +74,9 @@ from repro.channel.composite import (
     propagate_rows,
 )
 from repro.core.channel_est.cfo import CfoEstimate
-from repro.core.frame import JointFrameLayout, make_joint_frame_config
+from repro.core.frame import HEADER_SYMBOLS, JointFrameLayout, SyncHeader, make_joint_frame_config
 from repro.engine import Lane, LockstepScheduler
-from repro.core.sender import CoSender
+from repro.core.sender import CoSender, header_symbol_bits, header_waveforms_from_bits
 from repro.core.session import (
     HeaderExchangeOutcome,
     JointFrameOutcome,
@@ -584,14 +584,23 @@ def _header_layout(session: SourceSyncSession) -> JointFrameLayout:
     )
 
 
-def _draw_header(session: SourceSyncSession, layout: JointFrameLayout, rate_mbps: float = 6.0):
+def _draw_header(
+    session: SourceSyncSession, layout: JointFrameLayout, rate_mbps: float = 6.0
+) -> tuple[SyncHeader, np.ndarray]:
+    """Draw a header's packet id and expand its keyed bits straight away.
+
+    The keyed expansion uses a generator of its own, which the draw ledger
+    records too, so it stays right after the packet-id draw as in the
+    per-frame path; only the waveform synthesis is left to a batch.
+    """
     header = session.lead.make_header(
         packet_id=int(session.rng.integers(0, 1 << 16)),
         rate_mbps=rate_mbps,
         data_cp_samples=layout.effective_data_cp,
         n_cosenders=layout.n_cosenders,
     )
-    return header, session.lead.header_waveform(header, layout)
+    n_bits = HEADER_SYMBOLS * layout.params.n_data_subcarriers
+    return header, header_symbol_bits(header, n_bits)
 
 
 def _cosender_transmissions(
@@ -602,6 +611,7 @@ def _cosender_transmissions(
     payload: bytes | None = None,
     frame_config=None,
     active: list[int] | None = None,
+    sections: dict | None = None,
 ) -> list[Transmission]:
     topo = session.topology
     indices = range(topo.n_cosenders) if active is None else active
@@ -621,7 +631,7 @@ def _cosender_transmissions(
         if training_only:
             samples = cosender.training_waveform(layout)
         else:
-            samples = cosender.build_waveform(payload, layout, frame_config)
+            samples = cosender.build_waveform(payload, layout, frame_config, sections=sections)
         transmissions.append(
             Transmission(link=topo.links_cosender_rx[i], samples=samples, start_sample=starts[i])
         )
@@ -645,11 +655,10 @@ def run_sync_trials_batch(
     _ensure_measured_batch(sessions)
     results: list[list[SyncTrialResult]] = [[] for _ in sessions]
     for _ in range(repeats):
-        lanes = []
-        for session in sessions:
-            layout = _header_layout(session)
-            _, header_waveform = _draw_header(session, layout)
-            lanes.append((session, layout, header_waveform))
+        layouts = [_header_layout(session) for session in sessions]
+        bits = [_draw_header(session, layout)[1] for session, layout in zip(sessions, layouts)]
+        waveforms = header_waveforms_from_bits(np.stack(bits), layouts[0].params)
+        lanes = list(zip(sessions, layouts, waveforms))
         starts, feasible = _schedule_lockstep(lanes, compensate)
         for s, session in enumerate(sessions):
             layout = lanes[s][1]
@@ -744,21 +753,22 @@ def run_header_exchanges_batch(
     # ------------------------------------------------------------------
     # Batched computation over every (session, repeat, cosender) probe row.
     # ------------------------------------------------------------------
-    header_waveforms = [
+    # Lockstep sessions share one header layout (_check_common_structure),
+    # so every header of every repeat is synthesised in one batch.
+    flat = sessions[0].lead.header_waveforms(
         [
-            sessions[s].lead.header_waveform(
-                sessions[s].lead.make_header(
-                    packet_id=pid,
-                    rate_mbps=6.0,
-                    data_cp_samples=layouts[s].effective_data_cp,
-                    n_cosenders=layouts[s].n_cosenders,
-                ),
-                layouts[s],
+            sessions[s].lead.make_header(
+                packet_id=pid,
+                rate_mbps=6.0,
+                data_cp_samples=layouts[s].effective_data_cp,
+                n_cosenders=layouts[s].n_cosenders,
             )
+            for s in range(len(sessions))
             for pid in pids[s]
-        ]
-        for s in range(len(sessions))
-    ]
+        ],
+        layouts[0],
+    )
+    header_waveforms = [flat[s * repeats : (s + 1) * repeats] for s in range(len(sessions))]
     jobs: list[_LegJob] = []
     job_key: list[tuple[int, int, int]] = []
     noises_flat: list[np.ndarray] = []
@@ -966,6 +976,9 @@ class _JointFrameContext:
     def __init__(self) -> None:
         self.receive_jobs: list[tuple] = []
         self.lane_meta: list[tuple] = []
+        # Data sections built so far in this call (read-only, see
+        # build_data_section): the frames of a CP sweep repeat payloads.
+        self.data_sections: dict = {}
 
 
 class _JointFrameLane(Lane):
@@ -1005,7 +1018,7 @@ class _JointFrameLane(Lane):
     def advance_lanes(cls, lanes: list["_JointFrameLane"]) -> None:
         """Transmit one joint frame per live session as a single stacked wave."""
         ctx = lanes[0].ctx
-        built = []
+        drawn = []
         for wrapper in lanes:
             session = wrapper.session
             job = wrapper.jobs[wrapper.wave_index]
@@ -1019,11 +1032,22 @@ class _JointFrameLane(Lane):
                 data_cp_samples=job.data_cp_samples,
                 sifs_us=session.config.sifs_us,
             )
-            header, header_waveform = _draw_header(session, layout, job.rate_mbps)
+            header, bits = _draw_header(session, layout, job.rate_mbps)
             lead_waveform = session.lead.build_waveform(
-                job.payload, header, layout, frame_config
+                job.payload, header, layout, frame_config, sections=ctx.data_sections
             )
-            built.append((wrapper, job, frame_config, layout, header_waveform, lead_waveform))
+            drawn.append((wrapper, job, frame_config, layout, bits, lead_waveform))
+        # Header waveform synthesis draws nothing, and the lanes share one
+        # numerology, so the whole wave's headers are synthesised at once.
+        waveforms = header_waveforms_from_bits(
+            np.stack([entry[4] for entry in drawn]), drawn[0][3].params
+        )
+        built = [
+            (wrapper, job, frame_config, layout, header_waveform, lead_waveform)
+            for (wrapper, job, frame_config, layout, _, lead_waveform), header_waveform in zip(
+                drawn, waveforms
+            )
+        ]
         schedule_lanes = [
             (entry[0].session, entry[3], entry[4]) for entry in built
         ]
@@ -1055,6 +1079,7 @@ class _JointFrameLane(Lane):
                     payload=job.payload,
                     frame_config=frame_config,
                     active=active,
+                    sections=ctx.data_sections,
                 )
             )
             wave_trials.append((transmissions, None))
@@ -1092,7 +1117,8 @@ def run_joint_frames_batch(
     of ``run_joint_frame(..., apply_tracking_feedback=False)``), so the
     expensive receive chain (data FFTs, demapping, Viterbi) runs once over
     the whole ensemble; equal coded lengths share one block-parallel
-    Viterbi call.
+    Viterbi call.  Each distinct sender data section is built once per
+    call and shared read-only by every frame that repeats it.
     """
     if len(jobs_per_session) != len(sessions):
         raise ValueError("need one job list per session")
@@ -1107,6 +1133,7 @@ def run_joint_frames_batch(
         ]
     )
 
+    ctx.data_sections.clear()  # only transmission needs them; free before decoding
     receiver = sessions[0].receiver
     received_results = receiver.receive_many(ctx.receive_jobs)
 

@@ -29,7 +29,7 @@ from repro.core.channel_est.joint_estimator import (
     sender_active,
 )
 from repro.core.sync.detection_delay import phase_slope_windowed_batch
-from repro.core.channel_est.phase_tracking import PerSenderPhaseTracker, pilot_owner
+from repro.core.channel_est.phase_tracking import track_phases_batch
 from repro.core.combining.stbc import SmartCombiner
 from repro.core.config import SourceSyncConfig
 from repro.core.frame import JointFrameLayout
@@ -55,6 +55,10 @@ __all__ = ["JointReceiveResult", "JointReceiver"]
 
 _CODE = get_code()
 
+#: Cap on (symbol, constellation point) distances the batched soft demapper
+#: holds at once; chunking changes nothing (the demapper is elementwise).
+_DEMAP_CHUNK_POINTS = 1 << 20
+
 
 @dataclass
 class JointReceiveResult:
@@ -75,6 +79,33 @@ class JointReceiveResult:
     def success(self) -> bool:
         """True when the frame was detected and passed its CRC."""
         return self.detected and self.crc_ok
+
+
+def _frame_samples(
+    rows: np.ndarray,
+    starts: np.ndarray,
+    cfo: np.ndarray,
+    members: np.ndarray,
+    offsets: np.ndarray,
+    sample_period: float | None,
+) -> np.ndarray:
+    """Samples at frame ``offsets`` of ``rows[members]``, CFO-corrected.
+
+    ``starts`` and ``cfo`` are indexed like ``rows``.  Each sample is
+    multiplied by the same per-frame index ramp entry,
+    ``exp(-2j*pi*cfo*offset*sample_period)``, that correcting the whole
+    frame would apply, so gathering only the header span or the data
+    windows gives bit-identical values.  ``sample_period=None`` skips the
+    correction.  Returns ``(members.size, *offsets.shape)``.
+    """
+    lead = (-1,) + (1,) * offsets.ndim
+    samples = rows[members.reshape(lead), starts[members].reshape(lead) + offsets]
+    if sample_period is None:
+        return samples
+    # A named ramp keeps numpy from reusing it as the output of a swapped
+    # (ramp * samples) product, which rounds complex products differently.
+    ramp = np.exp(-2j * np.pi * cfo[members].reshape(lead) * offsets * sample_period)
+    return samples * ramp
 
 
 class JointReceiver:
@@ -229,14 +260,22 @@ class JointReceiver:
         if start + layout.total_samples > samples.size:
             return JointReceiveResult(False, False, b"", start_index=start)
 
-        frame = samples[start : start + layout.total_samples]
         cfo_hz = 0.0
         if correct_cfo:
             try:
                 cfo_hz = estimate_coarse_cfo(samples, start, params)
             except ValueError:
                 cfo_hz = 0.0
-            frame = apply_cfo_correction(frame, cfo_hz, params.sample_period_s)
+        # The header span and, below, the data windows are CFO-corrected by
+        # _frame_samples exactly as receive_many corrects them.
+        rows = samples[None]
+        starts = np.array([start])
+        cfo = np.array([cfo_hz])
+        member = np.zeros(1, dtype=np.int64)
+        sample_period = params.sample_period_s if correct_cfo else None
+        frame = _frame_samples(
+            rows, starts, cfo, member, np.arange(layout.data_offset), sample_period
+        )[0]
 
         # --- lead sender channel from its preamble LTF
         ltf_start = layout.stf_samples + 2 * params.cp_samples - backoff
@@ -266,86 +305,27 @@ class JointReceiver:
             noise_var=noise_var,
             params=params,
         )
-        active_channels = joint_estimate.active_channels()
-        active_codewords = joint_estimate.active_codewords()
-        n_intended = 1 + layout.n_cosenders
 
-        # --- data section
-        data_params = layout.data_params
-        n_symbols_tx = self.combiner.pad_symbols(
-            np.zeros((frame_config.n_data_symbols, params.n_data_subcarriers))
-        ).shape[0]
-        data_bins = params.data_bins()
-        raw_symbols = np.empty((n_symbols_tx, data_bins.size), dtype=np.complex128)
-        tracker = PerSenderPhaseTracker(n_senders=n_intended, params=params)
-        per_symbol_channels = [
-            np.empty((n_symbols_tx, data_bins.size), dtype=np.complex128)
-            for _ in active_channels
-        ]
-        active_mask = [True] + [ch is not None for ch in cosender_channels]
-        intended_channels = [lead_channel] + [
-            ch if ch is not None else ChannelEstimate(np.zeros(params.n_fft, np.complex128), noise_var)
-            for ch in cosender_channels
-        ]
-
-        # One gather + one batched FFT for every data symbol window; only the
-        # pilot phase tracker stays sequential (each update unwraps relative
-        # to the previous phase of the owning sender).
-        windows = (
-            layout.data_offset
-            + np.arange(n_symbols_tx)[:, None] * layout.data_symbol_samples
-            + data_params.cp_samples
-            - backoff
-            + np.arange(params.n_fft)[None, :]
+        # --- data section: the job-stacked stage of receive_many on a stack
+        # of one.
+        silent = np.zeros_like(lead_channel.response)
+        decoded_symbols, llrs = self._data_llrs_batch(
+            rows,
+            member,
+            starts,
+            cfo,
+            sample_period,
+            lead_channel.response[None],
+            np.array([noise_var]),
+            [
+                (np.array([ch is not None]), (ch.response if ch is not None else silent)[None])
+                for ch in cosender_channels
+            ],
+            layout,
+            frame_config,
         )
-        freq_all = np.fft.fft(frame[windows], axis=-1) / np.sqrt(params.n_fft)
-        phase_track = np.empty((n_symbols_tx, n_intended), dtype=np.float64)
-        for t in range(n_symbols_tx):
-            if self.config.pilot_sharing:
-                owner = pilot_owner(t, n_intended)
-                if active_mask[owner]:
-                    tracker.update(freq_all[t], intended_channels, t)
-            else:
-                tracker.update(freq_all[t], intended_channels, t)
-            phase_track[t] = tracker.phases
-        raw_symbols[:] = freq_all[:, data_bins]
-        active_idx = 0
-        for sender, channel in enumerate(intended_channels):
-            if not active_mask[sender]:
-                continue
-            rotation = np.exp(1j * phase_track[:, sender])
-            per_symbol_channels[active_idx][:] = (
-                channel.on_bins(data_bins)[None, :] * rotation[:, None]
-            )
-            active_idx += 1
-
-        decoded_symbols, gain = self.combiner.decode(
-            raw_symbols,
-            per_symbol_channels,
-            codeword_indices=active_codewords,
-            constellation=get_modulation(frame_config.rate.modulation).points,
-            return_gain=True,
-        )
-
-        # --- bit-domain processing (identical to the single-sender chain);
-        # all data symbols are soft-demapped in one vectorised call and
-        # deinterleaved with a single permutation of the (n_symbols, n_cbps)
-        # block instead of a per-symbol Python loop.
-        modulation = get_modulation(frame_config.rate.modulation)
-        n_cbps = frame_config.coded_bits_per_symbol
-        n_sym = frame_config.n_data_symbols
-        noise_eff = np.broadcast_to(
-            noise_var / np.maximum(gain[:n_sym], 1e-12), decoded_symbols[:n_sym].shape
-        )
-        soft = modulation.demodulate_soft(
-            decoded_symbols[:n_sym].reshape(-1), noise_eff.reshape(-1)
-        ).reshape(n_sym, n_cbps)
-        perm = interleaver_permutation(n_cbps, frame_config.rate.bits_per_symbol)
-        llrs = soft[:, perm].reshape(-1)
-
-        original_len = _CODE.coded_length(frame_config.n_info_bits + frame_config.n_pad_bits)
-        soft_full = depuncture(llrs, frame_config.rate.code_rate, original_len)
-        decoded_bits = _CODE.decode(soft_full, terminated=True)
+        decoded_symbols = decoded_symbols[0]
+        decoded_bits = _CODE.decode(llrs[0], terminated=True)
         descrambled = bitutils.descramble(decoded_bits, frame_config.scrambler_seed)
         info_bits = descrambled[: frame_config.n_info_bits]
         frame_bytes = bitutils.bits_to_bytes(info_bits)
@@ -368,7 +348,7 @@ class JointReceiver:
             snr_db=snr_db,
             per_subcarrier_snr_db=per_sc_snr,
             cfo_hz=cfo_hz,
-            equalized_symbols=decoded_symbols[: frame_config.n_data_symbols],
+            equalized_symbols=decoded_symbols,
         )
 
     # ------------------------------------------------------------------
@@ -496,6 +476,87 @@ class JointReceiver:
             )
         return estimates, reports
 
+    def _data_llrs_batch(
+        self,
+        rows: np.ndarray,
+        members: np.ndarray,
+        starts: np.ndarray,
+        cfo: np.ndarray,
+        sample_period: float | None,
+        lead_responses: np.ndarray,
+        noise_vars: np.ndarray,
+        slots: list[tuple[np.ndarray, np.ndarray]],
+        layout: JointFrameLayout,
+        frame_config: FrameConfig,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Data sections of a job stack sharing ``(layout, frame_config)``.
+
+        The stack is ``rows[members]``, whose frames start at ``starts`` with
+        coarse offsets ``cfo`` (both indexed like ``rows``; corrected unless
+        ``sample_period`` is None, see :func:`_frame_samples`); the channel
+        arguments are the header stage's arrays for the stack.  Gathers
+        only the data windows, then runs the data-window FFT, the
+        per-sender pilot tracker, the per-sender channel rotation, the
+        combiner, the soft demapper, the de-interleaver and depuncturing
+        once for the stack.  Returns
+        ``(decoded_symbols, llrs)``: the ``(n, n_data_symbols, n_data)``
+        combiner output and the ``(n, coded_length)`` depunctured LLRs.
+        """
+        params = layout.params
+        data_params = layout.data_params
+        backoff = self.config.window_backoff_samples
+        n = members.size
+        n_senders = 1 + layout.n_cosenders
+        # Intended senders in codeword order; an inactive co-sender slot has
+        # an all-zero channel and is masked out of tracking and combining.
+        responses = np.zeros((n, n_senders, params.n_fft), dtype=np.complex128)
+        active = np.ones((n, n_senders), dtype=bool)
+        responses[:, 0] = lead_responses
+        for k, (slot_active, slot_responses) in enumerate(slots):
+            active[:, k + 1] = slot_active
+            responses[slot_active, k + 1] = slot_responses[slot_active]
+
+        n_symbols_tx = self.combiner.pad_symbols(
+            np.zeros((frame_config.n_data_symbols, params.n_data_subcarriers))
+        ).shape[0]
+        windows = (
+            layout.data_offset
+            + np.arange(n_symbols_tx)[:, None] * layout.data_symbol_samples
+            + data_params.cp_samples
+            - backoff
+            + np.arange(params.n_fft)[None, :]
+        )
+        samples = _frame_samples(rows, starts, cfo, members, windows, sample_period)
+        freq = np.fft.fft(samples, axis=-1) / np.sqrt(params.n_fft)
+        gate = active if self.config.pilot_sharing else np.ones_like(active)
+        phases = track_phases_batch(freq, responses, gate, params)
+        data_bins = params.data_bins()
+        rotation = np.exp(1j * phases).transpose(0, 2, 1)
+        per_symbol_channels = responses[:, :, None, data_bins] * rotation[..., None]
+        modulation = get_modulation(frame_config.rate.modulation)
+        decoded_symbols, gain = self.combiner.decode_batch(
+            freq[..., data_bins], per_symbol_channels, active, constellation=modulation.points
+        )
+
+        # Soft demap (in bounded chunks), de-interleave and depuncture.
+        n_sym = frame_config.n_data_symbols
+        n_cbps = frame_config.coded_bits_per_symbol
+        decoded_symbols = decoded_symbols[:, :n_sym]
+        noise_eff = noise_vars[:, None, None] / np.maximum(gain[:, :n_sym], 1e-12)
+        flat_symbols = decoded_symbols.reshape(-1)
+        flat_noise = noise_eff.reshape(-1)
+        soft = np.empty(flat_symbols.size * modulation.bits_per_symbol, dtype=np.float64)
+        chunk = max(_DEMAP_CHUNK_POINTS // modulation.points.size, 1)
+        for lo in range(0, flat_symbols.size, chunk):
+            hi = min(lo + chunk, flat_symbols.size)
+            soft[lo * modulation.bits_per_symbol : hi * modulation.bits_per_symbol] = (
+                modulation.demodulate_soft(flat_symbols[lo:hi], flat_noise[lo:hi])
+            )
+        perm = interleaver_permutation(n_cbps, frame_config.rate.bits_per_symbol)
+        llrs = soft.reshape(n, n_sym, n_cbps)[..., perm].reshape(n, n_sym * n_cbps)
+        original_len = _CODE.coded_length(frame_config.n_info_bits + frame_config.n_pad_bits)
+        return decoded_symbols, depuncture(llrs, frame_config.rate.code_rate, original_len)
+
     def measure_header_batch(
         self,
         rows: np.ndarray,
@@ -569,10 +630,17 @@ class JointReceiver:
         Layouts must share the header geometry (same numerology and
         co-sender count); the data sections may differ per job (e.g. a
         cyclic-prefix sweep).  Timing acquisition, CFO, channel estimation
-        and misalignment run batched across jobs, the per-job data sections
-        are demapped into one LLR block, and all frames with equal coded
-        length share a single block-parallel Viterbi call — the dominant
-        cost of the sequential per-frame loop.
+        and misalignment run batched across jobs.  Jobs that share
+        ``(layout, frame_config)`` then form one stack per data-section
+        geometry: the aligned, CFO-corrected data windows, their FFT,
+        the per-sender pilot tracker (one loop over symbols updating every
+        job's owner phase at once), channel rotation, combining, soft
+        demapping, de-interleaving and depuncturing each run once per
+        stack.  All frames with equal coded length share a single
+        block-parallel Viterbi call, followed by one descramble and bit
+        packing per stack.  Only the CRC check, the per-subcarrier SNR and
+        result assembly stay per job.  :meth:`receive` runs the same data
+        stage on a stack of one, and no float depends on how jobs group.
         """
         if not jobs:
             return []
@@ -618,118 +686,57 @@ class JointReceiver:
         if correct_cfo:
             cfo = estimate_coarse_cfo_rows(rows, starts, lengths, fits_frame, params)
 
-        # Frame-align each active job (lengths differ with the data CP) and
-        # CFO-correct with the per-frame index ramp, then run the common
-        # header stage batched.
-        frames: dict[int, np.ndarray] = {}
-        header_len = layout0.data_offset
-        header_frames = np.empty((idx.size, header_len), dtype=np.complex128)
-        for pos, i in enumerate(idx):
-            frame = rows[i, starts[i] : starts[i] + total[i]]
-            if correct_cfo:
-                span = np.arange(frame.size)
-                frame = frame * np.exp(-2j * np.pi * cfo[i] * span * params.sample_period_s)
-            frames[i] = frame
-            header_frames[pos] = frame[:header_len]
+        # The common header stage runs batched over every job, on the
+        # aligned, CFO-corrected header span.
+        sample_period = params.sample_period_s if correct_cfo else None
+        header_frames = _frame_samples(
+            rows, starts, cfo, idx, np.arange(layout0.data_offset), sample_period
+        )
         lead_responses, noise_vars, slots = self._header_channels_batch(header_frames, layout0)
         estimates, reports = self._joint_estimates_batch(
             lead_responses, noise_vars, slots, layout0
         )
 
-        # Per-job data sections up to the LLR block, then one Viterbi pass
-        # per coded length.
-        llr_blocks: dict[int, list[tuple[int, np.ndarray, FrameConfig]]] = {}
+        # Jobs sharing (layout, frame_config) share every data-section
+        # geometry: each such group runs the data stage as one stack up to
+        # the LLR block, then one Viterbi pass per coded length covers
+        # every group.
+        members_of: dict[tuple[JointFrameLayout, FrameConfig], list[int]] = {}
+        for pos, i in enumerate(idx):
+            members_of.setdefault((jobs[i][2], jobs[i][3]), []).append(pos)
+        llr_blocks: dict[int, list[tuple[np.ndarray, np.ndarray, FrameConfig]]] = {}
         decoded_symbols_by_job: dict[int, np.ndarray] = {}
-        gains_by_job: dict[int, np.ndarray] = {}
-        for pos, i in enumerate(idx):
-            _, _, layout, frame_config, _ = jobs[i]
-            frame = frames[i]
-            joint_estimate = estimates[pos]
-            noise_var = float(noise_vars[pos])
-            backoff = self.config.window_backoff_samples
-            active_codewords = joint_estimate.active_codewords()
-            n_intended = 1 + layout.n_cosenders
-            data_params = layout.data_params
-            n_symbols_tx = self.combiner.pad_symbols(
-                np.zeros((frame_config.n_data_symbols, params.n_data_subcarriers))
-            ).shape[0]
-            data_bins = params.data_bins()
-            tracker = PerSenderPhaseTracker(n_senders=n_intended, params=params)
-            active_mask = [True] + [ch is not None for ch in joint_estimate.cosenders]
-            intended_channels = [joint_estimate.lead] + [
-                ch
-                if ch is not None
-                else ChannelEstimate(np.zeros(params.n_fft, np.complex128), noise_var)
-                for ch in joint_estimate.cosenders
-            ]
-            windows = (
-                layout.data_offset
-                + np.arange(n_symbols_tx)[:, None] * layout.data_symbol_samples
-                + data_params.cp_samples
-                - backoff
-                + np.arange(params.n_fft)[None, :]
+        for (layout, frame_config), positions in members_of.items():
+            stack = np.asarray(positions)
+            members = idx[stack]
+            decoded_symbols, llrs = self._data_llrs_batch(
+                rows, members, starts, cfo, sample_period,
+                lead_responses[stack], noise_vars[stack],
+                [(active[stack], responses[stack]) for active, responses in slots],
+                layout, frame_config,
             )
-            freq_all = np.fft.fft(frame[windows], axis=-1) / np.sqrt(params.n_fft)
-            phase_track = np.empty((n_symbols_tx, n_intended), dtype=np.float64)
-            for t in range(n_symbols_tx):
-                if self.config.pilot_sharing:
-                    owner = pilot_owner(t, n_intended)
-                    if active_mask[owner]:
-                        tracker.update(freq_all[t], intended_channels, t)
-                else:
-                    tracker.update(freq_all[t], intended_channels, t)
-                phase_track[t] = tracker.phases
-            raw_symbols = freq_all[:, data_bins]
-            per_symbol_channels = []
-            for sender, channel in enumerate(intended_channels):
-                if not active_mask[sender]:
-                    continue
-                rotation = np.exp(1j * phase_track[:, sender])
-                per_symbol_channels.append(
-                    channel.on_bins(data_bins)[None, :] * rotation[:, None]
-                )
-            decoded_symbols, gain = self.combiner.decode(
-                raw_symbols,
-                per_symbol_channels,
-                codeword_indices=active_codewords,
-                constellation=get_modulation(frame_config.rate.modulation).points,
-                return_gain=True,
-            )
-            decoded_symbols_by_job[i] = decoded_symbols
-            gains_by_job[i] = gain
+            for i, symbols in zip(members, decoded_symbols):
+                decoded_symbols_by_job[i] = symbols
+            llr_blocks.setdefault(llrs.shape[1], []).append((members, llrs, frame_config))
 
-            modulation = get_modulation(frame_config.rate.modulation)
-            n_cbps = frame_config.coded_bits_per_symbol
-            n_sym = frame_config.n_data_symbols
-            noise_eff = np.broadcast_to(
-                noise_var / np.maximum(gain[:n_sym], 1e-12), decoded_symbols[:n_sym].shape
-            )
-            soft = modulation.demodulate_soft(
-                decoded_symbols[:n_sym].reshape(-1), noise_eff.reshape(-1)
-            ).reshape(n_sym, n_cbps)
-            perm = interleaver_permutation(n_cbps, frame_config.rate.bits_per_symbol)
-            llrs = soft[:, perm].reshape(-1)
-            original_len = _CODE.coded_length(
-                frame_config.n_info_bits + frame_config.n_pad_bits
-            )
-            soft_full = depuncture(llrs, frame_config.rate.code_rate, original_len)
-            llr_blocks.setdefault(soft_full.size, []).append((i, soft_full, frame_config))
-
-        decoded_bits_by_job: dict[int, np.ndarray] = {}
-        for _, block in llr_blocks.items():
-            stacked = np.stack([soft_full for _, soft_full, _ in block])
-            decoded = _CODE.decode_batch(stacked, terminated=True)
-            for (i, _, frame_config), bits in zip(block, decoded):
-                decoded_bits_by_job[i] = bitutils.descramble(
-                    bits, frame_config.scrambler_seed
+        frame_bytes_by_job: dict[int, np.ndarray] = {}
+        for block in llr_blocks.values():
+            decoded = _CODE.decode_batch(np.concatenate([llrs for _, llrs, _ in block]))
+            lo = 0
+            for members, _, frame_config in block:
+                descrambled = bitutils.descramble(
+                    decoded[lo : lo + members.size], frame_config.scrambler_seed
                 )
+                info = np.packbits(
+                    descrambled[:, : frame_config.n_info_bits], axis=-1, bitorder="little"
+                )
+                for i, frame_bytes in zip(members, info):
+                    frame_bytes_by_job[i] = frame_bytes
+                lo += members.size
 
         for pos, i in enumerate(idx):
-            _, _, layout, frame_config, _ = jobs[i]
             joint_estimate = estimates[pos]
-            descrambled = decoded_bits_by_job[i]
-            info_bits = descrambled[: frame_config.n_info_bits]
-            frame_bytes = bitutils.bits_to_bytes(info_bits)
+            frame_bytes = frame_bytes_by_job[i].tobytes()
             payload, crc_ok = bitutils.check_crc(frame_bytes)
             per_sc_snr = joint_estimate.per_subcarrier_snr_db()
             snr_db = float(
@@ -745,6 +752,6 @@ class JointReceiver:
                 snr_db=snr_db,
                 per_subcarrier_snr_db=per_sc_snr,
                 cfo_hz=float(cfo[i]),
-                equalized_symbols=decoded_symbols_by_job[i][: frame_config.n_data_symbols],
+                equalized_symbols=decoded_symbols_by_job[i],
             )
         return results  # type: ignore[return-value]

@@ -16,6 +16,7 @@ which space-time codeword they apply to the data symbols:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +27,17 @@ from repro.core.config import SourceSyncConfig
 from repro.core.frame import HEADER_SYMBOLS, JointFrameLayout, SyncHeader
 from repro.phy.modulation import get_modulation
 from repro.phy.ofdm import assemble_symbols, symbols_to_samples
+from repro.phy.params import OFDMParams
 from repro.phy.preamble import long_training_field, preamble
 from repro.phy.transmitter import FrameConfig, encode_payload_to_symbols
 
-__all__ = ["header_symbol_bits", "LeadSender", "CoSender", "build_data_section"]
+__all__ = [
+    "header_symbol_bits",
+    "header_waveforms_from_bits",
+    "LeadSender",
+    "CoSender",
+    "build_data_section",
+]
 
 
 def header_symbol_bits(header: SyncHeader, n_bits: int) -> np.ndarray:
@@ -50,6 +58,26 @@ def header_symbol_bits(header: SyncHeader, n_bits: int) -> np.ndarray:
     return rng.integers(0, 2, size=n_bits).astype(np.uint8)
 
 
+def header_waveforms_from_bits(bits: np.ndarray, params: OFDMParams) -> np.ndarray:
+    """Header waveforms (preamble plus header symbols) for stacked header bits.
+
+    ``bits`` is ``(n_headers, HEADER_SYMBOLS * n_data_subcarriers)`` of
+    :func:`header_symbol_bits` rows.  One BPSK mapping, subcarrier assembly
+    and IFFT cover the batch; every stage is exact or row-independent, so
+    each row equals its header's single waveform bit for bit.  Callers that
+    must expand each header's keyed bits at a particular point of a draw
+    sequence do so themselves and pass the rows here.
+    """
+    n_headers = bits.shape[0]
+    symbols = get_modulation("BPSK").modulate(bits).reshape(
+        n_headers, HEADER_SYMBOLS, params.n_data_subcarriers
+    )
+    freq = assemble_symbols(symbols, params, start_symbol_index=0)
+    header_samples = symbols_to_samples(freq, params)
+    pre = preamble(params)
+    return np.concatenate([np.broadcast_to(pre, (n_headers, pre.size)), header_samples], axis=1)
+
+
 def build_data_section(
     payload: bytes,
     frame_config: FrameConfig,
@@ -58,19 +86,31 @@ def build_data_section(
     sender_index: int,
     n_senders: int,
     layout: JointFrameLayout,
+    sections: dict | None = None,
 ) -> np.ndarray:
     """Baseband samples of the data section for one sender.
 
     All senders derive the identical constellation-symbol block from the
     payload, apply their own space-time codeword, place pilots only on the
     symbols they own (§5) and use the CP announced in the header (§4.6).
+
+    ``sections`` is an optional caller-scoped memo: a section is a pure
+    function of the arguments, so one batch of frames can build each
+    distinct section once.  Memoised arrays are read-only.
     """
+    key = (payload, frame_config, combiner, codeword_index, sender_index, n_senders, layout)
+    if sections is not None and key in sections:
+        return sections[key]
     data_symbols = encode_payload_to_symbols(payload, frame_config)
     coded = combiner.encode(data_symbols, codeword_index)
     n_symbols = coded.shape[0]
     pilots = pilot_scale_pattern(n_symbols, sender_index, n_senders)
     freq = assemble_symbols(coded, layout.data_params, start_symbol_index=0, pilot_scale=pilots)
-    return symbols_to_samples(freq, layout.data_params)
+    samples = symbols_to_samples(freq, layout.data_params)
+    if sections is not None:
+        samples.flags.writeable = False
+        sections[key] = samples
+    return samples
 
 
 @dataclass
@@ -98,14 +138,27 @@ class LeadSender:
         )
 
     def header_waveform(self, header: SyncHeader, layout: JointFrameLayout) -> np.ndarray:
-        """Synchronization header waveform: preamble plus header symbol(s)."""
+        """Synchronization header waveform: preamble plus header symbol(s).
+
+        Thin wrapper over :meth:`header_waveforms` with a batch of one.
+        """
+        return self.header_waveforms([header], layout)[0]
+
+    def header_waveforms(
+        self, headers: Sequence[SyncHeader], layout: JointFrameLayout
+    ) -> np.ndarray:
+        """Header waveforms of many frames, ``(n_headers, n_samples)``.
+
+        Each header keeps its own keyed bit pattern; the BPSK mapping,
+        subcarrier assembly and IFFT then run once for the whole batch.
+        Only ``layout.params`` shapes the header, and every stage is exact
+        or row-independent, so row ``i`` equals the single-header waveform
+        of ``headers[i]`` bit for bit.  No session randomness is drawn.
+        """
         params = layout.params
-        modulation = get_modulation("BPSK")
-        bits = header_symbol_bits(header, HEADER_SYMBOLS * params.n_data_subcarriers)
-        symbols = modulation.modulate(bits).reshape(HEADER_SYMBOLS, params.n_data_subcarriers)
-        freq = assemble_symbols(symbols, params, start_symbol_index=0)
-        header_samples = symbols_to_samples(freq, params)
-        return np.concatenate([preamble(params), header_samples])
+        n_bits = HEADER_SYMBOLS * params.n_data_subcarriers
+        bits = np.stack([header_symbol_bits(header, n_bits) for header in headers])
+        return header_waveforms_from_bits(bits, params)
 
     def build_waveform(
         self,
@@ -114,8 +167,12 @@ class LeadSender:
         layout: JointFrameLayout,
         frame_config: FrameConfig,
         combiner: SmartCombiner | None = None,
+        sections: dict | None = None,
     ) -> np.ndarray:
-        """Full lead-sender waveform for one joint frame (Fig. 6a)."""
+        """Full lead-sender waveform for one joint frame (Fig. 6a).
+
+        ``sections`` is passed to :func:`build_data_section`.
+        """
         combiner = combiner if combiner is not None else SmartCombiner(self.config.combiner_scheme)
         header_wave = self.header_waveform(header, layout)
         silence = np.zeros(
@@ -124,7 +181,7 @@ class LeadSender:
         n_senders = 1 + layout.n_cosenders if self.config.pilot_sharing else 1
         data = build_data_section(
             payload, frame_config, combiner, codeword_index=0,
-            sender_index=0, n_senders=n_senders, layout=layout,
+            sender_index=0, n_senders=n_senders, layout=layout, sections=sections,
         )
         return np.concatenate([header_wave, silence, data])
 
@@ -157,11 +214,13 @@ class CoSender:
         layout: JointFrameLayout,
         frame_config: FrameConfig,
         combiner: SmartCombiner | None = None,
+        sections: dict | None = None,
     ) -> np.ndarray:
         """Full co-sender waveform, starting at its first transmitted sample (Fig. 6b).
 
         The waveform starts with this co-sender's training symbols; the gap
         until the data section covers the training slots of later co-senders.
+        ``sections`` is passed to :func:`build_data_section`.
         """
         if not 0 <= self.cosender_index < layout.n_cosenders:
             raise ValueError("cosender_index is outside the layout's co-sender count")
@@ -173,7 +232,7 @@ class CoSender:
         sender_index = self.cosender_index + 1 if self.config.pilot_sharing else 0
         data = build_data_section(
             payload, frame_config, combiner, codeword_index=self.cosender_index + 1,
-            sender_index=sender_index, n_senders=n_senders, layout=layout,
+            sender_index=sender_index, n_senders=n_senders, layout=layout, sections=sections,
         )
         waveform = np.concatenate([training, silence, data])
         if abs(self.cfo_precorrection_hz) > 0:

@@ -10,11 +10,15 @@ Both halves of the codec are batch-friendly:
   fully vectorised — each output stream is an XOR of shifted copies of the
   (zero-padded) input, so an ensemble of packets encodes in a handful of
   numpy calls with no per-bit Python loop.
-* :meth:`ConvolutionalCode.decode_batch` runs a block-parallel Viterbi pass
-  over a ``(n_packets, n_llrs)`` batch: the add-compare-select recursion
-  keeps a ``(n_packets, n_states)`` metric array, so the single remaining
-  Python loop over trellis steps is amortised across every packet of the
-  ensemble, and the traceback is vectorised over packets as well.
+* :meth:`ConvolutionalCode.decode_batch` runs a block-parallel radix-2
+  Viterbi pass over a ``(n_packets, n_llrs)`` batch.  The path metrics are
+  held as ``(n_states, n_packets)``; state ``s``'s two predecessors are
+  ``2s mod S`` and ``2s+1 mod S``, so each add-compare-select step adds
+  the even and odd metric halves (each tiled twice) to branch metrics
+  gathered from a table of the ``2**n_outputs`` distinct values per step,
+  precomputed for a block of steps at a time.  The single remaining Python
+  loop over trellis steps advances every packet of the ensemble, and the
+  traceback is vectorised over packets as well.
   :meth:`ConvolutionalCode.decode` is a thin single-packet wrapper, which
   guarantees the batched and per-packet paths are bit-identical.
 
@@ -25,6 +29,7 @@ trellis tables are built once per process instead of once per packet.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +40,9 @@ __all__ = ["ConvolutionalCode", "get_code"]
 #: changes nothing numerically (every packet's recursion is independent) but
 #: bounds memory the same way the receiver chunks its soft demapper.
 _DECODE_CHUNK_ELEMS = 1 << 26
+
+#: Trellis steps whose branch-metric table decode_batch builds at a time.
+_TABLE_STEPS = 64
 
 
 class ConvolutionalCode:
@@ -91,8 +99,12 @@ class ConvolutionalCode:
             prev = self._prev_states[choice]
             bits = self._entry_bit
             self._prev_outputs[choice] = self._output[bits, prev]
-        # Branch metric signs (1-2*bit) used by the soft decoder.
-        self._prev_sign = 1.0 - 2.0 * self._prev_outputs.astype(np.float64)
+        # The soft decoder indexes branch metrics by output pattern: pattern
+        # p carries output bit o in bit o of p, with correlation sign 1-2*bit.
+        weights = 1 << np.arange(self.n_outputs)
+        self._prev_pattern = (self._prev_outputs.astype(np.int64) * weights).sum(axis=-1)
+        pattern_bits = (np.arange(1 << self.n_outputs)[:, None] >> np.arange(self.n_outputs)) & 1
+        self._pattern_signs = 1.0 - 2.0 * pattern_bits.astype(np.float64)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -150,6 +162,20 @@ class ConvolutionalCode:
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
+    def _branch_table(self, llr_steps: np.ndarray) -> np.ndarray:
+        """Distinct branch metrics of a block of trellis steps.
+
+        ``llr_steps`` is ``(n_steps, n_outputs, n_packets)``.  Every branch
+        sign is +-1, so a step has only ``2**n_outputs`` distinct branch
+        metrics: ``table[t, p, b] = sum_o sign(p, o) * llr[t, o, b]``,
+        accumulated in output order exactly as a per-branch sum would be.
+        """
+        signs = self._pattern_signs  # (n_patterns, n_out)
+        table = llr_steps[:, None, 0, :] * signs[None, :, 0, None]
+        for o in range(1, self.n_outputs):
+            table += llr_steps[:, None, o, :] * signs[None, :, o, None]
+        return table
+
     def decode(
         self,
         llrs: np.ndarray,
@@ -209,12 +235,16 @@ class ConvolutionalCode:
 
         Notes
         -----
-        The add-compare-select recursion carries a ``(n_packets, n_states)``
+        The add-compare-select recursion carries a ``(n_states, n_packets)``
         path-metric array: the only Python loop is over trellis steps, and
-        each iteration advances *all* packets at once.  Every operation is
-        elementwise or a per-row reduction, so each batch row follows
-        exactly the float path a batch of one would — the basis for the
-        bit-identity guarantee tested against the single-packet decoder.
+        each iteration advances *all* packets at once.  Branch signs are
+        +-1, so the branch metrics of every step are the ``2**n_outputs``
+        signed LLR sums, built for a block of steps at a time with the same
+        left-to-right products and sums a per-branch evaluation would use.
+        The compare keeps the first candidate on ties and lets NaN win as
+        ``argmax`` over the two candidates would.  Every operation is
+        elementwise per packet, so each batch row follows exactly the float
+        path a batch of one would, independent of the batch size.
         """
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.ndim != 2:
@@ -238,44 +268,53 @@ class ConvolutionalCode:
                     for lo in range(0, n_packets, chunk)
                 ]
             )
-        steps = llrs.reshape(n_packets, n_steps, self.n_outputs)
+        llr_steps = llrs.reshape(n_packets, n_steps, self.n_outputs).transpose(1, 2, 0)
 
         n_states = self.n_states
-        prev_states = self._prev_states  # (2, n_states)
-        # Branch metric for output bit b given LLR l: correlation (1-2b)*l,
-        # so larger is better and the path metric is maximised.
-        prev_sign = self._prev_sign  # (2, n_states, n_out)
-
-        neg_inf = -1e18
-        metrics = np.full((n_packets, n_states), neg_inf, dtype=np.float64)
-        metrics[:, 0] = 0.0
-        decisions = np.empty((n_steps, n_packets, n_states), dtype=np.uint8)
-
+        half = n_states // 2
+        pattern = self._prev_pattern  # (2, n_states)
+        metrics = np.full((n_states, n_packets), -1e18, dtype=np.float64)
+        metrics[0] = 0.0
+        cand0 = np.empty_like(metrics)
+        cand1 = np.empty_like(metrics)
+        branch0 = np.empty_like(metrics)
+        branch1 = np.empty_like(metrics)
+        first_nan = np.empty(metrics.shape, dtype=bool)
+        # decisions[step, s, b] is True where state s kept its first
+        # predecessor (2s mod S), as argmax over the two candidates would.
+        decisions = np.empty((n_steps, n_states, n_packets), dtype=bool)
         for step in range(n_steps):
-            step_llr = steps[:, step, :]  # (n_packets, n_out)
-            # branch[b, c, s] = sum_o prev_sign[c, s, o] * step_llr[b, o],
-            # accumulated in output order with explicit broadcasting so each
-            # batch row's float path is independent of the batch size.
-            branch = step_llr[:, 0, None, None] * prev_sign[None, :, :, 0]
-            for o in range(1, self.n_outputs):
-                branch = branch + step_llr[:, o, None, None] * prev_sign[None, :, :, o]
-            candidate = metrics[:, prev_states] + branch  # (n_packets, 2, n_states)
-            best_choice = np.argmax(candidate, axis=1).astype(np.uint8)
-            metrics = np.take_along_axis(candidate, best_choice[:, None, :], axis=1)[:, 0, :]
-            decisions[step] = best_choice
+            if step % _TABLE_STEPS == 0:
+                table = self._branch_table(llr_steps[step : step + _TABLE_STEPS])
+            np.take(table[step % _TABLE_STEPS], pattern[0], axis=0, out=branch0)
+            np.take(table[step % _TABLE_STEPS], pattern[1], axis=0, out=branch1)
+            # Radix-2 butterfly: state s's predecessors are 2s mod S and
+            # 2s+1 mod S, i.e. the even and odd metric halves, each tiled twice.
+            np.add(metrics[0::2][None], branch0.reshape(2, half, n_packets),
+                   out=cand0.reshape(2, half, n_packets))
+            np.add(metrics[1::2][None], branch1.reshape(2, half, n_packets),
+                   out=cand1.reshape(2, half, n_packets))
+            # argmax's rule: the first candidate wins ties and when it is
+            # NaN; otherwise a NaN second candidate wins.  The kept value is
+            # the maximum: NaN when either candidate is, and on a tie of
+            # 0.0 and -0.0 the zero's sign is invisible to later compares.
+            keep = decisions[step]
+            np.greater_equal(cand0, cand1, out=keep)
+            np.logical_or(keep, np.isnan(cand0, out=first_nan), out=keep)
+            np.maximum(cand0, cand1, out=metrics)
 
         # Vectorised traceback: one state per packet, walked backwards with
         # fancy indexing instead of a per-packet Python loop.
         if terminated:
             state = np.zeros(n_packets, dtype=np.int64)
         else:
-            state = np.argmax(metrics, axis=1)
+            state = np.argmax(metrics, axis=0)
         rows = np.arange(n_packets)
+        mask = n_states - 1
         bits = np.empty((n_packets, n_steps), dtype=np.uint8)
         for step in range(n_steps - 1, -1, -1):
             bits[:, step] = self._entry_bit[state]
-            choice = decisions[step, rows, state]
-            state = prev_states[choice, state]
+            state = ((state << 1) & mask) | ~decisions[step, state, rows]
 
         if terminated and strip_tail:
             bits = bits[:, : max(n_steps - self.tail_bits, 0)]
@@ -288,14 +327,20 @@ class ConvolutionalCode:
         return self.decode(llrs, terminated=terminated)
 
 
-@functools.lru_cache(maxsize=None)
 def get_code(
-    constraint_length: int = 7, polynomials: tuple[int, int] = (0o133, 0o171)
+    constraint_length: int = 7, polynomials: Sequence[int] = (0o133, 0o171)
 ) -> ConvolutionalCode:
     """Shared :class:`ConvolutionalCode` instance for a given configuration.
 
     Trellis construction walks every (state, input) pair in Python; caching
     the built code lets experiments stop rebuilding identical tables per
-    packet or per module import.
+    packet or per module import.  Arguments are normalised before the cache
+    lookup, so any sequence of polynomials works and positional and keyword
+    spellings of one configuration share one instance.
     """
-    return ConvolutionalCode(constraint_length, tuple(polynomials))
+    return _cached_code(int(constraint_length), tuple(int(p) for p in polynomials))
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_code(constraint_length: int, polynomials: tuple[int, ...]) -> ConvolutionalCode:
+    return ConvolutionalCode(constraint_length, polynomials)

@@ -1,0 +1,439 @@
+"""Job-stacked receive stage, batched headers and data-section reuse.
+
+``JointReceiver.receive_many`` runs its data stage once per stack of jobs
+that share ``(layout, frame_config)``.  The reference below is the
+per-job data loop that stacking replaced (scalar pilot tracker, per-job
+rotation, combiner, demap, de-interleave and depuncture); every result
+field must agree exactly, floats included, however the jobs group.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import JointTopology, SourceSyncConfig, SourceSyncSession
+from repro.core import ensemble as ens
+from repro.core.channel_est.phase_tracking import (
+    PerSenderPhaseTracker,
+    pilot_owner,
+    track_phases_batch,
+)
+from repro.core.combining.alamouti import alamouti_decode
+from repro.core.combining.stbc import SmartCombiner
+from repro.core.frame import JointFrameLayout, make_joint_frame_config
+from repro.core.receiver import JointReceiveResult, JointReceiver, _CODE
+from repro.core.sender import LeadSender, build_data_section
+from repro.phy import bits as bitutils
+from repro.phy.coding.interleaver import interleaver_permutation
+from repro.phy.coding.puncturing import depuncture
+from repro.phy.detection import estimate_coarse_cfo_rows
+from repro.phy.equalizer import ChannelEstimate
+from repro.phy.modulation import get_modulation
+from repro.phy.params import DEFAULT_PARAMS
+
+
+def reference_receive_many(receiver, jobs, correct_cfo=True):
+    """``receive_many`` with the per-job data loop the stacked stage replaced."""
+    layout0 = jobs[0][2]
+    params = layout0.params
+    n = len(jobs)
+    rows = np.zeros((n, max(job[0].size for job in jobs)), dtype=np.complex128)
+    lengths = np.zeros(n, dtype=np.int64)
+    for i, (samples, length, _, _, _) in enumerate(jobs):
+        rows[i, : samples.size] = samples
+        lengths[i] = length
+    starts = np.zeros(n, dtype=np.int64)
+    ok = np.ones(n, dtype=bool)
+    need_acquire = [i for i, job in enumerate(jobs) if job[4] is None]
+    for i, job in enumerate(jobs):
+        if job[4] is not None:
+            starts[i] = int(job[4])
+    if need_acquire:
+        sub = np.asarray(need_acquire)
+        fits, acquired = receiver._acquire_batch(rows[sub], lengths[sub], layout0)
+        ok[sub] = fits
+        starts[sub] = np.maximum(acquired, 0)
+    results = [None] * n
+    total = np.array([job[2].total_samples for job in jobs], dtype=np.int64)
+    fits_frame = ok & (starts + total <= lengths)
+    for i in range(n):
+        if not ok[i]:
+            results[i] = JointReceiveResult(False, False, b"")
+        elif not fits_frame[i]:
+            results[i] = JointReceiveResult(False, False, b"", start_index=int(starts[i]))
+    idx = np.nonzero(fits_frame)[0]
+    if idx.size == 0:
+        return results
+    cfo = np.zeros(n)
+    if correct_cfo:
+        cfo = estimate_coarse_cfo_rows(rows, starts, lengths, fits_frame, params)
+    frames = {}
+    header_frames = np.empty((idx.size, layout0.data_offset), dtype=np.complex128)
+    for pos, i in enumerate(idx):
+        frame = rows[i, starts[i] : starts[i] + total[i]]
+        if correct_cfo:
+            span = np.arange(frame.size)
+            frame = frame * np.exp(-2j * np.pi * cfo[i] * span * params.sample_period_s)
+        frames[i] = frame
+        header_frames[pos] = frame[: layout0.data_offset]
+    lead_responses, noise_vars, slots = receiver._header_channels_batch(header_frames, layout0)
+    estimates, reports = receiver._joint_estimates_batch(
+        lead_responses, noise_vars, slots, layout0
+    )
+    llr_blocks = {}
+    decoded_by_job = {}
+    for pos, i in enumerate(idx):
+        _, _, layout, frame_config, _ = jobs[i]
+        frame = frames[i]
+        estimate = estimates[pos]
+        noise_var = float(noise_vars[pos])
+        backoff = receiver.config.window_backoff_samples
+        n_intended = 1 + layout.n_cosenders
+        n_symbols_tx = receiver.combiner.pad_symbols(
+            np.zeros((frame_config.n_data_symbols, params.n_data_subcarriers))
+        ).shape[0]
+        data_bins = params.data_bins()
+        tracker = PerSenderPhaseTracker(n_senders=n_intended, params=params)
+        active_mask = [True] + [ch is not None for ch in estimate.cosenders]
+        silent = ChannelEstimate(np.zeros(params.n_fft, np.complex128), noise_var)
+        intended = [estimate.lead] + [
+            ch if ch is not None else silent for ch in estimate.cosenders
+        ]
+        windows = (
+            layout.data_offset
+            + np.arange(n_symbols_tx)[:, None] * layout.data_symbol_samples
+            + layout.data_params.cp_samples
+            - backoff
+            + np.arange(params.n_fft)[None, :]
+        )
+        freq_all = np.fft.fft(frame[windows], axis=-1) / np.sqrt(params.n_fft)
+        phase_track = np.empty((n_symbols_tx, n_intended))
+        for t in range(n_symbols_tx):
+            if not receiver.config.pilot_sharing or active_mask[pilot_owner(t, n_intended)]:
+                tracker.update(freq_all[t], intended, t)
+            phase_track[t] = tracker.phases
+        per_symbol_channels = [
+            channel.on_bins(data_bins)[None, :] * np.exp(1j * phase_track[:, sender])[:, None]
+            for sender, channel in enumerate(intended)
+            if active_mask[sender]
+        ]
+        modulation = get_modulation(frame_config.rate.modulation)
+        decoded, gain = reference_combiner_decode(
+            receiver.combiner,
+            freq_all[:, data_bins],
+            per_symbol_channels,
+            estimate.active_codewords(),
+            modulation.points,
+        )
+        decoded_by_job[i] = decoded
+        n_sym = frame_config.n_data_symbols
+        n_cbps = frame_config.coded_bits_per_symbol
+        noise_eff = np.broadcast_to(
+            noise_var / np.maximum(gain[:n_sym], 1e-12), decoded[:n_sym].shape
+        )
+        soft = modulation.demodulate_soft(
+            decoded[:n_sym].reshape(-1), noise_eff.reshape(-1)
+        ).reshape(n_sym, n_cbps)
+        perm = interleaver_permutation(n_cbps, frame_config.rate.bits_per_symbol)
+        original_len = _CODE.coded_length(frame_config.n_info_bits + frame_config.n_pad_bits)
+        soft_full = depuncture(
+            soft[:, perm].reshape(-1), frame_config.rate.code_rate, original_len
+        )
+        llr_blocks.setdefault(soft_full.size, []).append((i, soft_full, frame_config))
+    bits_by_job = {}
+    for block in llr_blocks.values():
+        decoded_bits = _CODE.decode_batch(np.stack([llrs for _, llrs, _ in block]))
+        for (i, _, frame_config), bits in zip(block, decoded_bits):
+            bits_by_job[i] = bitutils.descramble(bits, frame_config.scrambler_seed)
+    for pos, i in enumerate(idx):
+        frame_config = jobs[i][3]
+        frame_bytes = bitutils.bits_to_bytes(bits_by_job[i][: frame_config.n_info_bits])
+        payload, crc_ok = bitutils.check_crc(frame_bytes)
+        per_sc_snr = estimates[pos].per_subcarrier_snr_db()
+        results[i] = JointReceiveResult(
+            detected=True,
+            crc_ok=crc_ok,
+            payload=payload if crc_ok else frame_bytes[:-4],
+            start_index=int(starts[i]),
+            channels=estimates[pos],
+            misalignment=reports[pos],
+            snr_db=float(10.0 * np.log10(max(np.mean(10.0 ** (per_sc_snr / 10.0)), 1e-15))),
+            per_subcarrier_snr_db=per_sc_snr,
+            cfo_hz=float(cfo[i]),
+            equalized_symbols=decoded_by_job[i][: frame_config.n_data_symbols],
+        )
+    return results
+
+
+def reference_combiner_decode(combiner, received, sender_channels, codewords, points=None):
+    """``SmartCombiner.decode(..., return_gain=True)`` as a per-frame routine."""
+    branches = combiner.combine_branch_channels(sender_channels, codewords)
+    if combiner.scheme == "naive":
+        combined = np.broadcast_to(branches[0], received.shape)
+        safe = np.where(np.abs(combined) < 1e-12, 1e-12, combined)
+        return received / safe, np.abs(combined) ** 2
+    if combiner.scheme == "qostbc":
+        return combiner.decode(
+            received, sender_channels, codewords, constellation=points, return_gain=True
+        )
+    return alamouti_decode(received, branches[0], branches[1], return_gain=True)
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.detected == b.detected
+        assert a.start_index == b.start_index
+        assert a.crc_ok == b.crc_ok
+        assert a.payload == b.payload
+        assert a.cfo_hz == b.cfo_hz
+        assert a.snr_db == b.snr_db or (np.isnan(a.snr_db) and np.isnan(b.snr_db))
+        if b.equalized_symbols is None:
+            assert a.equalized_symbols is None
+        else:
+            assert np.array_equal(a.equalized_symbols, b.equalized_symbols)
+            assert np.array_equal(a.per_subcarrier_snr_db, b.per_subcarrier_snr_db)
+
+
+def _sessions(seeds, config, n_cosenders=1, snr_db=16.0):
+    sessions = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        topo = JointTopology.from_snrs(
+            rng,
+            lead_rx_snr_db=snr_db,
+            cosender_rx_snr_db=[snr_db] * n_cosenders,
+            lead_cosender_snr_db=[22.0] * n_cosenders,
+        )
+        sessions.append(SourceSyncSession(topo, config, rng=rng))
+    ens.measure_delays_batch(sessions)
+    return sessions
+
+
+def _captured_jobs(monkeypatch, sessions, jobs_per_session):
+    """The receive jobs ``run_joint_frames_batch`` hands to ``receive_many``."""
+    captured = []
+    original = JointReceiver.receive_many
+
+    def spy(self, jobs, correct_cfo=True):
+        captured.append(list(jobs))
+        return original(self, jobs, correct_cfo)
+
+    monkeypatch.setattr(JointReceiver, "receive_many", spy)
+    ens.run_joint_frames_batch(sessions, jobs_per_session)
+    monkeypatch.undo()
+    (jobs,) = captured
+    return jobs
+
+
+def _cp_sweep_jobs(monkeypatch, config, n_cosenders=1, active=None, genie=True):
+    sessions = _sessions([501, 502, 503], config, n_cosenders)
+    payload = bitutils.random_payload(36, np.random.default_rng(4))
+    per_session = [
+        ens.JointFrameJob(
+            payload, data_cp_samples=cp, genie_timing=genie, active_cosenders=active
+        )
+        for cp in (0, 8, 32, 8)
+    ]
+    return sessions[0].receiver, _captured_jobs(
+        monkeypatch, sessions, [per_session] * len(sessions)
+    )
+
+
+class TestJointBatchReceiveOracle:
+    def test_joint_batch_receive_mixed_cps_match_per_job_loop(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
+        assert len({(job[2], job[3]) for job in jobs}) == 3
+        results = receiver.receive_many(jobs)
+        assert any(r.crc_ok for r in results)
+        _assert_same_results(results, reference_receive_many(receiver, jobs))
+
+    def test_joint_batch_receive_inactive_cosender_slot(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(
+            monkeypatch, SourceSyncConfig(), n_cosenders=2, active=(0,)
+        )
+        results = receiver.receive_many(jobs)
+        assert any(r.channels.cosenders[1] is None for r in results)
+        _assert_same_results(results, reference_receive_many(receiver, jobs))
+
+    def test_joint_batch_receive_without_pilot_sharing(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(
+            monkeypatch, SourceSyncConfig(pilot_sharing=False), n_cosenders=2, active=(1,)
+        )
+        _assert_same_results(receiver.receive_many(jobs), reference_receive_many(receiver, jobs))
+
+    @pytest.mark.parametrize("scheme", ["naive", "qostbc", "alamouti"])
+    def test_joint_batch_receive_other_combiners(self, monkeypatch, scheme):
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig(combiner_scheme=scheme))
+        _assert_same_results(receiver.receive_many(jobs), reference_receive_many(receiver, jobs))
+
+    def test_joint_batch_receive_undetected_and_non_fitting_rows(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig(), genie=False)
+        samples, length, layout, frame_config, _ = jobs[0]
+        noise = np.random.default_rng(8).normal(size=length) * (1 + 0j)
+        jobs = jobs + [
+            (noise, length, layout, frame_config, None),
+            (samples[: length - 200], length - 200, layout, frame_config, 61),
+            (samples, length, layout, frame_config, length),
+        ]
+        results = receiver.receive_many(jobs)
+        assert all(r.detected for r in results[:-3])
+        assert not results[-3].detected and results[-3].start_index == -1
+        assert not results[-2].detected and results[-2].start_index == 61
+        assert not results[-1].detected and results[-1].start_index == length
+        _assert_same_results(results, reference_receive_many(receiver, jobs))
+        _assert_same_results(
+            receiver.receive_many(jobs, correct_cfo=False),
+            reference_receive_many(receiver, jobs, correct_cfo=False),
+        )
+
+    def test_joint_batch_receive_large_stacks(self, monkeypatch):
+        # Stacks this large make numpy reuse temporaries as ufunc outputs,
+        # which must not change any float.
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
+        jobs = jobs * 20
+        _assert_same_results(receiver.receive_many(jobs), reference_receive_many(receiver, jobs))
+
+    def test_joint_batch_receive_long_frames_match_sequential_receive(self, monkeypatch):
+        # 800 bytes at 6 Mbps make frames of more than 16384 samples (256 KiB
+        # of complex128), the size from which numpy reuses large temporaries
+        # as ufunc outputs.  receive and receive_many must still decode the
+        # same symbols bit for bit, with and without CFO correction.  (The
+        # header-stage SNR and misalignment reports of the two paths come
+        # from separate per-frame and batched estimators and are not
+        # compared here.)
+        sessions = _sessions([511, 512], SourceSyncConfig())
+        payload = bitutils.random_payload(800, np.random.default_rng(5))
+        per_session = [
+            ens.JointFrameJob(payload, data_cp_samples=cp, genie_timing=genie)
+            for cp, genie in ((8, True), (0, False))
+        ]
+        jobs = _captured_jobs(monkeypatch, sessions, [per_session] * len(sessions))
+        receiver = sessions[0].receiver
+        assert min(job[2].total_samples for job in jobs) > 16384
+        for correct_cfo in (True, False):
+            results = receiver.receive_many(jobs, correct_cfo=correct_cfo)
+            for (samples, length, layout, frame_config, start), got in zip(jobs, results):
+                want = receiver.receive(samples[:length], layout, frame_config, start, correct_cfo)
+                assert got.detected and want.detected
+                assert got.start_index == want.start_index
+                assert got.cfo_hz == want.cfo_hz
+                assert got.crc_ok == want.crc_ok and got.payload == want.payload
+                assert np.array_equal(got.equalized_symbols, want.equalized_symbols)
+            if correct_cfo:
+                assert any(r.crc_ok for r in results)
+
+    def test_joint_batch_receive_single_job(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
+        for job in jobs[:3]:
+            _assert_same_results(
+                receiver.receive_many([job]), reference_receive_many(receiver, [job])
+            )
+
+    def test_joint_batch_receive_no_fitting_job(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
+        samples, length, layout, frame_config, start = jobs[0]
+        short = [(samples[:500], 500, layout, frame_config, start)]
+        _assert_same_results(receiver.receive_many(short), reference_receive_many(receiver, short))
+
+
+class TestJointBatchStackedStages:
+    def test_joint_batch_tracker_matches_scalar_tracker(self):
+        rng = np.random.default_rng(21)
+        params = DEFAULT_PARAMS
+        n_frames, n_symbols, n_senders = 5, 12, 3
+        freq = rng.normal(size=(n_frames, n_symbols, params.n_fft)) * (1 + 0.5j)
+        freq = freq + 1j * rng.normal(size=freq.shape)
+        responses = rng.normal(size=(n_frames, n_senders, params.n_fft)) + 0j
+        responses[2, 1] = 0.0
+        gate = np.ones((n_frames, n_senders), dtype=bool)
+        gate[3, 2] = False
+        track = track_phases_batch(freq, responses, gate, params, smoothing=0.7)
+        # Any memory layout of the inputs gives the same floats.
+        fortran = track_phases_batch(
+            np.asfortranarray(freq), np.asfortranarray(responses), gate, params, smoothing=0.7
+        )
+        assert np.array_equal(fortran, track)
+        for f in range(n_frames):
+            tracker = PerSenderPhaseTracker(n_senders=n_senders, params=params, smoothing=0.7)
+            channels = [ChannelEstimate(responses[f, k], 1.0) for k in range(n_senders)]
+            for t in range(n_symbols):
+                if gate[f, pilot_owner(t, n_senders)]:
+                    tracker.update(freq[f, t], channels, t)
+                assert np.array_equal(track[f, t], tracker.phases)
+
+    @pytest.mark.parametrize("scheme", ["replicated_alamouti", "alamouti", "naive", "qostbc"])
+    def test_joint_batch_combiner_stack_matches_per_frame(self, scheme):
+        rng = np.random.default_rng(22)
+        combiner = SmartCombiner(scheme)
+        n_frames, n_senders, n_symbols, n_sc = 4, 3 if scheme != "alamouti" else 2, 8, 48
+        shape = (n_frames, n_senders, n_symbols, n_sc)
+        channels = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        received = rng.normal(size=(n_frames, n_symbols, n_sc)) + 0j
+        active = np.ones((n_frames, n_senders), dtype=bool)
+        active[1, -1] = False
+        points = get_modulation("QPSK").points
+        decoded, gain = combiner.decode_batch(received, channels, active, constellation=points)
+        for f in range(n_frames):
+            senders = [k for k in range(n_senders) if active[f, k]]
+            want, want_gain = reference_combiner_decode(
+                combiner, received[f], [channels[f, k] for k in senders], senders, points
+            )
+            assert np.array_equal(decoded[f], want)
+            assert np.array_equal(gain[f], want_gain)
+            one, one_gain = combiner.decode(
+                received[f],
+                [channels[f, k] for k in senders],
+                codeword_indices=senders,
+                constellation=points,
+                return_gain=True,
+            )
+            assert np.array_equal(one, want)
+            assert np.array_equal(one_gain, want_gain)
+
+    @pytest.mark.parametrize("scheme", ["replicated_alamouti", "naive"])
+    def test_joint_batch_combiner_single_frame_static_channels(self, scheme):
+        # decode() accepts static (n_subcarriers,) channels, codewords in any
+        # order and skipped codewords.
+        rng = np.random.default_rng(23)
+        combiner = SmartCombiner(scheme)
+        received = rng.normal(size=(6, 48)) + 1j * rng.normal(size=(6, 48))
+        channels = [rng.normal(size=48) + 1j * rng.normal(size=48) for _ in range(2)]
+        for codewords in ([0, 1], [1, 0], [0, 2], [2]):
+            chans = channels[: len(codewords)]
+            want, want_gain = reference_combiner_decode(combiner, received, chans, codewords)
+            got, got_gain = combiner.decode(
+                received, chans, codeword_indices=codewords, return_gain=True
+            )
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_gain, want_gain)
+            assert np.array_equal(combiner.decode(received, chans, codewords), want)
+
+
+class TestJointBatchTransmitSynthesis:
+    def test_joint_batch_header_waveforms_match_single_headers(self):
+        lead = LeadSender()
+        layout = JointFrameLayout(params=DEFAULT_PARAMS, n_cosenders=2, n_data_symbols=4)
+        headers = [
+            lead.make_header(pid, 6.0, cp, 2) for pid, cp in [(7, 0), (65535, 16), (300, 8)]
+        ]
+        batch = lead.header_waveforms(headers, layout)
+        assert batch.shape[0] == len(headers)
+        for header, row in zip(headers, batch):
+            assert np.array_equal(row, lead.header_waveform(header, layout))
+
+    def test_joint_batch_data_sections_are_reused_read_only(self):
+        frame_config = make_joint_frame_config(30, 6.0, DEFAULT_PARAMS, 8)
+        layout = JointFrameLayout(
+            params=DEFAULT_PARAMS, n_cosenders=1, n_data_symbols=frame_config.n_data_symbols,
+            data_cp_samples=8,
+        )
+        combiner = SmartCombiner()
+        args = (b"\x11" * 30, frame_config, combiner, 1, 1, 2, layout)
+        sections = {}
+        first = build_data_section(*args, sections=sections)
+        assert build_data_section(*args, sections=sections) is first
+        assert np.array_equal(first, build_data_section(*args))
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        other = build_data_section(b"\x12" * 30, *args[1:], sections=sections)
+        assert other is not first and len(sections) == 2
