@@ -10,7 +10,7 @@ measured ratios to ``BENCH_exor_ensemble.json``.
 Methodology: both paths run the identical seeded workload — the engine
 consumes every lane's generator in sequential order, so outputs are bit
 identical (asserted here via the series, and bit-for-bit by
-``tests/routing/test_exor_ensemble.py``).  Timing is wall-clock
+``tests/engine/test_exor_ensemble.py``).  Timing is wall-clock
 ``time.perf_counter`` (best of the configured repeats) over the full
 experiment including topology construction and link priming.  Two workload
 scales are recorded per experiment:

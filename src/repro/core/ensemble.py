@@ -26,7 +26,7 @@ session's sequential loop to completion, up to floating-point
 last-ulp differences from SIMD kernel selection on batched arrays (the same
 caveat as :meth:`repro.phy.receiver.Receiver.receive_batch`); decoded bits,
 CRC outcomes and detection decisions are identical in practice and asserted
-so by ``tests/core/test_joint_batch.py``.
+so by ``tests/engine/test_joint_batch.py``.
 
 Entry points
 ------------

@@ -64,11 +64,6 @@ Python API
 
     from repro.experiments.runner import run_all
     results = run_all(["fig14", "fig17"], preset="smoke", jobs=2)
-
-Each experiment module also keeps its legacy entry point — e.g.
-``fig17_lasthop.run(n_placements=30)`` — as a thin shim over
-``SPEC.run(Config(...))``, so existing callers see bit-identical seeded
-results.
 """
 
 from repro.experiments import registry

@@ -29,7 +29,7 @@ from repro.phy.equalizer import estimate_channel_ltf
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.preamble import long_training_field
 
-__all__ = ["Config", "SPEC", "run", "estimation_errors"]
+__all__ = ["Config", "SPEC", "estimation_errors"]
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -14,12 +14,11 @@ array operations:
 * :func:`draw_tap_ensemble` — all multipath realisations of an ensemble in
   one generator call (used by ``fig14_delay_spread``);
 * :func:`draw_frequency_response_ensemble` — batched normalised frequency
-  responses on the occupied bins (used by ``ablation_combining``);
-* :func:`run_trials` / :func:`run_seed_chunks` — re-exported from the
-  shared engine (:mod:`repro.engine.scheduler`), which owns all chunked
-  sharding and process-pool scheduling; they remain importable here
-  because the ensemble runner is where experiments historically found
-  their trial entry points.
+  responses on the occupied bins (used by ``ablation_combining``).
+
+Per-trial seeding, chunked sharding and process-pool scheduling live in
+the shared engine (:func:`repro.engine.run_trials`,
+:func:`repro.engine.run_seed_chunks`).
 
 Determinism: the batched draws reproduce the exact generator-stream order
 of the per-trial loops they replace wherever possible (see
@@ -39,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.channel.awgn import awgn_ensemble, db_to_linear
-from repro.engine.scheduler import run_seed_chunks, run_trials
 from repro.channel.composite import link_ensemble_for_snr, propagate_ensemble
 from repro.channel.multipath import (
     MultipathEnsemble,
@@ -57,8 +55,6 @@ __all__ = [
     "run_packet_ensemble",
     "draw_tap_ensemble",
     "draw_frequency_response_ensemble",
-    "run_trials",
-    "run_seed_chunks",
 ]
 
 
@@ -238,7 +234,3 @@ def draw_frequency_response_ensemble(
     return responses[:, bins].reshape(
         n_realizations, n_channels_per_realization, bins.size
     )
-
-
-# run_trials / run_seed_chunks are re-exported above from
-# repro.engine.scheduler, the single home of sharding and pool scheduling.

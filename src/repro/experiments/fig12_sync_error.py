@@ -30,7 +30,7 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "run", "measure_residual_sync_error"]
+__all__ = ["Config", "SPEC", "measure_residual_sync_error"]
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

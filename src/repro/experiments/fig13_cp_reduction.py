@@ -29,7 +29,7 @@ from repro.phy import bits as bitutils
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.transmitter import encode_payload_to_symbols
 
-__all__ = ["Config", "SPEC", "run", "measure_snr_vs_cp"]
+__all__ = ["Config", "SPEC", "measure_snr_vs_cp"]
 
 
 @dataclass(frozen=True)
@@ -373,8 +373,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -26,7 +26,7 @@ from repro.experiments.batch import draw_tap_ensemble
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 
-__all__ = ["Config", "SPEC", "run", "average_tap_powers", "count_significant_taps"]
+__all__ = ["Config", "SPEC", "average_tap_powers", "count_significant_taps"]
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

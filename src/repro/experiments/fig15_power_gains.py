@@ -31,7 +31,7 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "run", "measure_regime", "REGIME_TARGET_SNR_DB"]
+__all__ = ["Config", "SPEC", "measure_regime", "REGIME_TARGET_SNR_DB"]
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

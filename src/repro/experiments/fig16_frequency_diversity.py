@@ -26,7 +26,7 @@ from repro.experiments.fig15_power_gains import REGIME_TARGET_SNR_DB
 from repro.experiments.registry import experiment
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "run", "measure_profiles", "measure_profiles_batched"]
+__all__ = ["Config", "SPEC", "measure_profiles", "measure_profiles_batched"]
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

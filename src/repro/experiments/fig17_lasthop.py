@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.channel.propagation import PathLossModel
-from repro.experiments.batch import run_seed_chunks, run_trials
+from repro.engine import run_seed_chunks, run_trials
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.lasthop.controller import SourceSyncController
@@ -27,7 +27,7 @@ from repro.lasthop.simulation import simulate_downlink
 from repro.net.topology import Testbed
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "run", "simulate_placement"]
+__all__ = ["Config", "SPEC", "simulate_placement"]
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def _run_placement_ensemble(
     """Lockstep counterpart of the ``run_trials`` placement loop.
 
     Per-trial seeding is shared with the sequential path through
-    :func:`repro.experiments.batch.run_seed_chunks`, which also shards the
+    :func:`repro.engine.run_seed_chunks`, which also shards the
     lanes across a process pool (``jobs > 1``) without changing any output.
     """
     return run_seed_chunks(_placement_ensemble_chunk, n_placements, seed, jobs, n_packets, params)
@@ -246,8 +246,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.channel.propagation import PathLossModel
-from repro.experiments.batch import run_seed_chunks, run_trials
+from repro.engine import run_seed_chunks, run_trials
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.net.topology import Testbed
@@ -38,7 +38,7 @@ from repro.routing.exor import ExorConfig, simulate_exor
 from repro.routing.exor_sourcesync import simulate_exor_sourcesync
 from repro.routing.single_path import simulate_single_path
 
-__all__ = ["Config", "SPEC", "run", "random_relay_topology", "simulate_topology"]
+__all__ = ["Config", "SPEC", "random_relay_topology", "simulate_topology"]
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,11 @@ def simulate_topology(
     rate_mbps: float,
     rng: np.random.Generator,
     batch_size: int = 24,
-    batched: bool = True,
 ) -> tuple[float, float, float]:
     """(single path, ExOR, ExOR+SourceSync) throughput for one topology."""
     src, dst = 0, 1
     relays = [n for n in testbed.node_ids if n not in (src, dst)]
-    config = ExorConfig(batch_size=batch_size, batched=batched)
+    config = ExorConfig(batch_size=batch_size)
     single = simulate_single_path(testbed, src, dst, rate_mbps, n_packets=batch_size, rng=rng)
     exor = simulate_exor(testbed, src, dst, rate_mbps, relays, config=config, rng=rng)
     joint = simulate_exor_sourcesync(testbed, src, dst, rate_mbps, relays, config=config, rng=rng)
@@ -136,12 +135,11 @@ def _topology_trial(
     rng: np.random.Generator,
     rate_mbps: float,
     batch_size: int,
-    batched: bool,
     params: OFDMParams,
 ) -> tuple[float, float, float]:
     """One independent (topology, all three schemes) trial for ``run_trials``."""
     testbed = random_relay_topology(rng, params=params)
-    return simulate_topology(testbed, rate_mbps, rng, batch_size, batched=batched)
+    return simulate_topology(testbed, rate_mbps, rng, batch_size)
 
 
 def _topology_ensemble_chunk(
@@ -209,7 +207,7 @@ def _run_topology_ensemble(
     """Lockstep counterpart of the ``run_trials`` topology loop.
 
     Per-trial seeding is shared with the sequential path through
-    :func:`repro.experiments.batch.run_seed_chunks`, which also shards the
+    :func:`repro.engine.run_seed_chunks`, which also shards the
     lanes across a process pool (``jobs > 1``) and — for hundreds-of-
     topologies sweeps — caps the per-ensemble lane width at
     ``chunk_topologies`` without changing any output.
@@ -268,7 +266,6 @@ def _run(config: Config) -> ExperimentResult:
                     _topology_trial,
                     rate_mbps=rate,
                     batch_size=batch_size,
-                    batched=False,
                     params=config.params,
                 ),
                 n_topologies,
@@ -305,8 +302,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

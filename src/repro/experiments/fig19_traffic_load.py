@@ -36,7 +36,7 @@ from repro.traffic.service import FlowService, incast_mesh, relay_mesh, simulate
 from repro.traffic.sizes import SIZE_MIX_NAMES, make_size_mix
 from repro.traffic.workload import TrafficWorkload, derive_seed, incast_workload, poisson_workload
 
-__all__ = ["Config", "SPEC", "run"]
+__all__ = ["Config", "SPEC"]
 
 #: The schemes this experiment sweeps — the original three, pinned locally
 #: so the canonical scheme list growing (link_local lives in
@@ -300,8 +300,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -44,7 +44,7 @@ from repro.traffic.service import SCHEMES, FlowService, incast_mesh, simulate_fl
 from repro.traffic.sizes import SIZE_MIX_NAMES, make_size_mix
 from repro.traffic.workload import TrafficWorkload, derive_seed, poisson_workload
 
-__all__ = ["Config", "SPEC", "run"]
+__all__ = ["Config", "SPEC"]
 
 #: Scheme → key label (summary-key placeholders cannot carry underscores).
 _LABELS = {
@@ -344,8 +344,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

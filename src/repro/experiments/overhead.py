@@ -19,7 +19,7 @@ from repro.experiments.registry import experiment
 from repro.net.mac import MacTiming
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "run", "overhead_fraction"]
+__all__ = ["Config", "SPEC", "overhead_fraction"]
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,3 @@ def _run(config: Config) -> ExperimentResult:
 
 
 SPEC = _run.spec
-
-
-def run(**kwargs) -> ExperimentResult:
-    """Legacy entry point: ``run(**kwargs)`` is ``SPEC.run(Config(**kwargs))``."""
-    return SPEC.run(Config(**kwargs))

@@ -267,9 +267,7 @@ class ExperimentSpec:
     def run(self, config: Any = None) -> ExperimentResult:
         """Run the experiment and attach config + provenance to the result.
 
-        ``config`` defaults to the ``quick`` preset.  The legacy
-        ``module.run(**kwargs)`` shims delegate here, so both entry points
-        produce identical seeded results.
+        ``config`` defaults to the ``quick`` preset.
         """
         if config is None:
             config = self.make_config("quick")

@@ -20,9 +20,6 @@ artifact cache (:mod:`repro.experiments.cache`), terminal cell states are
 journalled to a JSONL run manifest, and an interrupted or partially
 failed run can be resumed with ``sweep --resume`` — converging to the
 bit-identical artifacts of an uninterrupted run.
-
-``python -m repro.experiments.runner`` is kept as a legacy alias for
-``python -m repro.experiments run`` (see :mod:`repro.experiments.cli`).
 """
 
 from __future__ import annotations
@@ -427,16 +424,3 @@ def sweep_definition_from_manifest(
     fixed_raw = header.get("fixed")
     fixed = _coerce_json_overrides(spec.config_cls, fixed_raw) if fixed_raw else None
     return name, grid, header["preset"], fixed
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    """Legacy entry point: forwards to ``python -m repro.experiments run``."""
-    import sys
-
-    from repro.experiments.cli import main as cli_main
-
-    sys.exit(cli_main(["run", *sys.argv[1:], "--no-save"]))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

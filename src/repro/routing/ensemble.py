@@ -24,6 +24,13 @@ following the same pattern as :mod:`repro.core.ensemble`:
   packets with the SampleRate statistics of all lanes held in stacked
   arrays (:func:`simulate_downlink_ensemble`).
 
+Single-path and link-local transfers stop each hop at its first
+acknowledged attempt, so their uniforms cannot merge into stacked draws.
+Their ensemble entry points (:func:`simulate_single_path_ensemble`,
+:func:`simulate_link_local_ensemble`) call the sequential simulators once
+per lane in input order; both run the one transfer loop of
+:mod:`repro.routing.link_local`.
+
 Heterogeneous lanes
 -------------------
 Lanes of one ensemble call do not have to be uniform: ExOR lanes may mix
@@ -43,7 +50,7 @@ stages that cannot merge draws (last-hop cleanup retries, downlink
 attempt loops) keep per-lane scalar draws in sequential order.  A
 lockstep run over lanes ``[l1, ..., ln]`` therefore produces *bit
 identical* results to running each lane's sequential simulation to
-completion, which ``tests/routing/test_exor_ensemble.py`` asserts.
+completion, which ``tests/engine/test_exor_ensemble.py`` asserts.
 
 Two lanes may share one generator only when they are *chained*: a lane
 constructed with ``after=<other lane>`` does not start (neither its
@@ -77,12 +84,12 @@ from repro.lasthop.controller import SourceSyncController
 from repro.lasthop.rate_adaptation import SampleRate
 from repro.lasthop.simulation import LastHopResult
 from repro.net.etx import etx_graph
-from repro.net.mac import CsmaState, MacTiming
+from repro.net.mac import MacTiming
 from repro.net.topology import Testbed
 from repro.phy.rates import Rate, rate_for_mbps, rates_sorted
 from repro.routing.exor import ExorConfig, ExorResult, exor_priority
-from repro.routing.link_local import LinkLocalConfig, LinkLocalResult, _transfer
-from repro.routing.single_path import SinglePathResult
+from repro.routing.link_local import LinkLocalConfig, LinkLocalResult, simulate_link_local
+from repro.routing.single_path import SinglePathResult, simulate_single_path
 
 __all__ = [
     "ExorLane",
@@ -685,144 +692,40 @@ def simulate_exor_ensemble(lanes: list[ExorLane]) -> list[ExorResult]:
 
 
 # ----------------------------------------------------------------------
-# Single-path baseline in lockstep
+# Single-path and link-local transfers
 # ----------------------------------------------------------------------
-def _run_single_path_lane(lane: ExorLane, retry_limit: int) -> SinglePathResult:
-    """Run one lane's single-path transfer to completion (pre-draw/rewind)."""
-    from repro.net.etx import best_route
-
-    config = lane.config
-    testbed, rng = lane.testbed, lane.rng
-    timing = lane.timing if lane.timing is not None else MacTiming(params=testbed.params)
-    rate = rate_for_mbps(lane.rate_mbps)
-    n_packets = config.batch_size
-    graph = etx_graph(
-        testbed, probe_rate_mbps=config.probe_rate_mbps, probe_bytes=config.payload_bytes
-    )
-    route_key = ("best_route", config.probe_rate_mbps, config.payload_bytes, lane.src, lane.dst)
-    route = testbed._routing_cache.get(route_key)
-    if route is None:
-        route = best_route(graph, lane.src, lane.dst) or ()
-        testbed._routing_cache[route_key] = route
-    if len(route) < 2:
-        return SinglePathResult(0.0, 0, n_packets, 0, tuple(route))
-    # The trajectory draw sits after the route check and before the
-    # attempt block, exactly where the sequential simulator makes it.
-    trajectory = None
-    if config.dynamics is not None:
-        trajectory = materialise_trajectory(
-            config.dynamics, testbed.node_ids, lane.rate_mbps, rng
-        )
-    matrix = testbed.delivery_prob_matrix(rate, config.payload_bytes)
-    idx = testbed._node_index
-    hops = list(zip(route[:-1], route[1:]))
-    hop_probs = [float(matrix[idx[a], idx[b]]) for a, b in hops]
-    per_attempt = timing.single_transaction_us(config.payload_bytes, rate)
-    snapshot = {**rng.bit_generator.state}
-    draws = rng.random(n_packets * len(hop_probs) * retry_limit).tolist()
-    position = 0
-    delivered = transmissions = 0
-    elapsed = 0.0
-    for _ in range(n_packets):
-        alive = True
-        for hop, prob in zip(hops, hop_probs):
-            success = False
-            for _ in range(retry_limit):
-                if trajectory is None:
-                    threshold = prob
-                else:
-                    threshold = prob * trajectory.pair_multiplier(
-                        transmissions, hop[0], hop[1]
-                    )
-                got_through = draws[position] < threshold
-                position += 1
-                elapsed += per_attempt
-                transmissions += 1
-                if got_through:
-                    success = True
-                    break
-            if not success:
-                alive = False
-                break
-        if alive:
-            delivered += 1
-    # Rewind and re-consume exactly the used draws: the generator ends
-    # in the same state as the sequential retry loops leave it.
-    rng.bit_generator.state = snapshot
-    if position:
-        rng.random(position)
-    bits = delivered * config.payload_bytes * 8
-    throughput = bits / elapsed if elapsed > 0 else 0.0
-    return SinglePathResult(
-        throughput_mbps=throughput,
-        delivered_packets=delivered,
-        total_packets=n_packets,
-        transmissions=transmissions,
-        route=tuple(route),
-        elapsed_us=elapsed,
-    )
-
-
-class _SinglePathEngineLane(Lane):
-    """Run-to-completion single-path lane; chains carry no scheduling meaning.
-
-    Lanes run fully inside :meth:`setup` in input order, so unchained
-    generator sharing is naturally sequential — the class opts out of
-    chain enforcement, matching the pre-engine behaviour (``after`` was
-    accepted but ignored).
-    """
-
-    enforce_generator_chains = False
-
-    def __init__(self, spec: ExorLane, retry_limit: int) -> None:
-        self.spec = spec
-        self.rng = spec.rng
-        self.after = None  # input order already is the dependency order
-        self._retry_limit = retry_limit
-        self._result: SinglePathResult | None = None
-
-    def setup(self) -> None:
-        """Run the whole transfer now (the lane is feedback-bound)."""
-        self._result = _run_single_path_lane(self.spec, self._retry_limit)
-
-    @property
-    def finished(self) -> bool:
-        """Run-to-completion lanes finish during setup."""
-        return self._result is not None
-
-    def result(self) -> SinglePathResult:
-        """Return the transfer result computed during setup."""
-        return self._result
-
-
 def simulate_single_path_ensemble(
     lanes: list[ExorLane],
     retry_limit: int = 8,
 ) -> list[SinglePathResult]:
     """Single-path bulk transfers for an ensemble of lanes.
 
-    Bit-identical to per-lane
-    :func:`repro.routing.single_path.simulate_single_path` calls with
-    ``n_packets = config.batch_size``.  Each lane's retry loop is
-    feedback-bound (it stops at the first acknowledged attempt), so the
-    uniforms cannot merge into one draw; instead the lane pre-draws an
-    upper-bound block, consumes it sequentially, and then rewinds its
-    generator to advance by exactly the consumed count — the stream any
-    downstream phase sees is unchanged.  Lanes run to completion in input
-    order, so lanes sharing a generator are naturally sequential here (list
-    them in their dependency order; ``after`` is accepted but not needed).
+    One :func:`repro.routing.single_path.simulate_single_path` call per
+    lane, in input order, with ``n_packets = config.batch_size`` and the
+    lane config's payload, probe rate and dynamics.  Each retry loop stops
+    at the first acknowledged attempt, so its uniforms cannot merge into a
+    stacked draw; lanes sharing a generator are naturally sequential here
+    (list them in their dependency order; ``after`` is accepted but not
+    needed).
     """
-    return LockstepScheduler().run(
-        [_SinglePathEngineLane(spec, retry_limit) for spec in lanes]
-    )
+    return [
+        simulate_single_path(
+            lane.testbed, lane.src, lane.dst, lane.rate_mbps,
+            n_packets=lane.config.batch_size,
+            payload_bytes=lane.config.payload_bytes,
+            retry_limit=retry_limit,
+            rng=lane.rng,
+            timing=lane.timing,
+            probe_rate_mbps=lane.config.probe_rate_mbps,
+            dynamics=lane.config.dynamics,
+        )
+        for lane in lanes
+    ]
 
 
-# ----------------------------------------------------------------------
-# Link-local recovery in lockstep
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LinkLocalLane:
-    """One link-local-recovery bulk transfer for the lockstep ensemble.
+    """One link-local-recovery bulk transfer for the ensemble entry point.
 
     Lanes run to completion in input order (the retry structure is
     feedback-bound, like the single-path baseline), so lanes sharing a
@@ -844,108 +747,19 @@ class LinkLocalLane:
 def simulate_link_local_ensemble(lanes: list[LinkLocalLane]) -> list[LinkLocalResult]:
     """Link-local-recovery transfers for an ensemble of lanes.
 
-    Bit-identical to per-lane
-    :func:`repro.routing.link_local.simulate_link_local` calls: both paths
-    run the same :func:`repro.routing.link_local._transfer` loop, this one
-    against a pre-drawn upper-bound block
-    (``n_packets × e2e passes × hops × attempts per hop``) that is rewound
-    to advance the generator by exactly the consumed count.  The trajectory
-    draw (when ``config.dynamics`` is set) lands after the route check and
-    before the block, in the sequential stream position.
+    One :func:`repro.routing.link_local.simulate_link_local` call per lane,
+    in input order, after the chaining rules
+    (:func:`repro.engine.resolve_chains`) have validated the lanes'
+    ``after`` references and generator sharing.
     """
-    if not lanes:
-        return []
-    # Chain validation happens on the specs: wrappers run unchained (input
-    # order already is the sequential order for run-to-completion lanes).
     resolve_chains(lanes)
-    return LockstepScheduler().run([_LinkLocalEngineLane(spec) for spec in lanes])
-
-
-def _run_link_local_lane(lane: LinkLocalLane) -> LinkLocalResult:
-    """Run one lane's link-local transfer to completion (pre-draw/rewind)."""
-    from repro.net.etx import best_route
-
-    config = lane.config
-    testbed, rng = lane.testbed, lane.rng
-    timing = lane.timing if lane.timing is not None else MacTiming(params=testbed.params)
-    rate = rate_for_mbps(lane.rate_mbps)
-    graph = etx_graph(
-        testbed, probe_rate_mbps=config.probe_rate_mbps, probe_bytes=config.payload_bytes
-    )
-    route_key = ("best_route", config.probe_rate_mbps, config.payload_bytes, lane.src, lane.dst)
-    route = testbed._routing_cache.get(route_key)
-    if route is None:
-        route = best_route(graph, lane.src, lane.dst) or ()
-        testbed._routing_cache[route_key] = route
-    if len(route) < 2:
-        return LinkLocalResult(0.0, 0, lane.n_packets, 0, 0, 0, tuple(route))
-    trajectory = None
-    if config.dynamics is not None:
-        trajectory = materialise_trajectory(
-            config.dynamics, testbed.node_ids, lane.rate_mbps, rng
+    return [
+        simulate_link_local(
+            lane.testbed, lane.src, lane.dst, lane.rate_mbps,
+            n_packets=lane.n_packets, config=lane.config, rng=lane.rng, timing=lane.timing,
         )
-    matrix = testbed.delivery_prob_matrix(rate, config.payload_bytes)
-    idx = testbed._node_index
-    hop_pairs = list(zip(route[:-1], route[1:]))
-    hop_probs = [float(matrix[idx[a], idx[b]]) for a, b in hop_pairs]
-    per_attempt = timing.single_transaction_us(config.payload_bytes, rate)
-    bound = lane.n_packets * config.e2e_passes * len(hop_pairs) * config.attempts_per_hop
-    snapshot = {**rng.bit_generator.state}
-    block = rng.random(bound).tolist()
-    consumed = 0
-
-    def next_uniform(block: list[float] = block) -> float:
-        nonlocal consumed
-        value = block[consumed]
-        consumed += 1
-        return value
-
-    mac = CsmaState()
-    delivered, local_retransmissions, e2e_retries = _transfer(
-        hop_pairs, hop_probs, lane.n_packets, config, trajectory, per_attempt,
-        next_uniform, mac,
-    )
-    # Rewind and re-consume exactly the used draws, as in the
-    # single-path baseline: downstream phases see an unchanged stream.
-    rng.bit_generator.state = snapshot
-    if consumed:
-        rng.random(consumed)
-    throughput = mac.throughput_mbps(delivered * config.payload_bytes * 8)
-    return LinkLocalResult(
-        throughput_mbps=throughput,
-        delivered_packets=delivered,
-        total_packets=lane.n_packets,
-        transmissions=mac.transmissions,
-        local_retransmissions=local_retransmissions,
-        e2e_retries=e2e_retries,
-        route=tuple(route),
-        elapsed_us=mac.elapsed_us,
-    )
-
-
-class _LinkLocalEngineLane(Lane):
-    """Run-to-completion link-local lane (chains validated on the specs)."""
-
-    enforce_generator_chains = False
-
-    def __init__(self, spec: LinkLocalLane) -> None:
-        self.spec = spec
-        self.rng = spec.rng
-        self.after = None  # input order already is the dependency order
-        self._result: LinkLocalResult | None = None
-
-    def setup(self) -> None:
-        """Run the whole transfer now (the retry structure is feedback-bound)."""
-        self._result = _run_link_local_lane(self.spec)
-
-    @property
-    def finished(self) -> bool:
-        """Run-to-completion lanes finish during setup."""
-        return self._result is not None
-
-    def result(self) -> LinkLocalResult:
-        """Return the transfer result computed during setup."""
-        return self._result
+        for lane in lanes
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -52,11 +52,6 @@ class ExorConfig:
     probe_rate_mbps: float = 6.0
     #: Use SourceSync joint forwarding (set by the exor_sourcesync wrapper).
     sender_diversity: bool = False
-    #: Draw per-phase delivery outcomes as stacked Bernoulli matrices
-    #: instead of one scalar draw per attempt.  The generator consumes the
-    #: identical uniform stream either way, so results are bit-identical;
-    #: the flag exists so benchmarks can compare the two control flows.
-    batched: bool = True
     #: Bursty link dynamics (Gilbert–Elliott bursts and/or a speed × loss
     #: grid).  ``None`` leaves every link static — and every existing RNG
     #: stream untouched.  With a spec, the lane's state trajectory is one
@@ -89,18 +84,6 @@ class ExorResult:
         if self.total_packets == 0:
             return 0.0
         return self.delivered_packets / self.total_packets
-
-
-def _attempt(
-    testbed: Testbed,
-    senders: list[int],
-    dst: int,
-    rate: Rate,
-    payload_bytes: int,
-    rng: np.random.Generator,
-) -> bool:
-    """One (possibly joint) transmission attempt towards one receiver."""
-    return testbed.attempt_delivery(senders if len(senders) > 1 else senders[0], dst, rate, payload_bytes, rng)
 
 
 def exor_priority(
@@ -195,45 +178,28 @@ def simulate_exor(
     # ------------------------------------------------------------------
     # Source broadcast phase: the source sends every packet of the batch
     # once; all forwarders and the destination overhear probabilistically.
-    # With ``config.batched`` the whole packet-by-receiver outcome matrix
-    # comes from one Bernoulli draw (same uniform stream, same results).
+    # The whole packet-by-receiver outcome matrix comes from one Bernoulli
+    # draw, the uniform stream of a per-packet, per-listener scalar loop.
     # ------------------------------------------------------------------
     listeners = [node for node in [dst, *priority] if node != src]
-    if config.batched:
-        if trajectory is None:
-            outcomes = testbed.attempt_broadcasts(
-                src, listeners, config.batch_size, rate, config.payload_bytes, rng
-            )
-        else:
-            # Same (batch, listeners) uniform draw, probabilities scaled by
-            # the per-slot link multipliers (packet k transmits at slot k).
-            base = testbed._delivery_prob_vector(src, listeners, rate, config.payload_bytes)
-            mult = trajectory.rows(mac.transmissions, config.batch_size, src, listeners)
-            outcomes = rng.random((config.batch_size, len(listeners))) < base[None, :] * mult
-        for packet_id in batch:
-            # A broadcast succeeds when any targeted listener received it;
-            # throughput only reads elapsed_us, so the success flag affects
-            # CsmaState.failures alone.
-            mac.account(single_airtime, bool(outcomes[packet_id].any()))
-            for col, node in enumerate(listeners):
-                if outcomes[packet_id, col]:
-                    holds[node].add(packet_id)
+    if trajectory is None:
+        outcomes = testbed.attempt_broadcasts(
+            src, listeners, config.batch_size, rate, config.payload_bytes, rng
+        )
     else:
-        for packet_id in batch:
-            heard = False
-            for node in listeners:
-                if trajectory is None:
-                    got = _attempt(testbed, [src], node, rate, config.payload_bytes, rng)
-                else:
-                    prob = testbed._delivery_prob(src, node, rate, config.payload_bytes)
-                    got = bool(
-                        rng.random()
-                        < prob * trajectory.pair_multiplier(mac.transmissions, src, node)
-                    )
-                if got:
-                    holds[node].add(packet_id)
-                    heard = True
-            mac.account(single_airtime, heard)
+        # Same (batch, listeners) uniform draw, probabilities scaled by
+        # the per-slot link multipliers (packet k transmits at slot k).
+        base = testbed._delivery_prob_vector(src, listeners, rate, config.payload_bytes)
+        mult = trajectory.rows(mac.transmissions, config.batch_size, src, listeners)
+        outcomes = rng.random((config.batch_size, len(listeners))) < base[None, :] * mult
+    for packet_id in batch:
+        # A broadcast succeeds when any targeted listener received it;
+        # throughput only reads elapsed_us, so the success flag affects
+        # CsmaState.failures alone.
+        mac.account(single_airtime, bool(outcomes[packet_id].any()))
+        for col, node in enumerate(listeners):
+            if outcomes[packet_id, col]:
+                holds[node].add(packet_id)
 
     # ------------------------------------------------------------------
     # Forwarding rounds in priority order.
@@ -275,21 +241,14 @@ def simulate_exor(
                     effective = base * trajectory.receiver_multipliers(
                         mac.transmissions, senders, receivers
                     )
-                    if not config.batched:
-                        delivered = [bool(rng.random() < value) for value in effective.tolist()]
-                    elif len(receivers) == 1:
+                    if len(receivers) == 1:
                         delivered = [bool(rng.random() < effective[0])]
                     else:
                         delivered = (rng.random(len(receivers)) < effective).tolist()
-                elif config.batched:
+                else:
                     delivered = testbed.attempt_deliveries(
                         senders, receivers, rate, config.payload_bytes, rng
                     )
-                else:
-                    delivered = [
-                        _attempt(testbed, senders, node, rate, config.payload_bytes, rng)
-                        for node in receivers
-                    ]
                 # As in the broadcast phase: success means some targeted
                 # receiver got the packet (the forwarding analogue of a
                 # missing ACK), not merely that airtime was spent.
@@ -318,7 +277,7 @@ def simulate_exor(
             if len(senders) > 1:
                 joint_count += 1
             if trajectory is None:
-                success = _attempt(testbed, senders, dst, rate, config.payload_bytes, rng)
+                success = testbed.attempt_delivery(senders, dst, rate, config.payload_bytes, rng)
             else:
                 base = testbed._delivery_prob(
                     senders if len(senders) > 1 else senders[0], dst, rate, config.payload_bytes

@@ -16,19 +16,24 @@ long bursts the local budget exhausts into the (expensive) end-to-end
 path — exactly the ARQ-vs-diversity tradeoff the ``fig20_link_dynamics``
 experiment quantifies against ExOR+SourceSync.
 
+Single-path routing (:mod:`repro.routing.single_path`) is the special
+case with no backoff wait and no end-to-end restart, so both schemes run
+the one :func:`_transfer` loop.  The best route is memoised on the
+testbed, so both schemes over one topology route once.
+
 Determinism: one scalar uniform per transmission attempt, in packet →
 end-to-end attempt → hop → local-retry order; the backoff is a pure
-function of the attempt index (no RNG).  The lockstep engine counterpart
-(:func:`repro.routing.ensemble.simulate_link_local_ensemble`) pre-draws
-an upper-bound block and rewinds, consuming the identical stream — both
-paths share :func:`_transfer` so the arithmetic is common by
-construction.
+function of the attempt index (no RNG).  With dynamics, the link-state
+trajectory is one draw after routing and before the first attempt.  The
+ensemble entry point
+(:func:`repro.routing.ensemble.simulate_link_local_ensemble`) calls
+:func:`simulate_link_local` once per lane in input order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,61 +115,70 @@ class LinkLocalResult:
 
 
 def _transfer(
-    hop_pairs: Sequence[tuple[int, int]],
-    hop_probs: Sequence[float],
+    hops: Sequence[tuple[int, int, float]],
     n_packets: int,
     config: LinkLocalConfig,
     trajectory: LinkStateTrajectory | None,
     per_attempt_us: float,
-    next_uniform: Callable[[], float],
-    mac: CsmaState,
-) -> tuple[int, int, int]:
-    """Run the transfer loop against a uniform supplier; fills ``mac``.
+    rng: np.random.Generator,
+) -> tuple[CsmaState, int, int, int]:
+    """Run the transfer loop: one scalar uniform from ``rng`` per attempt.
 
-    Shared by the sequential simulator (``next_uniform`` draws from the
-    generator) and the lockstep ensemble (``next_uniform`` replays a
-    pre-drawn block): one scalar uniform per attempt either way, so both
-    paths consume the identical stream and compute identical floats.
-    Returns ``(delivered, local_retransmissions, e2e_retries)``.
+    The one transfer loop of both :func:`simulate_link_local` and
+    :func:`repro.routing.single_path.simulate_single_path`; ``hops`` lists
+    ``(sender, receiver, delivery probability)`` along the route.  The MAC
+    counters accumulate in locals in per-attempt order (backoff wait, then
+    airtime), so the floats equal a :meth:`CsmaState.account` per attempt.
+    Returns ``(mac, delivered, local_retransmissions, e2e_retries)``.
     """
+    if per_attempt_us < 0:
+        raise ValueError("airtime must be non-negative")
+    draw = rng.random
+    e2e_retry_limit = config.e2e_retry_limit
+    # One entry per attempt of a hop: the first waits for nothing, local
+    # retransmission k (1-based) first waits a deterministic timeout,
+    # charged in airtime units.
     timeout_us = config.timeout_fraction * per_attempt_us
+    schedule = [None] + [
+        timeout_us * config.backoff_factor ** k for k in range(config.local_retry_limit)
+    ]
+    elapsed_us = 0.0
+    transmissions = hop_successes = 0
     delivered = local_retransmissions = e2e_retries = 0
     for _ in range(n_packets):
-        arrived = False
         for e2e_pass in range(config.e2e_passes):
-            route_ok = True
-            for (hop_src, hop_dst), prob in zip(hop_pairs, hop_probs):
-                hop_ok = False
-                for local_try in range(config.attempts_per_hop):
-                    if local_try > 0:
-                        # Deterministic timeout/backoff before each local
-                        # retransmission, charged in airtime units.
-                        mac.elapsed_us += timeout_us * config.backoff_factor ** (local_try - 1)
+            for hop_src, hop_dst, prob in hops:
+                for wait in schedule:
+                    if wait is not None:
+                        elapsed_us += wait
                         local_retransmissions += 1
                     if trajectory is None:
                         effective = prob
                     else:
                         effective = prob * trajectory.pair_multiplier(
-                            mac.transmissions, hop_src, hop_dst
+                            transmissions, hop_src, hop_dst
                         )
-                    got_through = next_uniform() < effective
-                    mac.account(per_attempt_us, got_through)
+                    got_through = draw() < effective
+                    elapsed_us += per_attempt_us
+                    transmissions += 1
                     if got_through:
-                        hop_ok = True
+                        hop_successes += 1
                         break
-                if not hop_ok:
-                    route_ok = False
-                    break
-            if route_ok:
-                arrived = True
+                else:
+                    break  # the hop spent its local budget: this pass fails
+            else:
+                delivered += 1  # every hop got through
                 break
-            if e2e_pass < config.e2e_retry_limit:
+            if e2e_pass < e2e_retry_limit:
                 # Graceful degradation: the local budget is spent, so the
                 # source recovers end to end by restarting the packet.
                 e2e_retries += 1
-        if arrived:
-            delivered += 1
-    return delivered, local_retransmissions, e2e_retries
+    mac = CsmaState(
+        elapsed_us=elapsed_us,
+        transmissions=transmissions,
+        failures=transmissions - hop_successes,
+    )
+    return mac, delivered, local_retransmissions, e2e_retries
 
 
 def simulate_link_local(
@@ -193,36 +207,39 @@ def simulate_link_local(
     timing = timing if timing is not None else MacTiming(params=testbed.params)
     rate: Rate = rate_for_mbps(rate_mbps)
 
-    graph = etx_graph(
-        testbed, probe_rate_mbps=config.probe_rate_mbps, probe_bytes=config.payload_bytes
-    )
-    route = best_route(graph, src, dst)
-    if route is None or len(route) < 2:
-        return LinkLocalResult(0.0, 0, n_packets, 0, 0, 0, tuple(route or ()))
+    route_key = ("best_route", config.probe_rate_mbps, config.payload_bytes, src, dst)
+    route = testbed._routing_cache.get(route_key)
+    if route is None:
+        graph = etx_graph(
+            testbed, probe_rate_mbps=config.probe_rate_mbps, probe_bytes=config.payload_bytes
+        )
+        route = tuple(best_route(graph, src, dst) or ())
+        testbed._routing_cache[route_key] = route
+    if len(route) < 2:
+        return LinkLocalResult(0.0, 0, n_packets, 0, 0, 0, route)
+    # The one trajectory draw sits after the route check and before the
+    # first attempt.
     trajectory = None
     if config.dynamics is not None:
         trajectory = materialise_trajectory(
             config.dynamics, testbed.node_ids, rate_mbps, rng
         )
 
-    hop_pairs = list(zip(route[:-1], route[1:]))
-    hop_probs = [
-        testbed._delivery_prob(a, b, rate, config.payload_bytes) for a, b in hop_pairs
+    hops = [
+        (a, b, testbed.delivery_probability(a, b, rate, config.payload_bytes))
+        for a, b in zip(route[:-1], route[1:])
     ]
     per_attempt_us = timing.single_transaction_us(config.payload_bytes, rate)
-    mac = CsmaState()
-    delivered, local_retransmissions, e2e_retries = _transfer(
-        hop_pairs, hop_probs, n_packets, config, trajectory, per_attempt_us,
-        rng.random, mac,
+    mac, delivered, local_retransmissions, e2e_retries = _transfer(
+        hops, n_packets, config, trajectory, per_attempt_us, rng
     )
-    throughput = mac.throughput_mbps(delivered * config.payload_bytes * 8)
     return LinkLocalResult(
-        throughput_mbps=throughput,
+        throughput_mbps=mac.throughput_mbps(delivered * config.payload_bytes * 8),
         delivered_packets=delivered,
         total_packets=n_packets,
         transmissions=mac.transmissions,
         local_retransmissions=local_retransmissions,
         e2e_retries=e2e_retries,
-        route=tuple(route),
+        route=route,
         elapsed_us=mac.elapsed_us,
     )

@@ -4,6 +4,13 @@ Packets follow the minimum-ETX route from source to destination; every hop
 retransmits until the packet is acknowledged (up to a retry limit), exactly
 like 802.11 unicast forwarding.  Throughput is the delivered payload over
 the total medium time consumed by all transmissions on all hops.
+
+This is link-local recovery (:mod:`repro.routing.link_local`) with
+``retry_limit`` attempts per hop, no backoff wait and no end-to-end
+restart, so :func:`simulate_single_path` runs
+:func:`repro.routing.link_local.simulate_link_local`: one route lookup,
+one trajectory draw when dynamics are set, then one scalar uniform per
+transmission attempt.
 """
 
 from __future__ import annotations
@@ -12,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.dynamics import LinkDynamics, materialise_trajectory
-from repro.net.etx import best_route, etx_graph
-from repro.net.mac import CsmaState, MacTiming
+from repro.channel.dynamics import LinkDynamics
+from repro.net.mac import MacTiming
 from repro.net.topology import Testbed
-from repro.phy.rates import Rate, rate_for_mbps
+from repro.routing.link_local import LinkLocalConfig, simulate_link_local
 from repro.rng import require_rng
 
 __all__ = ["SinglePathResult", "simulate_single_path"]
@@ -70,60 +76,33 @@ def simulate_single_path(
     n_packets:
         Number of packets in the transfer.
     retry_limit:
-        Per-hop retransmission limit; packets exceeding it are dropped.
+        Per-hop transmission attempts (at least 1); packets exceeding it
+        are dropped.
     dynamics:
         Optional bursty link dynamics: the state trajectory is one upfront
         draw from the transfer's generator (after routing, before the
         first attempt) and every hop probability is scaled by the current
         slot's link multiplier — attempt draw counts are unchanged.
     """
+    if retry_limit < 1:
+        raise ValueError("retry_limit must be >= 1")
     rng = require_rng(rng, "simulate_single_path")
-    timing = timing if timing is not None else MacTiming(params=testbed.params)
-    rate: Rate = rate_for_mbps(rate_mbps)
-
-    graph = etx_graph(testbed, probe_rate_mbps=probe_rate_mbps, probe_bytes=payload_bytes)
-    route = best_route(graph, src, dst)
-    mac = CsmaState()
-    if route is None or len(route) < 2:
-        return SinglePathResult(0.0, 0, n_packets, 0, tuple(route or ()))
-    trajectory = None
-    if dynamics is not None:
-        trajectory = materialise_trajectory(dynamics, testbed.node_ids, rate_mbps, rng)
-
-    delivered = 0
-    per_attempt_us = timing.single_transaction_us(payload_bytes, rate)
-    for _ in range(n_packets):
-        packet_alive = True
-        for hop_src, hop_dst in zip(route[:-1], route[1:]):
-            if not packet_alive:
-                break
-            success = False
-            for _attempt in range(retry_limit):
-                if trajectory is None:
-                    got_through = testbed.attempt_delivery(
-                        hop_src, hop_dst, rate, payload_bytes, rng
-                    )
-                else:
-                    prob = testbed._delivery_prob(hop_src, hop_dst, rate, payload_bytes)
-                    got_through = bool(
-                        rng.random()
-                        < prob * trajectory.pair_multiplier(mac.transmissions, hop_src, hop_dst)
-                    )
-                mac.account(per_attempt_us, got_through)
-                if got_through:
-                    success = True
-                    break
-            if not success:
-                packet_alive = False
-        if packet_alive:
-            delivered += 1
-
-    throughput = mac.throughput_mbps(delivered * payload_bytes * 8)
+    config = LinkLocalConfig(
+        payload_bytes=payload_bytes,
+        local_retry_limit=retry_limit - 1,
+        e2e_retry_limit=0,
+        timeout_fraction=0.0,
+        probe_rate_mbps=probe_rate_mbps,
+        dynamics=dynamics,
+    )
+    result = simulate_link_local(
+        testbed, src, dst, rate_mbps, n_packets=n_packets, config=config, rng=rng, timing=timing
+    )
     return SinglePathResult(
-        throughput_mbps=throughput,
-        delivered_packets=delivered,
-        total_packets=n_packets,
-        transmissions=mac.transmissions,
-        route=tuple(route),
-        elapsed_us=mac.elapsed_us,
+        throughput_mbps=result.throughput_mbps,
+        delivered_packets=result.delivered_packets,
+        total_packets=result.total_packets,
+        transmissions=result.transmissions,
+        route=result.route,
+        elapsed_us=result.elapsed_us,
     )

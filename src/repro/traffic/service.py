@@ -188,7 +188,7 @@ def _service_chunk(
     if not lockstep:
         services: list[tuple[FlowService, ...]] = []
         for (index, sender, _, size), rng in zip(rows, rngs):
-            config = replace(base, batch_size=size, batched=False)
+            config = replace(base, batch_size=size)
             per_flow: list[FlowService] = []
             if "single_path" in schemes:
                 single = simulate_single_path(

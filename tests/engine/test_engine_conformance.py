@@ -10,7 +10,8 @@ invariance (including non-dividing chunk widths).
 
 Workloads here are deliberately tiny (a handful of packets, two lanes):
 the heavy per-engine behavioural suites live next door
-(``tests/engine/*_suite.py``); this module is the *contract* layer that
+(``test_exor_ensemble.py``, ``test_joint_batch.py``,
+``test_traffic_load.py``); this module is the *contract* layer that
 any future lane must join by adding a single registration.
 """
 
@@ -218,13 +219,13 @@ register(LaneCase(
 # ----------------------------------------------------------------------
 # Single-path baseline (repro.routing.ensemble)
 # ----------------------------------------------------------------------
-def _single_path_lockstep():
+def _single_path_lockstep(seeds=(21, 22)):
     from repro.routing.ensemble import simulate_single_path_ensemble
 
-    return simulate_single_path_ensemble(_exor_lanes((21, 22)))
+    return simulate_single_path_ensemble(_exor_lanes(seeds))
 
 
-def _single_path_sequential():
+def _single_path_sequential(seeds=(21, 22)):
     from repro.routing.single_path import simulate_single_path
 
     return [
@@ -232,7 +233,7 @@ def _single_path_sequential():
             lane.testbed, lane.src, lane.dst, lane.rate_mbps,
             n_packets=lane.config.batch_size, rng=lane.rng,
         )
-        for lane in _exor_lanes((21, 22))
+        for lane in _exor_lanes(seeds)
     ]
 
 
@@ -242,14 +243,13 @@ def _single_path_empty():
     assert simulate_single_path_ensemble([]) == []
 
 
-# No audit pair: the single-path lane pre-draws a bounded block and
-# rewinds, so its ledger legitimately records draws the sequential scalar
-# path never makes; equivalence is asserted on results (bit-identity) and
-# the engine's own stream is pinned by the ledger fixtures.
+# The audit pair uses one lane, as downlink's does: two lanes on two
+# generators would make the global draw order depend on the path.
 register(LaneCase(
     name="single_path",
     lockstep=_single_path_lockstep,
     sequential=_single_path_sequential,
+    audit=(partial(_single_path_lockstep, (21,)), partial(_single_path_sequential, (21,))),
     empty=_single_path_empty,
 ))
 
@@ -270,13 +270,13 @@ def _link_local_lanes(seeds=(31, 32)):
     return lanes
 
 
-def _link_local_lockstep():
+def _link_local_lockstep(seeds=(31, 32)):
     from repro.routing.ensemble import simulate_link_local_ensemble
 
-    return simulate_link_local_ensemble(_link_local_lanes())
+    return simulate_link_local_ensemble(_link_local_lanes(seeds))
 
 
-def _link_local_sequential():
+def _link_local_sequential(seeds=(31, 32)):
     from repro.routing.link_local import simulate_link_local
 
     return [
@@ -284,7 +284,7 @@ def _link_local_sequential():
             lane.testbed, lane.src, lane.dst, lane.rate_mbps,
             n_packets=lane.n_packets, config=lane.config, rng=lane.rng,
         )
-        for lane in _link_local_lanes()
+        for lane in _link_local_lanes(seeds)
     ]
 
 
@@ -294,13 +294,12 @@ def _link_local_empty():
     assert simulate_link_local_ensemble([]) == []
 
 
-# No audit pair: link-local lanes share single-path's pre-draw/rewind
-# trick (see above) — results are bit-identical but the recorded block
-# draw has no sequential counterpart.
+# One-lane audit pair, as for single path.
 register(LaneCase(
     name="link_local",
     lockstep=_link_local_lockstep,
     sequential=_link_local_sequential,
+    audit=(partial(_link_local_lockstep, (31,)), partial(_link_local_sequential, (31,))),
     empty=_link_local_empty,
 ))
 
@@ -390,9 +389,12 @@ def _traffic_empty():
     assert services and all(flows == [] for flows in services.values())
 
 
-# No audit pair: the flow service runs single-path (pre-draw/rewind)
-# lanes among its schemes, so the global ledger differs by construction;
-# per-scheme results are asserted bit-identical above.
+# No audit pair: every flow draws from its own service generator, and the
+# lockstep path serves the flows scheme by scheme (all single-path
+# transfers, then the interleaved ExOR lanes, then link-local) while the
+# sequential path serves them flow by flow — so the global draw order
+# interleaves the per-flow streams differently.  Per-flow results are
+# asserted bit-identical above.
 register(LaneCase(
     name="traffic_flow",
     lockstep=partial(_traffic_run, True),

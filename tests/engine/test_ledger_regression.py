@@ -89,7 +89,7 @@ def _scenario_exor_chained() -> None:
 
 
 def _scenario_single_path() -> None:
-    """Single-path baseline: pre-draw/rewind lanes run in input order."""
+    """Single-path baseline: one scalar uniform per attempt, lanes in input order."""
     from repro.experiments.fig18_opportunistic import random_relay_topology
     from repro.routing.ensemble import ExorLane, simulate_single_path_ensemble
     from repro.routing.exor import ExorConfig

@@ -145,12 +145,12 @@ class TestEmptyEnsembleGuards:
     """Regression: zero-trial calls invoke nothing and consume no entropy."""
 
     def test_run_trials_zero_trials(self):
-        from repro.experiments.batch import run_trials
+        from repro.engine import run_trials
 
         assert run_trials(_must_not_run, 0, seed=7) == []
 
     def test_run_trials_zero_trials_leaves_seed_sequence_untouched(self):
-        from repro.experiments.batch import run_trials
+        from repro.engine import run_trials
 
         shared = np.random.SeedSequence(7)
         run_trials(_must_not_run, 0, seed=shared)
@@ -160,7 +160,7 @@ class TestEmptyEnsembleGuards:
         assert [c.spawn_key for c in shared.spawn(2)] == [c.spawn_key for c in fresh.spawn(2)]
 
     def test_run_seed_chunks_zero_trials(self):
-        from repro.experiments.batch import run_seed_chunks
+        from repro.engine import run_seed_chunks
 
         assert run_seed_chunks(_must_not_run, 0, 7, 1) == []
         assert run_seed_chunks(_must_not_run, 0, 7, 3, chunk_size=2) == []

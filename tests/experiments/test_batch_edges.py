@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.experiments.batch import run_packet_ensemble, run_trials
+from repro.engine import run_trials
+from repro.experiments.batch import run_packet_ensemble
 
 
 class TestEmptyEnsemble:
@@ -87,7 +88,7 @@ def _square_chunk(children, offset):
 
 
 def test_run_seed_chunks_matches_unchunked():
-    from repro.experiments.batch import run_seed_chunks
+    from repro.engine import run_seed_chunks
 
     single = run_seed_chunks(_square_chunk, 7, 5, 1, 100)
     pooled = run_seed_chunks(_square_chunk, 7, 5, 3, 100)
@@ -99,7 +100,7 @@ class TestSeedChunkSize:
     """Explicit chunk_size caps shard width without changing any output."""
 
     def test_every_chunk_size_matches_unchunked(self):
-        from repro.experiments.batch import run_seed_chunks
+        from repro.engine import run_seed_chunks
 
         reference = run_seed_chunks(_square_chunk, 9, 13, 1, 7)
         for chunk_size in (1, 2, 4, 9, 50):
@@ -107,19 +108,19 @@ class TestSeedChunkSize:
             assert capped == reference, chunk_size
 
     def test_chunk_size_with_process_pool(self):
-        from repro.experiments.batch import run_seed_chunks
+        from repro.engine import run_seed_chunks
 
         reference = run_seed_chunks(_square_chunk, 8, 21, 1, 0)
         pooled = run_seed_chunks(_square_chunk, 8, 21, 3, 0, chunk_size=3)
         assert pooled == reference
 
     def test_zero_trials(self):
-        from repro.experiments.batch import run_seed_chunks
+        from repro.engine import run_seed_chunks
 
         assert run_seed_chunks(_square_chunk, 0, 1, 1, 0, chunk_size=4) == []
 
     def test_invalid_chunk_size_rejected(self):
-        from repro.experiments.batch import run_seed_chunks
+        from repro.engine import run_seed_chunks
 
         with pytest.raises(ValueError, match="chunk_size"):
             run_seed_chunks(_square_chunk, 4, 1, 1, 0, chunk_size=0)

@@ -39,14 +39,14 @@ class TestResultContainer:
 
 class TestOverheadExperiment:
     def test_matches_paper_ballpark(self):
-        result = overhead.run()
+        result = overhead.SPEC.run(overhead.Config())
         two = result.summary["two_senders_percent"]
         five = result.summary["five_senders_percent"]
         assert 1.0 < two < 3.0  # paper: 1.7 %
         assert two < five < 7.0  # paper: 2.8 % (1 us symbols); ours uses 4 us symbols
 
     def test_overhead_monotone_in_senders(self):
-        result = overhead.run(sender_counts=(1, 2, 3, 4, 5))
+        result = overhead.SPEC.run(overhead.Config(sender_counts=(1, 2, 3, 4, 5)))
         values = result.series["overhead_percent"]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -60,11 +60,12 @@ class TestOverheadExperiment:
 
 class TestDelaySpreadExperiment:
     def test_significant_taps_close_to_paper(self):
-        result = fig14_delay_spread.run(n_realizations=80)
+        result = fig14_delay_spread.SPEC.run(fig14_delay_spread.Config(n_realizations=80))
         assert 10 <= result.summary["significant_taps"] <= 18  # paper: ~15
 
     def test_tap_power_decays(self):
-        powers = np.asarray(fig14_delay_spread.run(n_realizations=50).series["tap_power"])
+        result = fig14_delay_spread.SPEC.run(fig14_delay_spread.Config(n_realizations=50))
+        powers = np.asarray(result.series["tap_power"])
         assert powers[0] > powers[10]
 
     def test_count_significant_taps_edge_cases(self):
@@ -75,7 +76,7 @@ class TestDelaySpreadExperiment:
 
 class TestCombiningAblation:
     def test_alamouti_removes_deep_fades(self):
-        result = ablation_combining.run(n_realizations=100)
+        result = ablation_combining.SPEC.run(ablation_combining.Config(n_realizations=100))
         assert (
             result.summary["alamouti_deep_fade_fraction"]
             < result.summary["naive_deep_fade_fraction"]
@@ -84,14 +85,15 @@ class TestCombiningAblation:
     def test_mean_gain_similar_between_schemes(self):
         # Both schemes deliver the same *average* power; the difference is in
         # the tails, which is the whole point of §6.
-        result = ablation_combining.run(n_realizations=150)
+        result = ablation_combining.SPEC.run(ablation_combining.Config(n_realizations=150))
         naive_mean, ala_mean = result.series["mean_gain"]
         assert naive_mean == pytest.approx(ala_mean, rel=0.25)
 
 
 class TestSlopeAblation:
     def test_both_estimators_resolve_delays_to_sub_sample(self):
-        result = ablation_slope.run(n_trials=5, delays_samples=(2.0, 5.0))
+        config = ablation_slope.Config(n_trials=5, delays_samples=(2.0, 5.0))
+        result = ablation_slope.SPEC.run(config)
         windowed, fullband = result.series["median_error_samples"]
         assert windowed < 0.5
         assert fullband < 0.5
@@ -99,17 +101,24 @@ class TestSlopeAblation:
 
 class TestLinkLevelExperiments:
     def test_fig17_small_run_shows_gain(self):
-        result = fig17_lasthop.run(n_placements=6, n_packets=60, seed=3)
+        config = fig17_lasthop.Config(n_placements=6, n_packets=60, seed=3)
+        result = fig17_lasthop.SPEC.run(config)
         assert result.summary["median_gain"] > 1.0
         assert len(result.series["best_ap_mbps"]) == 6
 
     def test_fig18_small_run_orders_schemes(self):
-        result = fig18_opportunistic.run(rates_mbps=(12.0,), n_topologies=6, batch_size=12, seed=4)
+        config = fig18_opportunistic.Config(
+            rates_mbps=(12.0,), n_topologies=6, batch_size=12, seed=4
+        )
+        result = fig18_opportunistic.SPEC.run(config)
         assert result.summary["sourcesync_over_single_12mbps"] > 1.0
         assert result.summary["exor_over_single_12mbps"] > 0.5
 
     def test_fig13_sourcesync_needs_less_cp_than_baseline(self):
-        result = fig13_cp_reduction.run(cp_values_samples=(0, 4, 8, 16, 24, 32), n_frames=1, seed=2)
+        config = fig13_cp_reduction.Config(
+            cp_values_samples=(0, 4, 8, 16, 24, 32), n_frames=1, seed=2
+        )
+        result = fig13_cp_reduction.SPEC.run(config)
         ss = result.summary["sourcesync_cp_for_95pct_peak_ns"]
         base = result.summary["baseline_cp_for_95pct_peak_ns"]
         assert np.isfinite(ss) and np.isfinite(base)

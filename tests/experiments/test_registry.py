@@ -1,9 +1,7 @@
 """Tests for the declarative experiment registry and runner subsystem."""
 
 import dataclasses
-import importlib
 
-import numpy as np
 import pytest
 
 from repro.experiments import registry
@@ -166,31 +164,6 @@ class TestSpecRun:
     def test_default_config_is_quick_preset(self):
         spec = registry.get("overhead")
         assert spec.run().summary == spec.run(spec.make_config("quick")).summary
-
-
-class TestShimEquivalence:
-    """Acceptance: legacy ``module.run`` and ``spec.run`` are bit-identical."""
-
-    @pytest.mark.parametrize("name", [
-        "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-        "fig19_traffic_load", "fig20_link_dynamics",
-        "overhead", "ablation_combining", "ablation_slope",
-    ])
-    def test_legacy_run_matches_spec_run(self, name):
-        spec = registry.get(name)
-        module = importlib.import_module(spec.fn.__module__)
-        preset_kwargs = dict(spec.presets["smoke"])
-        legacy = module.run(**preset_kwargs)
-        declarative = spec.run(spec.make_config("smoke"))
-        assert legacy.summary.keys() == declarative.summary.keys()
-        for key in legacy.summary:
-            np.testing.assert_array_equal(legacy.summary[key], declarative.summary[key])
-        assert legacy.series.keys() == declarative.series.keys()
-        for key in legacy.series:
-            np.testing.assert_array_equal(
-                np.asarray(legacy.series[key]), np.asarray(declarative.series[key])
-            )
-        assert legacy.config == declarative.config
 
 
 class TestRunner:

@@ -387,7 +387,7 @@ class TestLinkLocalRecovery:
         assert rng.random() == np.random.default_rng(7).random()
 
     def test_ensemble_bit_identical_to_sequential(self):
-        """Lockstep pre-draw/rewind replays the exact sequential stream."""
+        """The ensemble entry point replays the per-lane sequential calls."""
         config = LinkLocalConfig(local_retry_limit=2, e2e_retry_limit=1, dynamics=_DYNAMICS)
 
         def testbeds(seed):

@@ -1,17 +1,26 @@
 """Tests for single-path routing, ExOR and ExOR + SourceSync."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.channel.dynamics import GilbertElliott, LinkDynamics, materialise_trajectory
+from repro.net.etx import etx_graph
+from repro.net.mac import MacTiming
 from repro.net.topology import Testbed
 from repro.channel.propagation import PathLossModel
+from repro.phy.rates import rate_for_mbps
 from repro.routing import (
     ExorConfig,
+    LinkLocalConfig,
     cp_increase_for_forwarders,
     simulate_exor,
     simulate_exor_sourcesync,
+    simulate_link_local,
     simulate_single_path,
 )
+from repro.routing.link_local import _transfer
 
 
 def _mesh(seed=0, lossy=True):
@@ -46,8 +55,108 @@ class TestSinglePath:
         result = simulate_single_path(testbed, 0, 1, 6.0, n_packets=10, rng=rng)
         assert 0.0 <= result.delivery_ratio <= 1.0
 
+    @pytest.mark.parametrize("retry_limit", [0, -2])
+    def test_rejects_retry_limit_below_one(self, retry_limit):
+        testbed, rng = _mesh(4)
+        with pytest.raises(ValueError, match="retry_limit must be >= 1"):
+            simulate_single_path(testbed, 0, 1, 6.0, n_packets=5, retry_limit=retry_limit, rng=rng)
+
+
+_BURSTY = LinkDynamics(gilbert_elliott=GilbertElliott.from_burst(3.0, 0.25), horizon_slots=64)
+
+
+def _single_path(testbed, rng, dynamics):
+    return simulate_single_path(
+        testbed, 0, 1, 12.0, n_packets=15, retry_limit=3, rng=rng, dynamics=dynamics
+    )
+
+
+def _link_local(testbed, rng, dynamics):
+    config = LinkLocalConfig(local_retry_limit=2, e2e_retry_limit=1, dynamics=dynamics)
+    return simulate_link_local(testbed, 0, 1, 12.0, n_packets=15, config=config, rng=rng)
+
+
+class TestOneUniformPerAttempt:
+    """Both transfer schemes advance their generator by exactly one uniform
+    per transmission attempt (plus the trajectory draw under dynamics)."""
+
+    @pytest.mark.parametrize("simulate", [_single_path, _link_local])
+    @pytest.mark.parametrize("dynamics", [None, _BURSTY], ids=["static", "bursty"])
+    def test_generator_advances_by_transmissions(self, simulate, dynamics):
+        testbed, rng = _mesh(21)
+        twin_testbed, twin = _mesh(21)
+        # Priming materialises the link profiles from the testbed's (shared)
+        # generator; after it both generators stand at the same state.
+        etx_graph(testbed, 6.0, 1460)
+        etx_graph(twin_testbed, 6.0, 1460)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+        result = simulate(testbed, rng, dynamics)
+        assert result.transmissions > result.delivered_packets * (len(result.route) - 1)
+        if dynamics is not None:
+            materialise_trajectory(dynamics, twin_testbed.node_ids, 12.0, twin)
+        twin.random(result.transmissions)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestTransferLoop:
+    """The one transfer loop shared by single path and link-local recovery,
+    driven with certain (p = 1) and impossible (p = 0) hops so every counter
+    has a closed form."""
+
+    def test_certain_hops_take_one_attempt_each(self):
+        rng = np.random.default_rng(5)
+        hops = [(0, 2, 1.0), (2, 1, 1.0)]
+        mac, delivered, local, e2e = _transfer(hops, 4, LinkLocalConfig(), None, 100.0, rng)
+        assert (delivered, local, e2e) == (4, 0, 0)
+        assert (mac.transmissions, mac.failures, mac.elapsed_us) == (8, 0, 800.0)
+
+    def test_dead_hop_spends_local_and_end_to_end_budgets(self):
+        rng = np.random.default_rng(6)
+        twin = np.random.default_rng(6)
+        config = LinkLocalConfig(
+            local_retry_limit=2, e2e_retry_limit=1, timeout_fraction=0.5, backoff_factor=2.0
+        )
+        hops = [(0, 2, 1.0), (2, 1, 0.0)]
+        mac, delivered, local, e2e = _transfer(hops, 3, config, None, 100.0, rng)
+        # Per pass: one good first hop, then three failed attempts on the
+        # dead hop after backoff waits of 50 and 100 us.  Two passes per
+        # packet, one end-to-end restart between them.
+        assert (delivered, local, e2e) == (0, 3 * 2 * 2, 3)
+        assert (mac.transmissions, mac.failures) == (3 * 2 * 4, 3 * 2 * 3)
+        assert mac.elapsed_us == 3 * 2 * (4 * 100.0 + 50.0 + 100.0)
+        twin.random(mac.transmissions)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_negative_airtime_rejected_before_any_draw(self):
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="airtime must be non-negative"):
+            _transfer([(0, 1, 0.5)], 2, LinkLocalConfig(), None, -1.0, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("retry_limit", [1, 4])
+    def test_single_path_charges_no_backoff_wait(self, retry_limit):
+        testbed, rng = _mesh(8)
+        result = simulate_single_path(
+            testbed, 0, 1, 6.0, n_packets=12, retry_limit=retry_limit, rng=rng
+        )
+        hops = len(result.route) - 1
+        assert hops >= 1
+        assert result.transmissions <= 12 * hops * retry_limit
+        per_attempt_us = MacTiming(params=testbed.params).single_transaction_us(
+            1460, rate_for_mbps(6.0)
+        )
+        assert result.elapsed_us == pytest.approx(result.transmissions * per_attempt_us)
+
 
 class TestExor:
+    def test_config_has_no_delivery_path_switch(self):
+        # One delivery path per phase: there is no scalar/matrix switch.
+        assert "batched" not in {f.name for f in dataclasses.fields(ExorConfig)}
+        with pytest.raises(TypeError):
+            ExorConfig(batched=False)
+
     def test_batch_mostly_delivered(self):
         testbed, rng = _mesh(5)
         config = ExorConfig(batch_size=12)
