@@ -84,7 +84,6 @@ def combining_gain_samples(
         "full": {"n_realizations": 1000},
     },
     tags=("ablation", "phy"),
-    batched=True,
     summary_keys={
         "naive_deep_fade_fraction": "fraction of subcarriers in a deep fade under naive identical transmission",
         "alamouti_deep_fade_fraction": "fraction of subcarriers in a deep fade with Alamouti coding",

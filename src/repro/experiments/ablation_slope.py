@@ -220,7 +220,6 @@ def estimation_errors(
         "full": {"n_trials": 40},
     },
     tags=("ablation", "sync"),
-    batched=True,
     summary_keys={
         "windowed_median_error_ns": "median detection-delay estimation error (ns) of the 3 MHz windowed slope fit",
         "full_band_median_error_ns": "median estimation error (ns) of the whole-band slope fit",

@@ -165,7 +165,6 @@ def _measure_residual_batch(
         "best_p95_ns": "smallest 95th-percentile synchronization error (ns) over the SNR sweep",
     },
     tags=("sync", "phy"),
-    batched=True,
 )
 def _run(config: Config) -> ExperimentResult:
     """Regenerate Fig. 12.

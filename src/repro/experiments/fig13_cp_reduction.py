@@ -264,7 +264,6 @@ def _fold_sweep(
         "full": {"n_frames": 4, "n_topologies": 4},
     },
     tags=("sync", "phy"),
-    batched=True,
     summary_keys={
         "sourcesync_cp_for_95pct_peak_ns": "smallest CP (ns) at which SourceSync reaches 95% of its peak SNR, averaged over topologies (paper: 117 ns)",
         "baseline_cp_for_95pct_peak_ns": "smallest CP (ns) at which the unsynchronized baseline reaches 95% of peak, averaged over topologies (paper: 469 ns)",

@@ -81,7 +81,6 @@ def count_significant_taps(tap_powers: np.ndarray, threshold_fraction: float = 0
         "full": {"n_realizations": 1000},
     },
     tags=("channel", "phy"),
-    batched=True,
     summary_keys={
         "significant_taps": "number of channel taps above the significance threshold (paper: ~15)",
         "delay_spread_ns": "delay spread in ns implied by the significant-tap count (paper: ~117 ns)",

@@ -150,7 +150,6 @@ def measure_regime(
         "full": {"n_placements": 10},
     },
     tags=("phy", "diversity"),
-    batched=True,
     summary_keys={
         "min_gain_db": "smallest joint-over-single average SNR gain (dB) across the regimes (paper: 2-3 dB)",
         "max_gain_db": "largest joint-over-single average SNR gain (dB) across the regimes",

@@ -188,7 +188,6 @@ def measure_profiles_batched(
     config=Config,
     presets={"smoke": {}, "quick": {}, "full": {}},
     tags=("phy", "diversity"),
-    batched=True,
     summary_keys={
         "{regime}_single_flatness_db": "per-subcarrier SNR standard deviation of the better single sender in the {regime} regime",
         "{regime}_sourcesync_flatness_db": "per-subcarrier SNR standard deviation of the joint transmission in the {regime} regime",

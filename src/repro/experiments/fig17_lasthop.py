@@ -183,7 +183,6 @@ def _placement_trial(
         "full": {"n_placements": 40, "n_packets": 150},
     },
     tags=("mac", "diversity"),
-    batched=True,
     summary_keys={
         "best_ap_median_mbps": "median downlink throughput when the client is served by its single best AP",
         "sourcesync_median_mbps": "median downlink throughput under joint multi-AP SourceSync transmission",

@@ -237,7 +237,6 @@ def _run_topology_ensemble(
         "full": {"n_topologies": 200},
     },
     tags=("routing", "diversity"),
-    batched=True,
     summary_keys={
         "exor_over_single_{rate}mbps": "median ExOR throughput gain over single-path routing at {rate} Mbps",
         "sourcesync_over_exor_{rate}mbps": "median ExOR+SourceSync gain over plain ExOR at {rate} Mbps",

@@ -163,7 +163,6 @@ def _summarise(workload: TrafficWorkload, services: list[FlowService]) -> FctSum
         },
     },
     tags=("routing", "traffic", "load"),
-    batched=True,
     summary_keys={
         "saturation_load_{scheme}": (
             "offered load at which the scheme's FIFO service queue saturates "

@@ -211,7 +211,6 @@ def _summarise(workload: TrafficWorkload, services: list[FlowService]) -> FctSum
         },
     },
     tags=("routing", "traffic", "robustness"),
-    batched=True,
     summary_keys={
         "goodput_mbps_{scheme}_worst": (
             "delivered goodput at the worst swept cell (deepest loss, longest "

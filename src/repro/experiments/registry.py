@@ -220,9 +220,6 @@ class ExperimentSpec:
     tags:
         Classification labels (``phy``, ``mac``, ``routing``, ...) used by
         ``--tag`` filters.
-    batched:
-        Whether the experiment's Monte-Carlo core runs through the batched
-        ensemble kernels of :mod:`repro.experiments.batch`.
     summary_keys:
         Documentation of the scalar ``summary`` keys the experiment's
         artifacts carry: mapping of key *pattern* to a one-line description.
@@ -238,8 +235,20 @@ class ExperimentSpec:
     fn: Callable[[Any], ExperimentResult]
     presets: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     tags: tuple[str, ...] = ()
-    batched: bool = False
     summary_keys: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def batched(self) -> bool:
+        """Whether the config has a ``batched`` field.
+
+        Such experiments run their Monte-Carlo core as lockstep lanes on
+        :mod:`repro.engine` (the joint-frame lanes of
+        :mod:`repro.core.ensemble`, the routing and downlink lanes of
+        :mod:`repro.routing.ensemble`, or lanes of their own); the config's
+        ``batched=False`` switches to the sequential oracle path, with
+        bit-identical seeded results.
+        """
+        return any(f.name == "batched" for f in dataclasses.fields(self.config_cls))
 
     def documents_summary_key(self, key: str) -> bool:
         """True when ``key`` matches one of the declared summary-key patterns."""
@@ -301,7 +310,6 @@ def experiment(
     config: type,
     presets: Mapping[str, Mapping[str, Any]],
     tags: Iterable[str] = (),
-    batched: bool = False,
     summary_keys: Mapping[str, str] | None = None,
 ) -> Callable[[Callable[[Any], ExperimentResult]], Callable[[Any], ExperimentResult]]:
     """Register the decorated ``fn(config) -> ExperimentResult`` function.
@@ -329,7 +337,6 @@ def experiment(
             fn=fn,
             presets={k: dict(v) for k, v in presets.items()},
             tags=tuple(tags),
-            batched=batched,
             summary_keys=dict(summary_keys or {}),
         )
         for preset in spec.presets:

@@ -12,12 +12,13 @@ from repro.net.events import Event, EventScheduler
 from repro.net.mac import CsmaState, MacTiming
 from repro.net.node import MeshNode
 from repro.net.packet import Packet
-from repro.net.topology import Testbed
+from repro.net.topology import Testbed, prime_delivery_caches
 
 __all__ = [
     "MeshNode",
     "Packet",
     "Testbed",
+    "prime_delivery_caches",
     "MacTiming",
     "CsmaState",
     "EventScheduler",

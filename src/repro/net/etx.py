@@ -47,13 +47,10 @@ def etx_graph(
     lifetime, and every routing scheme simulated over one topology asks for
     the identical graph.
     """
-    key = ("etx_graph", probe_rate_mbps, probe_bytes, max_loss)
-    cached = testbed._routing_cache.get(key)
-    if cached is not None:
-        return cached
-    graph = _build_etx_graph(testbed, probe_rate_mbps, probe_bytes, max_loss)
-    testbed._routing_cache[key] = graph
-    return graph
+    return testbed.memo(
+        ("etx_graph", probe_rate_mbps, probe_bytes, max_loss),
+        lambda: _build_etx_graph(testbed, probe_rate_mbps, probe_bytes, max_loss),
+    )
 
 
 def _build_etx_graph(

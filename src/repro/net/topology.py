@@ -18,19 +18,28 @@ not as an SNR penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
-from repro.analysis.error_models import combined_subcarrier_snr, delivery_probability
+from repro.analysis.error_models import (
+    combined_subcarrier_snr,
+    combined_subcarrier_snr_batch,
+    delivery_probabilities,
+    delivery_probability,
+)
 from repro.analysis.snr import subcarrier_snr_profile
-from repro.channel.multipath import DEFAULT_PROFILE, MultipathProfile
+from repro.channel.awgn import db_to_linear, linear_to_db
+from repro.channel.multipath import DEFAULT_PROFILE, MultipathProfile, rayleigh_taps_batch
 from repro.channel.propagation import PathLossModel, propagation_delay_samples
 from repro.net.node import MeshNode
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.rates import Rate, rate_for_mbps
 from repro.rng import require_rng
 
-__all__ = ["Testbed"]
+__all__ = ["Testbed", "prime_delivery_caches"]
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -69,8 +78,9 @@ class Testbed:
     # last-hop and mesh experiments ask for the same (senders, dst, rate,
     # length) combination thousands of times.
     _delivery_cache: dict[tuple, float] = field(default_factory=dict, repr=False)
-    # Routing-layer caches (e.g. the ETX graph, which every scheme of a
-    # topology recomputes from the same static link profiles).
+    # Derived state behind :meth:`memo` (ETX graphs, forwarder orders,
+    # routes, dense delivery tables), which every scheme of a topology
+    # would otherwise recompute from the same static link profiles.
     _routing_cache: dict[tuple, object] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -166,6 +176,19 @@ class Testbed:
         distance = self.node(src).distance_to(self.node(dst))
         return propagation_delay_samples(distance, self.params.bandwidth_hz)
 
+    def memo(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The value memoised under ``key``, built by ``build()`` on first use.
+
+        For state derived from the testbed's static links (ETX graphs,
+        forwarder orders, routes, delivery tables): every routing scheme
+        simulated over one topology shares one copy.  Keys are tuples whose
+        first item names the kind of entry.
+        """
+        cache = self._routing_cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     # ------------------------------------------------------------------
     # Delivery probabilities
     # ------------------------------------------------------------------
@@ -222,9 +245,8 @@ class Testbed:
 
         The nested (src, dst) iteration order is the canonical order in
         which lazy shadowing/fading draws consume the testbed generator;
-        every all-pairs sweep (:meth:`prime_delivery_cache` and the
-        lockstep priming of :mod:`repro.routing.ensemble`) must walk pairs
-        in exactly this order so seeded link realisations are stable.
+        :func:`prime_delivery_caches` walks pairs in exactly this order so
+        seeded link realisations are stable.
         """
         pairs: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
@@ -240,37 +262,23 @@ class Testbed:
         return pairs
 
     def prime_delivery_cache(self, rate: Rate | float, payload_bytes: int = 1460) -> None:
-        """Evaluate every directed link's delivery probability in one batch.
+        """Evaluate every directed link's delivery probability on this testbed.
 
-        Link profiles are materialised in the same nested (src, dst) order a
-        sequential all-pairs sweep would use — the lazy shadowing/fading
-        draws consume the testbed generator identically — and the EESM /
-        waterfall mapping then runs once over the stacked profiles instead
-        of once per link.  Memoised per (rate, payload length).
+        The single-testbed form of :func:`prime_delivery_caches`, which does
+        the work; the dense matrix and the ETX graph prime through it, and
+        perfbench's ``net.delivery_s`` span times it by this name.
         """
-        rate_obj = rate if isinstance(rate, Rate) else rate_for_mbps(rate)
-        done_key = ("delivery_primed", rate_obj.mbps, payload_bytes)
-        if self._routing_cache.get(done_key):
-            return
-        from repro.analysis.error_models import delivery_probabilities
-
-        pairs = self._unprimed_pairs(rate_obj, payload_bytes)
-        if pairs:
-            profiles = np.stack([self.link_profile(a, b) for a, b in pairs])
-            probs = delivery_probabilities(profiles, rate_obj, payload_bytes)
-            for (a, b), prob in zip(pairs, probs):
-                self._delivery_cache[(a, b, rate_obj.mbps, payload_bytes)] = float(prob)
-        self._routing_cache[done_key] = True
+        prime_delivery_caches([self], rate, payload_bytes)
 
     def delivery_prob_matrix(self, rate: Rate | float, payload_bytes: int = 1460) -> np.ndarray:
         """Dense pairwise single-sender delivery probabilities.
 
         Returns an ``(n_nodes, n_nodes)`` array indexed by node *position*
-        (``self._node_index``), with zeros on the diagonal.  The matrix is
-        assembled from the scalar delivery cache after one batched priming
-        pass, so its entries are bit-identical to per-pair
-        :meth:`delivery_probability` calls; routing hot loops index it
-        instead of hashing tuple keys per attempt.
+        in :attr:`nodes`, with zeros on the diagonal.  The matrix is
+        assembled from the scalar delivery cache after one
+        :meth:`prime_delivery_cache` pass, so its entries are bit-identical
+        to per-pair :meth:`delivery_probability` calls; :meth:`delivery_probs`
+        gathers from it instead of hashing tuple keys per attempt.
 
         Building the matrix materialises any missing link profile (lazy
         generator draws, in the canonical all-pairs order) — callers that
@@ -279,22 +287,21 @@ class Testbed:
         testbed.
         """
         rate_obj = rate if isinstance(rate, Rate) else rate_for_mbps(rate)
-        key = ("delivery_matrix", rate_obj.mbps, payload_bytes)
-        cached = self._routing_cache.get(key)
-        if cached is not None:
-            return cached
-        self.prime_delivery_cache(rate_obj, payload_bytes)
-        n = len(self.nodes)
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for a in self.node_ids:
-            for b in self.node_ids:
-                if a == b:
-                    continue
-                matrix[self._node_index[a], self._node_index[b]] = self._delivery_cache[
-                    (a, b, rate_obj.mbps, payload_bytes)
-                ]
-        self._routing_cache[key] = matrix
-        return matrix
+
+        def build() -> np.ndarray:
+            self.prime_delivery_cache(rate_obj, payload_bytes)
+            n = len(self.nodes)
+            matrix = np.zeros((n, n), dtype=np.float64)
+            for a in self.node_ids:
+                for b in self.node_ids:
+                    if a == b:
+                        continue
+                    matrix[self._node_index[a], self._node_index[b]] = self._delivery_cache[
+                        (a, b, rate_obj.mbps, payload_bytes)
+                    ]
+            return matrix
+
+        return self.memo(("delivery_matrix", rate_obj.mbps, payload_bytes), build)
 
     def joint_delivery_prob_row(
         self,
@@ -319,18 +326,9 @@ class Testbed:
         """
         rate_obj = rate if isinstance(rate, Rate) else rate_for_mbps(rate)
         sorted_senders = tuple(sorted(senders))
-        key = ("joint_row", sorted_senders, rate_obj.mbps, payload_bytes)
-        row = self._routing_cache.get(key)
-        if row is None:
-            row = {}
-            self._routing_cache[key] = row
+        row = self.memo(("joint_row", sorted_senders, rate_obj.mbps, payload_bytes), dict)
         missing = [dst for dst in receivers if dst not in row]
         if missing:
-            from repro.analysis.error_models import (
-                combined_subcarrier_snr_batch,
-                delivery_probabilities,
-            )
-
             fresh = []
             for dst in missing:
                 cache_key = (sorted_senders, dst, rate_obj.mbps, payload_bytes)
@@ -354,57 +352,21 @@ class Testbed:
             out[k] = row[dst]
         return out
 
-    def loss_rate(self, src: int, dst: int, probe_rate_mbps: float = 6.0, probe_bytes: int = 1460) -> float:
-        """Link loss rate as measured by routing-layer probes (for ETX)."""
-        return 1.0 - self.delivery_probability(src, dst, probe_rate_mbps, probe_bytes)
-
-    def attempt_delivery(
-        self,
-        senders: list[int] | int,
-        dst: int,
-        rate: Rate | float,
-        payload_bytes: int,
-        rng: np.random.Generator | None = None,
-    ) -> bool:
-        """Draw one Bernoulli delivery outcome for a (possibly joint) transmission."""
-        rng = rng if rng is not None else self.rng
-        prob = self._delivery_prob(senders, dst, rate, payload_bytes)
-        return bool(rng.random() < prob)
-
-    def _delivery_prob(
+    def delivery_prob(
         self, senders: list[int] | int, dst: int, rate: Rate | float, payload_bytes: int
     ) -> float:
+        """Delivery probability of one (possibly joint) transmission to ``dst``.
+
+        ``senders`` is a node id or a list of them; a one-element list is a
+        single-sender transmission.
+        """
         if isinstance(senders, int):
             return self.delivery_probability(senders, dst, rate, payload_bytes)
         if len(senders) == 1:
             return self.delivery_probability(senders[0], dst, rate, payload_bytes)
         return self.joint_delivery_probability(list(senders), dst, rate, payload_bytes)
 
-    def attempt_deliveries(
-        self,
-        senders: list[int] | int,
-        receivers: list[int],
-        rate: Rate | float,
-        payload_bytes: int,
-        rng: np.random.Generator | None = None,
-    ) -> list[bool]:
-        """Bernoulli delivery outcomes for one transmission heard by many receivers.
-
-        One ``rng.random(len(receivers))`` draw replaces a loop of
-        single-receiver :meth:`attempt_delivery` calls; the generator
-        consumes exactly the same uniform stream, so the batched outcomes
-        are bit-identical to the sequential ones under a fixed seed.
-        """
-        rng = rng if rng is not None else self.rng
-        if not receivers:
-            return []
-        probs = self._delivery_prob_vector(senders, receivers, rate, payload_bytes)
-        if len(receivers) == 1:
-            return [bool(rng.random() < probs[0])]
-        draws = rng.random(len(receivers))
-        return (draws < probs).tolist()
-
-    def _delivery_prob_vector(
+    def delivery_probs(
         self,
         senders: list[int] | int,
         receivers: list[int],
@@ -417,7 +379,7 @@ class Testbed:
         :meth:`delivery_prob_matrix` when it has been built (falling back to
         the scalar cache so lazily-constructed testbeds keep their draw
         order); joint probabilities come from the frozen-sender-set row
-        table.
+        table of :meth:`joint_delivery_prob_row`.
         """
         if isinstance(senders, int):
             sender: int | None = senders
@@ -436,23 +398,105 @@ class Testbed:
             [self.delivery_probability(sender, node, rate_obj, payload_bytes) for node in receivers]
         )
 
-    def attempt_broadcasts(
+    def loss_rate(self, src: int, dst: int, probe_rate_mbps: float = 6.0, probe_bytes: int = 1460) -> float:
+        """Link loss rate as measured by routing-layer probes (for ETX)."""
+        return 1.0 - self.delivery_probability(src, dst, probe_rate_mbps, probe_bytes)
+
+    def attempt_delivery(
         self,
-        sender: int,
-        receivers: list[int],
-        n_packets: int,
+        senders: list[int] | int,
+        dst: int,
         rate: Rate | float,
         payload_bytes: int,
         rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Delivery outcomes of ``n_packets`` broadcasts to many receivers.
-
-        Returns an ``(n_packets, len(receivers))`` boolean matrix from one
-        uniform draw in packet-major order — the exact stream a nested
-        per-packet / per-receiver :meth:`attempt_delivery` loop consumes.
-        """
+    ) -> bool:
+        """Draw one Bernoulli delivery outcome for a (possibly joint) transmission."""
         rng = rng if rng is not None else self.rng
-        if n_packets == 0 or not receivers:
-            return np.zeros((n_packets, len(receivers)), dtype=bool)
-        probs = self._delivery_prob_vector(sender, receivers, rate, payload_bytes)
-        return rng.random((n_packets, len(receivers))) < probs[None, :]
+        prob = self.delivery_prob(senders, dst, rate, payload_bytes)
+        return bool(rng.random() < prob)
+
+
+def prime_delivery_caches(
+    testbeds: list[Testbed], rate: Rate | float, payload_bytes: int = 1460
+) -> None:
+    """Evaluate every directed link's delivery probability on each testbed.
+
+    Only the *draws* stay per testbed: each generator is consumed in the
+    canonical all-pairs order (shadowing, then tap gains, per directed
+    link), exactly as a lazy walk of :meth:`Testbed.link_profile` and
+    :meth:`Testbed.delivery_probability` over the same pairs would.  The
+    pure compute is stacked across the whole list: one
+    tap-normalisation/FFT pass and one EESM/waterfall pass over all
+    outstanding links of all testbeds.  The cached profiles and
+    probabilities are bit-identical to the lazy walk's (row-wise FFTs and
+    reductions match their 1-D counterparts).
+
+    Memoised per testbed and (rate, payload length): a testbed primed by an
+    earlier call, or listed twice, is skipped.
+    """
+    rate_obj = rate if isinstance(rate, Rate) else rate_for_mbps(rate)
+    done_key = ("delivery_primed", rate_obj.mbps, payload_bytes)
+    # Dedupe by identity, keeping first-listed order: collecting a testbed
+    # twice before its profiles are stored would re-draw its link
+    # realisations and corrupt its generator.
+    fresh = list(
+        {id(tb): tb for tb in testbeds if done_key not in tb._routing_cache}.values()
+    )
+
+    # (testbed, (a, b)) rows needing a fresh fading realisation, grouped by
+    # compute shape so heterogeneous ensembles stack safely.
+    draw_groups: dict[tuple, list[tuple[Testbed, tuple[int, int], np.ndarray, float]]] = {}
+    eesm_groups: dict[int, list[tuple[Testbed, tuple[int, int], np.ndarray]]] = {}
+    for testbed in fresh:
+        rayleigh = not np.isfinite(testbed.multipath_profile.k_factor_db)
+        n_taps = testbed.multipath_profile.n_taps
+        for a, b in testbed._unprimed_pairs(rate_obj, payload_bytes):
+            profile = testbed._profile_cache.get((a, b))
+            if profile is not None:
+                eesm_groups.setdefault(profile.size, []).append((testbed, (a, b), profile))
+                continue
+            average_snr = testbed.link_average_snr_db(a, b)  # shadowing draw, cached
+            if rayleigh:
+                # Draw-only fast path: the Gaussian draw is the whole RNG
+                # consumption of rayleigh_taps_batch for Rayleigh profiles;
+                # the power-delay scaling is deferred to the stacked pass.
+                taps = testbed.rng.normal(size=(2, n_taps))
+            else:
+                taps = rayleigh_taps_batch(testbed.multipath_profile, 1, testbed.rng)[0]
+            group = (rayleigh, n_taps, testbed.multipath_profile, testbed.params)
+            draw_groups.setdefault(group, []).append((testbed, (a, b), taps, average_snr))
+
+    for (rayleigh, n_taps, multipath_profile, params), rows in draw_groups.items():
+        if rayleigh:
+            draws = np.stack([row[2] for row in rows])
+            scattered = (draws[:, 0, :] + 1j * draws[:, 1, :]) / np.sqrt(2.0)
+            taps = scattered * np.sqrt(multipath_profile.tap_powers())
+        else:
+            taps = np.stack([row[2] for row in rows])
+        average = np.array([row[3] for row in rows], dtype=np.float64)
+        # Mirrors MultipathChannel.normalized + subcarrier_snr_profile,
+        # row-stacked: unit-power taps, frequency response on the occupied
+        # bins, mean-normalised gains scaled to the target average SNR.
+        power = np.sum(np.abs(taps) ** 2, axis=1)
+        response = np.fft.fft(taps / np.sqrt(power)[:, None], params.n_fft, axis=-1)
+        # ascontiguousarray: the fancy-indexed bin selection is strided, and
+        # the row means' pairwise-summation blocking (and hence the last
+        # ulp) matches the scalar path only on contiguous rows.
+        gains = np.abs(np.ascontiguousarray(response[:, params.occupied_bins()])) ** 2
+        gains = gains / np.mean(gains, axis=1)[:, None]
+        # The SNR scale must go through the scalar power path: numpy's
+        # vectorised 10**x can differ from the 0-d case by one ulp.
+        scale = np.array([db_to_linear(snr_db) for snr_db in average.tolist()])
+        profiles = np.asarray(linear_to_db(gains * scale[:, None]))
+        for (testbed, pair, _, _), profile in zip(rows, profiles):
+            testbed._profile_cache[pair] = profile
+            eesm_groups.setdefault(profile.size, []).append((testbed, pair, profile))
+
+    for rows in eesm_groups.values():
+        probs = delivery_probabilities(np.stack([row[2] for row in rows]), rate_obj, payload_bytes)
+        for (testbed, (a, b), _), prob in zip(rows, probs):
+            testbed._delivery_cache[(a, b, rate_obj.mbps, payload_bytes)] = float(prob)
+    # Flagged only once every cache entry exists, so a pass that raises
+    # part-way leaves no testbed marked primed.
+    for testbed in fresh:
+        testbed._routing_cache[done_key] = True

@@ -4,7 +4,6 @@ from repro.routing.ensemble import (
     DownlinkLane,
     ExorLane,
     LinkLocalLane,
-    prime_testbeds_lockstep,
     simulate_downlink_ensemble,
     simulate_exor_ensemble,
     simulate_link_local_ensemble,
@@ -24,7 +23,6 @@ __all__ = [
     "LinkLocalResult",
     "LinkLocalLane",
     "exor_priority",
-    "prime_testbeds_lockstep",
     "simulate_exor",
     "simulate_exor_ensemble",
     "simulate_exor_sourcesync",

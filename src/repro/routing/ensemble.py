@@ -12,7 +12,8 @@ following the same pattern as :mod:`repro.core.ensemble`:
   draws in the canonical all-pairs order, while the surrounding pure
   compute (tap normalisation, FFTs, the EESM/waterfall mapping) runs once
   over the stacked rows of the whole ensemble
-  (:func:`prime_testbeds_lockstep`);
+  (:func:`prime_testbeds_lockstep`, which runs
+  :func:`repro.net.topology.prime_delivery_caches`);
 * each ExOR phase becomes masked Bernoulli matrix draws against the dense
   per-testbed probability tables
   (:meth:`repro.net.topology.Testbed.delivery_prob_matrix` and the
@@ -45,7 +46,7 @@ Determinism contract
 Every RNG draw is made from the owning lane's generator in exactly the
 order the sequential code would make it: a turn's flattened
 packet-by-receiver draw consumes the same uniform stream as the loop of
-per-packet :meth:`Testbed.attempt_deliveries` calls it replaces, and
+per-packet draws of :func:`repro.routing.exor.simulate_exor`, and
 stages that cannot merge draws (last-hop cleanup retries, downlink
 attempt loops) keep per-lane scalar draws in sequential order.  A
 lockstep run over lanes ``[l1, ..., ln]`` therefore produces *bit
@@ -75,17 +76,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.error_models import delivery_probabilities, delivery_probabilities_rates
-from repro.channel.awgn import db_to_linear, linear_to_db
+from repro.analysis.error_models import delivery_probabilities_rates
 from repro.channel.dynamics import LinkStateTrajectory, materialise_trajectory
-from repro.channel.multipath import rayleigh_taps_batch
 from repro.engine import Lane, LockstepScheduler, resolve_chains
 from repro.lasthop.controller import SourceSyncController
 from repro.lasthop.rate_adaptation import SampleRate
 from repro.lasthop.simulation import LastHopResult
 from repro.net.etx import etx_graph
 from repro.net.mac import MacTiming
-from repro.net.topology import Testbed
+from repro.net.topology import Testbed, prime_delivery_caches
 from repro.phy.rates import Rate, rate_for_mbps, rates_sorted
 from repro.routing.exor import ExorConfig, ExorResult, exor_priority
 from repro.routing.link_local import LinkLocalConfig, LinkLocalResult, simulate_link_local
@@ -103,91 +102,17 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Lockstep testbed priming
-# ----------------------------------------------------------------------
 def prime_testbeds_lockstep(
     testbeds: list[Testbed], rate: Rate | float, payload_bytes: int = 1460
 ) -> None:
-    """Prime every testbed's delivery cache with cross-testbed batched compute.
+    """Prime the delivery caches of a routing ensemble's testbeds.
 
-    The sequential counterpart is one
-    :meth:`Testbed.prime_delivery_cache` call per testbed.  Here only the
-    *draws* stay per testbed — each generator is consumed in the canonical
-    all-pairs order (shadowing, then tap gains, per directed link), exactly
-    as the lazy scalar path would — while the pure compute is stacked
-    across the whole ensemble: one tap-normalisation/FFT pass and one
-    EESM/waterfall pass over all outstanding links of all testbeds.  The
-    cached profiles and probabilities are bit-identical to the scalar
-    path's (row-wise FFTs and reductions match their 1-D counterparts).
+    The routing-side entry to
+    :func:`repro.net.topology.prime_delivery_caches`, which does the work;
+    the lanes, fig18 and the flow service prime through it, and
+    perfbench's ``routing.prime_s`` span times it by this name.
     """
-    rate_obj = rate if isinstance(rate, Rate) else rate_for_mbps(rate)
-    done_key = ("delivery_primed", rate_obj.mbps, payload_bytes)
-    # (testbed, (a, b)) rows needing a fresh fading realisation, grouped by
-    # compute shape so heterogeneous ensembles stack safely.
-    draw_groups: dict[tuple, list[tuple[Testbed, tuple[int, int], np.ndarray, float]]] = {}
-    eesm_groups: dict[int, list[tuple[Testbed, tuple[int, int], np.ndarray]]] = {}
-    pending: list[tuple[Testbed, list[tuple[int, int]]]] = []
-    seen_testbeds: set[int] = set()
-    for testbed in testbeds:
-        # Dedupe shared topologies (e.g. one testbed carrying lanes at two
-        # rates): collecting a testbed twice before its profiles are stored
-        # would re-draw its link realisations and corrupt its generator.
-        if id(testbed) in seen_testbeds or testbed._routing_cache.get(done_key):
-            continue
-        seen_testbeds.add(id(testbed))
-        pairs = testbed._unprimed_pairs(rate_obj, payload_bytes)
-        pending.append((testbed, pairs))
-        rayleigh = not np.isfinite(testbed.multipath_profile.k_factor_db)
-        n_taps = testbed.multipath_profile.n_taps
-        for a, b in pairs:
-            profile = testbed._profile_cache.get((a, b))
-            if profile is not None:
-                eesm_groups.setdefault(profile.size, []).append((testbed, (a, b), profile))
-                continue
-            average_snr = testbed.link_average_snr_db(a, b)  # shadowing draw, cached
-            if rayleigh:
-                # Draw-only fast path: the Gaussian draw is the whole RNG
-                # consumption of rayleigh_taps_batch for Rayleigh profiles;
-                # the power-delay scaling is deferred to the stacked pass.
-                taps = testbed.rng.normal(size=(2, n_taps))
-            else:
-                taps = rayleigh_taps_batch(testbed.multipath_profile, 1, testbed.rng)[0]
-            group = (rayleigh, n_taps, testbed.multipath_profile, testbed.params)
-            draw_groups.setdefault(group, []).append((testbed, (a, b), taps, average_snr))
-
-    for (rayleigh, n_taps, multipath_profile, params), rows in draw_groups.items():
-        if rayleigh:
-            draws = np.stack([row[2] for row in rows])
-            scattered = (draws[:, 0, :] + 1j * draws[:, 1, :]) / np.sqrt(2.0)
-            taps = scattered * np.sqrt(multipath_profile.tap_powers())
-        else:
-            taps = np.stack([row[2] for row in rows])
-        average = np.array([row[3] for row in rows], dtype=np.float64)
-        # Mirrors MultipathChannel.normalized + subcarrier_snr_profile,
-        # row-stacked: unit-power taps, frequency response on the occupied
-        # bins, mean-normalised gains scaled to the target average SNR.
-        power = np.sum(np.abs(taps) ** 2, axis=1)
-        response = np.fft.fft(taps / np.sqrt(power)[:, None], params.n_fft, axis=-1)
-        # ascontiguousarray: the fancy-indexed bin selection is strided, and
-        # the row means' pairwise-summation blocking (and hence the last
-        # ulp) matches the scalar path only on contiguous rows.
-        gains = np.abs(np.ascontiguousarray(response[:, params.occupied_bins()])) ** 2
-        gains = gains / np.mean(gains, axis=1)[:, None]
-        # The SNR scale must go through the scalar power path: numpy's
-        # vectorised 10**x can differ from the 0-d case by one ulp.
-        scale = np.array([db_to_linear(snr_db) for snr_db in average.tolist()])
-        profiles = np.asarray(linear_to_db(gains * scale[:, None]))
-        for (testbed, pair, _, _), profile in zip(rows, profiles):
-            testbed._profile_cache[pair] = profile
-            eesm_groups.setdefault(profile.size, []).append((testbed, pair, profile))
-
-    for rows in eesm_groups.values():
-        probs = delivery_probabilities(np.stack([row[2] for row in rows]), rate_obj, payload_bytes)
-        for (testbed, (a, b), _), prob in zip(rows, probs):
-            testbed._delivery_cache[(a, b, rate_obj.mbps, payload_bytes)] = float(prob)
-    for testbed, _ in pending:
-        testbed._routing_cache[done_key] = True
+    prime_delivery_caches(testbeds, rate, payload_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -303,11 +228,12 @@ def _lane_state(
         timing.joint_transaction_us(config.payload_bytes, rate, n, with_ack=False)
         for n in range(1, len(priority))
     ]
-    matrix = testbed.delivery_prob_matrix(rate, config.payload_bytes)
-    cols = [testbed._node_index[node] for node in holders]
+    # ETX priming materialised every link profile, so building the dense
+    # table consumes no draws; the rows below are gathers from it.
+    testbed.delivery_prob_matrix(rate, config.payload_bytes)
     single_probs = [
-        matrix[cols[index + 1], cols[: index + 1]].tolist()
-        for index in range(len(priority))
+        testbed.delivery_probs(forwarder, holders[: index + 1], rate, config.payload_bytes).tolist()
+        for index, forwarder in enumerate(priority)
     ]
     return _ExorLaneState(
         lane=lane,
@@ -355,25 +281,15 @@ def _joint_probs(state: _ExorLaneState, bitmask: int, forwarder_index: int, n_re
 def _broadcast_wave(state: _ExorLaneState) -> None:
     """Source-broadcast phase: one Bernoulli matrix draw for the whole batch."""
     lane, config = state.lane, state.lane.config
-    testbed = lane.testbed
     listener_rows = [k for k, node in enumerate(state.holders) if node != lane.src]
-    matrix = testbed.delivery_prob_matrix(state.rate, config.payload_bytes)
-    src_col = testbed._node_index[lane.src]
-    probs = matrix[src_col, [testbed._node_index[state.holders[k]] for k in listener_rows]]
-    if state.trajectory is None:
-        outcomes = lane.rng.random((config.batch_size, len(listener_rows))) < probs[None, :]
-    else:
-        # Identical (batch, listeners) draw; packet k transmits at slot k,
-        # matching the sequential path's trajectory.rows modulation.
-        mult = state.trajectory.rows(
-            state.transmissions,
-            config.batch_size,
-            lane.src,
-            [state.holders[k] for k in listener_rows],
+    listeners = [state.holders[k] for k in listener_rows]
+    probs = lane.testbed.delivery_probs(lane.src, listeners, state.rate, config.payload_bytes)[None, :]
+    if state.trajectory is not None:
+        # Packet k transmits at slot k, as in the sequential path.
+        probs = probs * state.trajectory.rows(
+            state.transmissions, config.batch_size, lane.src, listeners
         )
-        outcomes = (
-            lane.rng.random((config.batch_size, len(listener_rows))) < probs[None, :] * mult
-        )
+    outcomes = lane.rng.random((config.batch_size, len(listener_rows))) < probs
     holds = state.holds
     failures = 0
     for packet_id, row in enumerate(outcomes.tolist()):
@@ -395,8 +311,8 @@ def _forwarding_turn(state: _ExorLaneState, index: int, higher_or: int) -> int:
     """One forwarder's turn: a flattened packet-by-receiver Bernoulli draw.
 
     The flattened ``(pending, receivers)`` draw consumes the lane
-    generator exactly as the sequential per-packet
-    ``attempt_deliveries`` loop does (packets in ascending id order,
+    generator exactly as the per-packet forwarding draws of
+    :func:`~repro.routing.exor.simulate_exor` do (packets in ascending id order,
     receivers in destination-then-priority order).  Returns the union of
     newly-delivered packet bits so the caller can keep its running
     higher-priority OR current.
@@ -539,25 +455,18 @@ def _prime_lane_caches(lane: ExorLane) -> None:
     """Prime one lane's probe/data caches in its sequential stream position.
 
     Used when a chained lane activates: when its predecessor already primed
-    the shared testbed at the same rates this is a pure cache hit (detected
-    up front so the common chained case — same testbed, same rates — costs
-    two dict lookups), and when it did not, the draws land exactly where the
-    sequential code would make them (right after the predecessor's last
-    draw).
+    the shared testbed at the same rates every call below is a memo hit, and
+    when it did not, the draws land exactly where the sequential code would
+    make them (right after the predecessor's last draw).
     """
     config = lane.config
-    cache = lane.testbed._routing_cache
-    probe_mbps = rate_for_mbps(config.probe_rate_mbps).mbps
-    if not cache.get(("delivery_primed", probe_mbps, config.payload_bytes)):
-        prime_testbeds_lockstep([lane.testbed], config.probe_rate_mbps, config.payload_bytes)
+    prime_testbeds_lockstep([lane.testbed], config.probe_rate_mbps, config.payload_bytes)
     etx_graph(
         lane.testbed,
         probe_rate_mbps=config.probe_rate_mbps,
         probe_bytes=config.payload_bytes,
     )
-    data_mbps = rate_for_mbps(lane.rate_mbps).mbps
-    if not cache.get(("delivery_primed", data_mbps, config.payload_bytes)):
-        prime_testbeds_lockstep([lane.testbed], lane.rate_mbps, config.payload_bytes)
+    prime_testbeds_lockstep([lane.testbed], lane.rate_mbps, config.payload_bytes)
 
 
 class _ExorEngineLane(Lane):

@@ -102,17 +102,18 @@ def exor_priority(
     :func:`simulate_exor` call.
     """
     candidates = tuple(node for node in relays if node not in (src, dst))
+
+    def build() -> tuple[int, ...]:
+        graph = etx_graph(
+            testbed, probe_rate_mbps=config.probe_rate_mbps, probe_bytes=config.payload_bytes
+        )
+        # The source acts as the lowest-priority forwarder: it keeps
+        # re-broadcasting packets that no relay (and not the destination)
+        # has received yet, exactly as in ExOR's scheduler.
+        return (*forwarder_order(graph, list(candidates), dst), src)
+
     key = ("exor_priority", config.probe_rate_mbps, config.payload_bytes, candidates, src, dst)
-    cached = testbed._routing_cache.get(key)
-    if cached is not None:
-        return list(cached)
-    graph = etx_graph(testbed, probe_rate_mbps=config.probe_rate_mbps, probe_bytes=config.payload_bytes)
-    # The source acts as the lowest-priority forwarder: it keeps
-    # re-broadcasting packets that no relay (and not the destination) has
-    # received yet, exactly as in ExOR's scheduler.
-    priority = [*forwarder_order(graph, list(candidates), dst), src]
-    testbed._routing_cache[key] = tuple(priority)
-    return priority
+    return list(testbed.memo(key, build))
 
 
 def simulate_exor(
@@ -182,16 +183,11 @@ def simulate_exor(
     # draw, the uniform stream of a per-packet, per-listener scalar loop.
     # ------------------------------------------------------------------
     listeners = [node for node in [dst, *priority] if node != src]
-    if trajectory is None:
-        outcomes = testbed.attempt_broadcasts(
-            src, listeners, config.batch_size, rate, config.payload_bytes, rng
-        )
-    else:
-        # Same (batch, listeners) uniform draw, probabilities scaled by
-        # the per-slot link multipliers (packet k transmits at slot k).
-        base = testbed._delivery_prob_vector(src, listeners, rate, config.payload_bytes)
-        mult = trajectory.rows(mac.transmissions, config.batch_size, src, listeners)
-        outcomes = rng.random((config.batch_size, len(listeners))) < base[None, :] * mult
+    probs = testbed.delivery_probs(src, listeners, rate, config.payload_bytes)[None, :]
+    if trajectory is not None:
+        # Per-slot link multipliers: packet k transmits at slot k.
+        probs = probs * trajectory.rows(mac.transmissions, config.batch_size, src, listeners)
+    outcomes = rng.random((config.batch_size, len(listeners))) < probs
     for packet_id in batch:
         # A broadcast succeeds when any targeted listener received it;
         # throughput only reads elapsed_us, so the success flag affects
@@ -231,24 +227,16 @@ def simulate_exor(
                 if len(senders) > 1:
                     joint_count += 1
                 receivers = receivers_for(packet_id, index)
+                probs = testbed.delivery_probs(senders, receivers, rate, config.payload_bytes)
                 if trajectory is not None:
-                    # The modulated probabilities consume the identical
-                    # uniform stream the unmodulated helpers would.
-                    base = testbed._delivery_prob_vector(
-                        senders if len(senders) > 1 else senders[0],
-                        receivers, rate, config.payload_bytes,
-                    )
-                    effective = base * trajectory.receiver_multipliers(
+                    probs = probs * trajectory.receiver_multipliers(
                         mac.transmissions, senders, receivers
                     )
-                    if len(receivers) == 1:
-                        delivered = [bool(rng.random() < effective[0])]
-                    else:
-                        delivered = (rng.random(len(receivers)) < effective).tolist()
+                # One uniform per receiver; a lone receiver's is a scalar draw.
+                if len(receivers) == 1:
+                    delivered = [bool(rng.random() < probs[0])]
                 else:
-                    delivered = testbed.attempt_deliveries(
-                        senders, receivers, rate, config.payload_bytes, rng
-                    )
+                    delivered = (rng.random(len(receivers)) < probs).tolist()
                 # As in the broadcast phase: success means some targeted
                 # receiver got the packet (the forwarding analogue of a
                 # missing ACK), not merely that airtime was spent.
@@ -276,16 +264,11 @@ def simulate_exor(
             airtime = charge(len(senders) - 1)
             if len(senders) > 1:
                 joint_count += 1
-            if trajectory is None:
-                success = testbed.attempt_delivery(senders, dst, rate, config.payload_bytes, rng)
-            else:
-                base = testbed._delivery_prob(
-                    senders if len(senders) > 1 else senders[0], dst, rate, config.payload_bytes
-                )
-                success = bool(
-                    rng.random()
-                    < base * trajectory.receiver_multipliers(mac.transmissions, senders, [dst])[0]
-                )
+            probs = testbed.delivery_probs(senders, [dst], rate, config.payload_bytes)
+            if trajectory is not None:
+                # The slot clock advances every attempt.
+                probs = probs * trajectory.receiver_multipliers(mac.transmissions, senders, [dst])
+            success = bool(rng.random() < probs[0])
             mac.account(airtime, success)
             if success:
                 holds[dst].add(packet_id)

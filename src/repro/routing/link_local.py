@@ -207,14 +207,15 @@ def simulate_link_local(
     timing = timing if timing is not None else MacTiming(params=testbed.params)
     rate: Rate = rate_for_mbps(rate_mbps)
 
-    route_key = ("best_route", config.probe_rate_mbps, config.payload_bytes, src, dst)
-    route = testbed._routing_cache.get(route_key)
-    if route is None:
+    def build_route() -> tuple[int, ...]:
         graph = etx_graph(
             testbed, probe_rate_mbps=config.probe_rate_mbps, probe_bytes=config.payload_bytes
         )
-        route = tuple(best_route(graph, src, dst) or ())
-        testbed._routing_cache[route_key] = route
+        return tuple(best_route(graph, src, dst) or ())
+
+    route = testbed.memo(
+        ("best_route", config.probe_rate_mbps, config.payload_bytes, src, dst), build_route
+    )
     if len(route) < 2:
         return LinkLocalResult(0.0, 0, n_packets, 0, 0, 0, route)
     # The one trajectory draw sits after the route check and before the

@@ -71,3 +71,20 @@ def test_summary_key_patterns_match_generated_keys():
     fig16 = registry.get("fig16")
     assert fig16.documents_summary_key("high_gain_db")
     assert not fig16.documents_summary_key("gain_db")
+
+
+def test_batched_flag_matches_config_switch():
+    """A spec reports ``batched`` exactly when its config accepts ``batched=False``.
+
+    The generated pages promise that ``batched=False`` switches to the
+    sequential oracle path; that promise must hold for every spec that
+    makes it, and no other spec may make it.
+    """
+    for spec in registry.specs():
+        try:
+            spec.make_config("smoke", {"batched": False})
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert spec.batched == accepted, spec.name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.channel.multipath import DEFAULT_PROFILE, MultipathProfile
 from repro.net import (
     CsmaState,
     EventScheduler,
@@ -15,6 +16,7 @@ from repro.net import (
     etx_to_destination,
     forwarder_order,
     link_etx,
+    prime_delivery_caches,
 )
 from repro.phy.rates import rate_for_mbps
 
@@ -139,8 +141,32 @@ class TestEtx:
         assert best_route(graph, 0, 1) is None
 
 
+def _canonical_pairs(tb):
+    """Directed pairs in the order lazy link draws consume a testbed generator.
+
+    Nested (src, dst) walk over the node ids, each pair followed by its
+    reverse, every directed pair once.
+    """
+    pairs = []
+    for src in tb.node_ids:
+        for dst in tb.node_ids:
+            if src == dst:
+                continue
+            for pair in ((src, dst), (dst, src)):
+                if pair not in pairs:
+                    pairs.append(pair)
+    return pairs
+
+
+_PROFILES = [
+    MultipathProfile(),
+    MultipathProfile(n_taps=4, k_factor_db=6.0),
+    MultipathProfile(n_taps=6, k_factor_db=0.0),
+]
+
+
 class TestDeliveryTables:
-    def _mesh(self, seed=0):
+    def _mesh(self, seed=0, multipath_profile=DEFAULT_PROFILE):
         from repro.channel.propagation import PathLossModel
 
         rng = np.random.default_rng(seed)
@@ -148,19 +174,42 @@ class TestDeliveryTables:
             [(0.0, 0.0), (85.0, 0.0), (30.0, 8.0), (55.0, -7.0)],
             rng=rng,
             path_loss=PathLossModel(exponent=3.3, reference_loss_db=43.0, shadowing_sigma_db=4.0),
+            multipath_profile=multipath_profile,
         )
 
     def test_delivery_prob_matrix_matches_scalar_cache(self):
         tb = self._mesh(1)
         matrix = tb.delivery_prob_matrix(12.0, 1460)
+        position = {node.node_id: i for i, node in enumerate(tb.nodes)}
         for a in tb.node_ids:
             for b in tb.node_ids:
                 if a == b:
-                    assert matrix[tb._node_index[a], tb._node_index[b]] == 0.0
+                    assert matrix[position[a], position[b]] == 0.0
                 else:
-                    assert matrix[tb._node_index[a], tb._node_index[b]] == tb.delivery_probability(
+                    assert matrix[position[a], position[b]] == tb.delivery_probability(
                         a, b, 12.0, 1460
                     )
+
+    def test_delivery_probs_gathers_matrix_rows(self):
+        """With the matrix built, a probability row is a gather from it."""
+        tb = self._mesh(1)
+        matrix = tb.delivery_prob_matrix(12.0, 1460)
+        position = {node.node_id: i for i, node in enumerate(tb.nodes)}
+        for a in tb.node_ids:
+            others = [b for b in tb.node_ids if b != a]
+            expected = matrix[position[a], [position[b] for b in others]]
+            np.testing.assert_array_equal(tb.delivery_probs(a, others, 12.0, 1460), expected)
+            np.testing.assert_array_equal(tb.delivery_probs([a], others, 12.0, 1460), expected)
+            for b in others:
+                assert tb.delivery_prob(a, b, 12.0, 1460) == tb.delivery_probability(a, b, 12.0, 1460)
+
+    def test_delivery_probs_without_matrix_keeps_lazy_draw_order(self):
+        """Before any matrix exists the row is lazy scalar lookups, in receiver order."""
+        tb, reference = self._mesh(7), self._mesh(7)
+        row = tb.delivery_probs(2, [3, 0, 1], 6.0, 1460)
+        expected = [reference.delivery_probability(2, dst, 6.0, 1460) for dst in (3, 0, 1)]
+        assert row.tolist() == expected
+        assert tb.rng.bit_generator.state == reference.rng.bit_generator.state
 
     def test_delivery_prob_matrix_is_cached(self):
         tb = self._mesh(2)
@@ -168,38 +217,123 @@ class TestDeliveryTables:
 
     def test_joint_row_matches_scalar_joint_probability(self):
         tb = self._mesh(3)
-        tb.prime_delivery_cache(6.0, 1460)
+        prime_delivery_caches([tb], 6.0, 1460)
         row = tb.joint_delivery_prob_row([2, 3], [0, 1], 6.0, 1460)
         fresh = self._mesh(3)
-        fresh.prime_delivery_cache(6.0, 1460)  # same canonical link realisations
+        prime_delivery_caches([fresh], 6.0, 1460)  # same canonical link realisations
         expected = [fresh.joint_delivery_probability([2, 3], d, 6.0, 1460) for d in (0, 1)]
         assert row.tolist() == expected
+        assert tb.delivery_probs([2, 3], [0, 1], 6.0, 1460).tolist() == expected
+        assert [tb.delivery_prob([3, 2], d, 6.0, 1460) for d in (0, 1)] == expected
 
     def test_joint_row_fill_respects_sender_order(self):
         """The batched row fill and the scalar memo produce one shared value."""
         tb = self._mesh(4)
-        tb.prime_delivery_cache(6.0, 1460)
+        prime_delivery_caches([tb], 6.0, 1460)
         row = tb.joint_delivery_prob_row([3, 2, 0], [1], 6.0, 1460)
         # A later scalar call with any permutation hits the same cache entry.
         assert tb.joint_delivery_probability([2, 0, 3], 1, 6.0, 1460) == row[0]
 
-    def test_prime_testbeds_lockstep_bitwise_matches_sequential_prime(self):
+    @pytest.mark.parametrize("profile", _PROFILES, ids=["rayleigh", "rician_k6_4taps", "rician_k0_6taps"])
+    def test_prime_delivery_caches_matches_lazy_walk(self, profile):
+        """Stacked priming equals a lazy per-link walk, generator end state included."""
+        seeds = (10, 11, 12)
+        primed = [self._mesh(seed, profile) for seed in seeds]
+        prime_delivery_caches(primed, 6.0, 1460)
+        for seed, tb in zip(seeds, primed):
+            lazy = self._mesh(seed, profile)
+            pairs = _canonical_pairs(lazy)
+            for a, b in pairs:
+                lazy.link_profile(a, b)
+                lazy.delivery_probability(a, b, 6.0, 1460)
+            # The generators must be in identical states afterwards ...
+            assert tb.rng.bit_generator.state == lazy.rng.bit_generator.state
+            for a, b in pairs:
+                np.testing.assert_array_equal(tb.link_profile(a, b), lazy.link_profile(a, b))
+                assert tb.delivery_probability(a, b, 6.0, 1460) == lazy.delivery_probability(
+                    a, b, 6.0, 1460
+                )
+            # ... and every profile and probability was cached by the primer:
+            # reading them all consumed no draws.
+            assert tb.rng.bit_generator.state == lazy.rng.bit_generator.state
+
+    def test_prime_delivery_caches_mixed_profiles_and_repeats(self):
+        """One call over mixed profiles, with a testbed listed twice, primes each once."""
+        profiles = [*_PROFILES, _PROFILES[0]]
+        primed = [self._mesh(20 + k, profile) for k, profile in enumerate(profiles)]
+        prime_delivery_caches([primed[0], *primed, primed[2]], 6.0, 1460)
+        prime_delivery_caches(primed, 6.0, 1460)  # already primed: no draws
+        for k, (tb, profile) in enumerate(zip(primed, profiles)):
+            lazy = self._mesh(20 + k, profile)
+            for a, b in _canonical_pairs(lazy):
+                assert tb.delivery_probability(a, b, 6.0, 1460) == lazy.delivery_probability(
+                    a, b, 6.0, 1460
+                )
+            assert tb.rng.bit_generator.state == lazy.rng.bit_generator.state
+
+    def test_prime_delivery_caches_reuses_existing_profiles(self):
+        """A second rate reuses the first rate's profiles without drawing."""
+        tb, lazy = self._mesh(30), self._mesh(30)
+        prime_delivery_caches([tb], 6.0, 1460)
+        state = tb.rng.bit_generator.state
+        prime_delivery_caches([tb], 12.0, 1460)
+        assert tb.rng.bit_generator.state == state
+        for a, b in _canonical_pairs(lazy):
+            assert tb.delivery_probability(a, b, 12.0, 1460) == lazy.delivery_probability(
+                a, b, 12.0, 1460
+            )
+
+    def test_prime_delivery_caches_failed_pass_is_not_marked_primed(self, monkeypatch):
+        """A pass that raises part-way is redone in full by the next call."""
+        import repro.net.topology as topology
+
+        tb, lazy = self._mesh(40), self._mesh(40)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("EESM failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "delivery_probabilities", fail)
+            with pytest.raises(RuntimeError, match="EESM failed"):
+                prime_delivery_caches([tb], 6.0, 1460)
+        matrix = tb.delivery_prob_matrix(6.0, 1460)
+        index = {node: k for k, node in enumerate(tb.node_ids)}
+        for a, b in _canonical_pairs(lazy):
+            assert matrix[index[a], index[b]] == lazy.delivery_probability(a, b, 6.0, 1460)
+        assert tb.rng.bit_generator.state == lazy.rng.bit_generator.state
+
+    def test_priming_entry_points_run_the_primer(self):
+        """``Testbed.prime_delivery_cache`` and ``prime_testbeds_lockstep`` prime identically."""
         from repro.routing.ensemble import prime_testbeds_lockstep
 
-        sequential = [self._mesh(seed) for seed in (10, 11, 12)]
-        for tb in sequential:
+        reference = [self._mesh(50 + k) for k in range(2)]
+        prime_delivery_caches(reference, 6.0, 1460)
+        single = [self._mesh(50 + k) for k in range(2)]
+        for tb in single:
             tb.prime_delivery_cache(6.0, 1460)
-        lockstep = [self._mesh(seed) for seed in (10, 11, 12)]
-        prime_testbeds_lockstep(lockstep, 6.0, 1460)
-        for seq_tb, lock_tb in zip(sequential, lockstep):
-            assert seq_tb._delivery_cache == lock_tb._delivery_cache
-            assert seq_tb._profile_cache.keys() == lock_tb._profile_cache.keys()
-            for key in seq_tb._profile_cache:
-                np.testing.assert_array_equal(
-                    seq_tb._profile_cache[key], lock_tb._profile_cache[key]
-                )
-            # The generators must be in identical states afterwards.
-            assert seq_tb.rng.random() == lock_tb.rng.random()
+        routed = [self._mesh(50 + k) for k in range(2)]
+        prime_testbeds_lockstep(routed, 6.0, 1460)
+        for ref, *others in zip(reference, single, routed):
+            for tb in others:
+                assert tb.rng.bit_generator.state == ref.rng.bit_generator.state
+                for a, b in _canonical_pairs(ref):
+                    assert tb.delivery_probability(a, b, 6.0, 1460) == ref.delivery_probability(
+                        a, b, 6.0, 1460
+                    )
+                assert tb.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_memo_builds_once(self):
+        tb = self._mesh(8)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return ("value",)
+
+        assert tb.memo(("demo", 1), build) == ("value",)
+        assert tb.memo(("demo", 1), build) == ("value",)
+        assert tb.memo(("demo", 2), build) == ("value",)
+        assert len(builds) == 2
 
     def test_etx_graph_cache_hit(self, monkeypatch):
         """Both schemes of a topology share one ETX graph build."""
@@ -228,9 +362,8 @@ class TestDeliveryTables:
         tb = self._mesh(6)
         config = ExorConfig()
         first = exor_priority(tb, [2, 3], 0, 1, config)
-        assert ("exor_priority", config.probe_rate_mbps, config.payload_bytes, (2, 3), 0, 1) in (
-            tb._routing_cache
-        )
+        key = ("exor_priority", config.probe_rate_mbps, config.payload_bytes, (2, 3), 0, 1)
+        assert tb.memo(key, lambda: pytest.fail("priority was not memoised")) == tuple(first)
         assert exor_priority(tb, [2, 3], 0, 1, config) == first
 
 
