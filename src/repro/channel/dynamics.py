@@ -17,24 +17,30 @@ fault models to a transfer:
 
 Determinism contract
 --------------------
-A lane's whole RNG consumption is *one* up-front
-``rng.random((horizon_slots, n_links))`` draw from the lane's generator,
-links in the canonical all-pairs order (:func:`link_order`).  The draw
-sits in the lane's sequential stream position — after priming, before
-the first transfer draw — so the lockstep mesh engine
-(:mod:`repro.routing.ensemble`) stays bit-identical to the sequential
-path: dynamics only *modulates* delivery probabilities, it never changes
-how many uniforms a phase consumes or in which order.
+A lane's whole RNG consumption is one ``(horizon_slots, n_links)`` block
+of uniforms from the lane's generator, links in the canonical all-pairs
+order (:func:`link_order`).  The block sits in the lane's sequential
+stream position — after priming, before the first transfer draw — so the
+lockstep mesh engine (:mod:`repro.routing.ensemble`) stays bit-identical
+to the sequential path: dynamics only *modulates* delivery
+probabilities, it never changes how many uniforms a phase consumes or in
+which order.
 
-The block is kept compact: each uniform becomes a 1-byte *transition
-code* (:meth:`GilbertElliott.transition_codes`) and the slot-0 states
-are kept alongside (:func:`trajectory_from_uniforms`).  A link's per-slot
-multipliers are evaluated on its first read by the loop-free
-:func:`states_from_codes` kernel and cached, so a transfer pays only for
-the links it exercises.  The kernel is comparisons and integer ops only,
-so evaluating a link alone, with other links, or over a stacked lane axis
-gives the same states, and every multiplier is the same float whichever
-read evaluates it first.
+Only the block's first :data:`FIRST_SLOTS` rows are drawn up front
+(``rng.random((FIRST_SLOTS, n_links))``); the generator's state is then
+saved and the generator advanced past the remaining rows, so the lane's
+next draw is the one it would make after drawing the whole block (a
+float64 uniform is exactly one 64-bit draw).  Most transfers never read
+past the first rows; the first read that does re-draws the rest from
+the saved state.
+
+The first rows are decoded when the trajectory is built, by one dense
+call of the loop-free :func:`states_from_codes` kernel, into a table of
+1-byte level indices (good, bad, self link); the rest of the horizon is
+decoded once, on the first read past the prefix, continuing the scan
+from the last decoded slot.  The kernel is comparisons and integer ops
+only, so decoding a block at once or in two parts gives the same states,
+and every multiplier is the same float whichever read reaches it first.
 
 A transfer's *slot clock* is its transmission counter: the ``k``-th
 transmission of a lane reads the trajectory at slot ``k`` (modulo the
@@ -45,8 +51,8 @@ and the lockstep engine track identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +63,7 @@ __all__ = [
     "LossRateGrid",
     "LinkDynamics",
     "LinkStateTrajectory",
+    "FIRST_SLOTS",
     "link_order",
     "states_from_codes",
     "trajectory_from_uniforms",
@@ -66,6 +73,17 @@ __all__ = [
 
 #: Transition codes: bit 0 is ``u < p_good_to_bad``, bit 1 ``u < p_bad_to_good``.
 _SET_BAD, _SET_GOOD, _FLIP = 1, 2, 3
+
+#: Level indices of a decoded trajectory table (0 is the good state).
+_BAD, _SELF = 1, 2
+
+#: Slots a trajectory draws and decodes when it is built; the rest of the
+#: horizon is decoded on the first read that reaches past them.
+FIRST_SLOTS = 32
+
+#: Bit generators whose ``advance(n)`` skips exactly ``n`` 64-bit draws,
+#: i.e. ``n`` float64 uniforms (Philox's advance counts blocks instead).
+_ADVANCE_BY_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 @dataclass(frozen=True)
@@ -184,7 +202,10 @@ def states_from_codes(initial: np.ndarray, codes: np.ndarray) -> np.ndarray:
     values = codes == _SET_BAD
     values[..., 0, :] = initial
     values ^= parity.view(bool)
-    marks = np.arange(codes.shape[-2], dtype=np.intp)[:, None] << 1
+    n_slots = codes.shape[-2]
+    # The smallest integer type that holds ``slot << 1 | 1``: the fills run
+    # over fewer bytes, which matters for the short blocks trajectories use.
+    marks = np.arange(n_slots, dtype=np.min_scalar_type(2 * n_slots - 1))[:, None] << 1
     marks = marks | values
     marks *= sets
     filled = np.maximum.accumulate(marks, axis=-2)
@@ -230,11 +251,14 @@ class LossRateGrid:
 class LinkDynamics:
     """Fault-injection spec attached to a transfer (or lane).
 
-    ``horizon_slots`` bounds the materialised trajectory; transfers longer
-    than the horizon wrap periodically (slot ``k`` reads
-    ``k % horizon_slots``).  With ``gilbert_elliott=None`` the trajectory
-    consumes **no** generator draws (the grid alone is deterministic), so
-    a grid-only spec leaves every existing stream untouched.
+    ``horizon_slots`` bounds the trajectory: a lane's generator moves past
+    ``horizon_slots`` rows of link uniforms, of which the first
+    :data:`FIRST_SLOTS` are drawn up front and the rest only when a read
+    reaches them.  Transfers longer than the horizon wrap periodically
+    (slot ``k`` reads ``k % horizon_slots``).  With
+    ``gilbert_elliott=None`` the trajectory consumes **no** generator
+    draws (the grid alone is deterministic), so a grid-only spec leaves
+    every existing stream untouched.
     """
 
     gilbert_elliott: GilbertElliott | None = None
@@ -248,12 +272,15 @@ class LinkDynamics:
             raise ValueError("LinkDynamics needs a Gilbert-Elliott process or a grid (or both)")
 
     def draw_state_uniforms(self, rng: np.random.Generator, n_links: int) -> np.ndarray | None:
-        """The trajectory's single uniform block — ``None`` when grid-only.
+        """The trajectory's whole uniform block — ``None`` when grid-only.
 
         One ``rng.random((horizon_slots, n_links))`` call, links in the
         canonical :func:`link_order`: the whole RNG consumption of a
-        lane's dynamics, in one draw, exactly like the engine's merged
-        forwarding draws.
+        lane's dynamics, drawn eagerly.  :func:`materialise_trajectory`
+        leaves the generator in the same state but draws only the first
+        :data:`FIRST_SLOTS` rows, unless the bit generator cannot skip
+        the rest; this eager block is also what
+        :func:`trajectory_from_uniforms` takes.
         """
         if self.gilbert_elliott is None:
             return None
@@ -279,48 +306,47 @@ def _pair_columns(node_ids: tuple[int, ...]) -> dict[tuple[int, int], int]:
     return columns
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class LinkStateTrajectory:
-    """Per-slot delivery-probability multipliers of one lane, evaluated lazily.
+    """Per-slot delivery-probability multipliers of one lane, decoded by prefix.
 
-    ``multipliers`` is the compact form: one 1-byte transition code per
-    (slot, link), shape ``(horizon_slots, n_links)`` in canonical
-    :func:`link_order`, decoded with the slot-0 ``initial`` states.
-    ``levels`` holds the good, bad and self-link (1) multipliers, each
-    already scaled by the grid factor; ``columns`` maps ``(src, dst)`` to
-    a column (self pairs to ``n_links``, which always reads the self
-    level).  A link's column of multipliers is evaluated on its first read
-    and cached; slots wrap at ``horizon_slots``.  Both execution paths
-    (sequential and lockstep) read through the same accessors, so
-    modulated probabilities are bit-identical by construction.
+    ``multipliers`` is a table of 1-byte level indices, one row per
+    decoded slot and one column per link in canonical :func:`link_order`
+    plus a last self-link column: each entry indexes ``levels``, the good,
+    bad and self-link (1) multipliers, each already scaled by the grid
+    factor.  ``columns`` maps ``(src, dst)`` to a column (self pairs to
+    the last one).  A trajectory is built with its first
+    :data:`FIRST_SLOTS` slots decoded; ``pending`` returns the transition
+    codes of the remaining slots of the horizon, and the first read past
+    the decoded prefix decodes them all at once, continuing the state scan
+    from the last decoded slot.  Slots wrap at ``horizon_slots``.  Both
+    execution paths (sequential and lockstep) read through the same
+    accessors, so modulated probabilities are bit-identical by
+    construction.
     """
 
     horizon_slots: int
     columns: Mapping[tuple[int, int], int]
     multipliers: np.ndarray
-    initial: np.ndarray
-    levels: tuple[float, float, float]
-    _cache: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    levels: np.ndarray
+    pending: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
-    def _columns(self, cols: list[int]) -> list[np.ndarray]:
-        """Multiplier columns ``cols``, evaluating the missing ones in one scan."""
-        cache = self._cache
-        missing = [c for c in cols if c not in cache]
-        if missing:
-            good, bad, self_level = self.levels
-            n_links = self.multipliers.shape[1]
-            links = list(dict.fromkeys(c for c in missing if c < n_links))
-            if n_links in missing:
-                cache[n_links] = np.full(self.horizon_slots, self_level)
-            if links:
-                states = states_from_codes(self.initial[links], self.multipliers[:, links])
-                cache.update(zip(links, np.where(states.T, bad, good)))
-        return [cache[c] for c in cols]
+    def _table(self, last_slot: int) -> np.ndarray:
+        """The level-index table, decoded at least through ``last_slot``."""
+        if last_slot >= len(self.multipliers):
+            codes = self.pending()
+            self.pending = None
+            head = self.multipliers
+            # A scan's slot 0 takes the given states and ignores its code,
+            # so a repeated first row stands in for the last decoded slot.
+            states = states_from_codes(head[-1, :-1] == _BAD, np.concatenate([codes[:1], codes]))
+            self.multipliers = np.concatenate([head, _level_table(states[1:])])
+        return self.multipliers
 
     def pair_multiplier(self, slot: int, src: int, dst: int) -> float:
         """Multiplier of link ``src → dst`` at transmission slot ``slot``."""
-        (column,) = self._columns([self.columns[src, dst]])
-        return float(column[slot % self.horizon_slots])
+        slot %= self.horizon_slots
+        return float(self.levels[self._table(slot)[slot, self.columns[src, dst]]])
 
     def rows(self, start_slot: int, n_slots: int, src: int, receivers: Sequence[int]) -> np.ndarray:
         """Multiplier block for consecutive slots of one sender.
@@ -330,12 +356,14 @@ class LinkStateTrajectory:
         broadcast-phase shape (packet ``k`` of a wave transmits at slot
         ``start_slot + k``).
         """
-        slots = (start_slot + np.arange(n_slots)) % self.horizon_slots
-        columns = self._columns([self.columns[src, node] for node in receivers])
-        block = np.empty((n_slots, len(columns)))
-        for k, column in enumerate(columns):
-            block[:, k] = column[slots]
-        return block
+        horizon = self.horizon_slots
+        start_slot %= horizon
+        columns = [self.columns[src, node] for node in receivers]
+        # A block that wraps reads the last slot, so the table then spans
+        # the whole horizon and ``mode="wrap"`` wraps at the horizon.
+        table = self._table(min(start_slot + n_slots, horizon) - 1)
+        slots = np.arange(start_slot, start_slot + n_slots)
+        return self.levels.take(table.take(slots, axis=0, mode="wrap").take(columns, axis=1))
 
     def receiver_multipliers(
         self, slot: int, senders: Sequence[int], receivers: Sequence[int]
@@ -349,11 +377,18 @@ class LinkStateTrajectory:
         """
         slot %= self.horizon_slots
         pairs = self.columns
-        columns = self._columns([pairs[src, node] for src in senders for node in receivers])
-        values = np.array([column[slot] for column in columns], dtype=np.float64)
+        columns = [pairs[src, node] for src in senders for node in receivers]
+        values = self.levels.take(self._table(slot)[slot].take(columns))
         if len(senders) == 1:
             return values
         return values.reshape(len(senders), len(receivers)).max(axis=0)
+
+
+def _level_table(states: np.ndarray) -> np.ndarray:
+    """Level indices of ``(n_slots, n_links)`` states, plus the self-link column."""
+    table = np.full((len(states), states.shape[1] + 1), _SELF, dtype=np.uint8)
+    table[:, :-1] = states
+    return table
 
 
 def _check_block(dynamics: LinkDynamics, n_nodes: int, block: np.ndarray, what: str) -> np.ndarray:
@@ -371,21 +406,19 @@ def _trajectory(
     dynamics: LinkDynamics,
     node_ids: Sequence[int],
     rate_mbps: float,
-    initial: np.ndarray | None,
-    codes: np.ndarray | None,
+    states: np.ndarray | None,
+    pending: Callable[[], np.ndarray] | None = None,
 ) -> LinkStateTrajectory:
-    """Wrap slot-0 states and transition codes with the lane's level table.
+    """Wrap decoded bad/good states of the first slots with the lane's levels.
 
     The grid factor is a scalar per lane (every link transmits at the
-    lane's rate), applied after the state multipliers.  Without codes
+    lane's rate), applied after the state multipliers.  Without states
     (grid-only specs) every link keeps the good state at multiplier 1.
     """
     columns = _pair_columns(tuple(node_ids))
     levels = (1.0, 1.0, 1.0)
-    if codes is None:
-        n_links = len(columns) - len(node_ids)
-        initial = np.zeros(n_links, dtype=bool)
-        codes = np.zeros((dynamics.horizon_slots, n_links), dtype=np.uint8)
+    if states is None:
+        states = np.zeros((dynamics.horizon_slots, len(columns) - len(node_ids)), dtype=bool)
     else:
         process = dynamics.gilbert_elliott
         levels = (process.good_multiplier, process.bad_multiplier, 1.0)
@@ -395,9 +428,9 @@ def _trajectory(
     return LinkStateTrajectory(
         horizon_slots=dynamics.horizon_slots,
         columns=columns,
-        multipliers=codes,
-        initial=initial,
-        levels=levels,
+        multipliers=_level_table(states),
+        levels=np.array(levels),
+        pending=pending,
     )
 
 
@@ -407,22 +440,25 @@ def trajectory_from_uniforms(
     rate_mbps: float,
     uniforms: np.ndarray | None,
 ) -> LinkStateTrajectory:
-    """Build a lane's trajectory from its pre-drawn uniform block.
+    """Build a lane's trajectory from its whole uniform block.
 
     ``uniforms`` is the block :meth:`LinkDynamics.draw_state_uniforms`
     returned for this lane, shape ``(horizon_slots, n*(n-1))`` (``None``
-    for grid-only specs).  Only its transition codes and slot-0 states
-    are kept; to build a trajectory from already-evolved boolean states
-    use :func:`trajectory_from_states`.
+    for grid-only specs).  The first :data:`FIRST_SLOTS` slots are
+    decoded now; the rest are kept as transition codes until a read
+    reaches them.  To build a trajectory from already-evolved boolean
+    states use :func:`trajectory_from_states`.
     """
     process = dynamics.gilbert_elliott
     if process is None:
-        return _trajectory(dynamics, node_ids, rate_mbps, None, None)
+        return _trajectory(dynamics, node_ids, rate_mbps, None)
     if uniforms is None:
         raise ValueError("a Gilbert-Elliott spec needs its uniform block")
     u = _check_block(dynamics, len(node_ids), uniforms, "uniform")
-    initial = u[0] < process.stationary_bad_fraction()
-    return _trajectory(dynamics, node_ids, rate_mbps, initial, process.transition_codes(u))
+    first = min(FIRST_SLOTS, dynamics.horizon_slots)
+    rest = process.transition_codes(u[first:])
+    pending = partial(np.asarray, rest) if len(rest) else None
+    return _trajectory(dynamics, node_ids, rate_mbps, process.evolve_states(u[:first]), pending)
 
 
 def trajectory_from_states(
@@ -434,15 +470,22 @@ def trajectory_from_states(
     """Build a lane's trajectory from evolved boolean states (``True`` = bad).
 
     ``states`` has shape ``(horizon_slots, n*(n-1))`` in canonical
-    :func:`link_order` (``None`` for grid-only specs).  Each slot is
-    stored as a set-bad or set-good code, so every read decodes to
-    exactly the given state.
+    :func:`link_order` (``None`` for grid-only specs); every slot is
+    decoded already, so each read returns exactly the given state.
     """
     if dynamics.gilbert_elliott is None or states is None:
-        return _trajectory(dynamics, node_ids, rate_mbps, None, None)
+        return _trajectory(dynamics, node_ids, rate_mbps, None)
     states = _check_block(dynamics, len(node_ids), states, "state").astype(bool, copy=False)
-    codes = np.where(states, np.uint8(_SET_BAD), np.uint8(_SET_GOOD))
-    return _trajectory(dynamics, node_ids, rate_mbps, states[0].copy(), codes)
+    return _trajectory(dynamics, node_ids, rate_mbps, states)
+
+
+def _redraw_codes(
+    process: GilbertElliott, kind: type, state: dict, shape: tuple[int, int]
+) -> np.ndarray:
+    """Transition codes of a block re-drawn from a saved bit-generator state."""
+    bit_generator = kind(0)
+    bit_generator.state = state
+    return process.transition_codes(np.random.Generator(bit_generator).random(shape))
 
 
 def materialise_trajectory(
@@ -453,13 +496,35 @@ def materialise_trajectory(
 ) -> LinkStateTrajectory:
     """Draw one lane's trajectory in its sequential stream position.
 
-    The single uniform draw comes from ``rng`` (the *lane's* generator —
-    state trajectories are keyed off the lane exactly like forwarding
-    draws); grid-only specs draw nothing.
+    The draw comes from ``rng`` (the *lane's* generator — state
+    trajectories are keyed off the lane exactly like forwarding draws);
+    grid-only specs draw nothing.  The first :data:`FIRST_SLOTS` rows of
+    the ``(horizon_slots, n_links)`` block are drawn and decoded now.  For
+    the rest, the generator's state is saved and the generator is advanced
+    past them, which leaves it exactly where drawing the whole block
+    would; the saved state re-draws them if a read ever reaches them.
+    Bit generators that cannot advance by draws draw the whole block now.
     """
-    uniforms = None
-    if dynamics.gilbert_elliott is not None:
-        rng = require_rng(rng, "materialise_trajectory")
-        n_nodes = len(node_ids)
-        uniforms = dynamics.draw_state_uniforms(rng, n_nodes * (n_nodes - 1))
-    return trajectory_from_uniforms(dynamics, node_ids, rate_mbps, uniforms)
+    process = dynamics.gilbert_elliott
+    if process is None:
+        return _trajectory(dynamics, node_ids, rate_mbps, None)
+    rng = require_rng(rng, "materialise_trajectory")
+    n_nodes = len(node_ids)
+    n_links = n_nodes * (n_nodes - 1)
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, _ADVANCE_BY_DRAWS):
+        uniforms = dynamics.draw_state_uniforms(rng, n_links)
+        return trajectory_from_uniforms(dynamics, node_ids, rate_mbps, uniforms)
+    first = min(FIRST_SLOTS, dynamics.horizon_slots)
+    states = process.evolve_states(rng.random((first, n_links)))
+    rest = (dynamics.horizon_slots - first, n_links)
+    pending = None
+    if rest[0]:
+        saved = bit_generator.state
+        bit_generator.advance(rest[0] * n_links)
+        if saved["has_uint32"]:  # advancing drops a pending 32-bit half
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = saved["has_uint32"], saved["uinteger"]
+            bit_generator.state = state
+        pending = partial(_redraw_codes, process, type(bit_generator), saved, rest)
+    return _trajectory(dynamics, node_ids, rate_mbps, states, pending)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
@@ -104,6 +103,8 @@ def optimize_wait_times(
     Variables are the co-sender wait times ``w_i`` and the maximum
     misalignment ``m``; the objective minimises ``m``.
     """
+    from scipy.optimize import linprog
+
     t = np.asarray(cosender_to_receiver, dtype=np.float64)
     lead = np.asarray(lead_to_receiver, dtype=np.float64)
     if t.ndim != 2:

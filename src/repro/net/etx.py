@@ -9,10 +9,14 @@ ExOR orders candidate forwarders by their ETX distance to the destination.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.net.topology import Testbed
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "link_etx",
@@ -59,6 +63,8 @@ def _build_etx_graph(
     probe_bytes: int,
     max_loss: float,
 ) -> nx.DiGraph:
+    import networkx as nx
+
     testbed.prime_delivery_cache(probe_rate_mbps, probe_bytes)
     graph = nx.DiGraph()
     graph.add_nodes_from(testbed.node_ids)
@@ -88,6 +94,8 @@ def path_etx(graph: nx.DiGraph, path: list[int]) -> float:
 
 def best_route(graph: nx.DiGraph, src: int, dst: int) -> list[int] | None:
     """Minimum-ETX route between two nodes (None when disconnected)."""
+    import networkx as nx
+
     try:
         return nx.shortest_path(graph, src, dst, weight="etx")
     except (nx.NetworkXNoPath, nx.NodeNotFound):
@@ -96,6 +104,8 @@ def best_route(graph: nx.DiGraph, src: int, dst: int) -> list[int] | None:
 
 def etx_to_destination(graph: nx.DiGraph, dst: int) -> dict[int, float]:
     """ETX distance from every node to the destination."""
+    import networkx as nx
+
     reversed_graph = graph.reverse(copy=False)
     lengths = nx.single_source_dijkstra_path_length(reversed_graph, dst, weight="etx")
     return dict(lengths)

@@ -54,11 +54,11 @@ class ExorConfig:
     sender_diversity: bool = False
     #: Bursty link dynamics (Gilbert–Elliott bursts and/or a speed × loss
     #: grid).  ``None`` leaves every link static — and every existing RNG
-    #: stream untouched.  With a spec, the lane's state trajectory is one
-    #: upfront draw from the transfer's generator and every delivery
-    #: probability is modulated by the per-slot link multipliers; the draw
-    #: *counts* of all phases are unchanged, which is what keeps the
-    #: lockstep engine bit-identical to this sequential path.
+    #: stream untouched.  With a spec, the lane's state trajectory is drawn
+    #: from the transfer's generator before the first delivery draw and
+    #: every delivery probability is modulated by the per-slot link
+    #: multipliers; the draw *counts* of all phases are unchanged, which is
+    #: what keeps the lockstep engine bit-identical to this sequential path.
     dynamics: LinkDynamics | None = None
 
 
@@ -145,9 +145,9 @@ def simulate_exor(
     # per-attempt probability lookups below become array gathers.
     testbed.delivery_prob_matrix(rate, config.payload_bytes)
 
-    # Bursty link dynamics: the whole trajectory is one upfront draw from
-    # the transfer's generator, made *after* priming and before the first
-    # delivery draw — the stream position the lockstep engine reproduces.
+    # Bursty link dynamics: the trajectory takes one block of the
+    # transfer's generator, *after* priming and before the first delivery
+    # draw — the stream position the lockstep engine reproduces.
     trajectory: LinkStateTrajectory | None = None
     if config.dynamics is not None:
         trajectory = materialise_trajectory(

@@ -198,9 +198,9 @@ def simulate_link_local(
     retry); a hop that exhausts its budget hands recovery back to the
     source, which restarts the packet end to end up to
     ``config.e2e_retry_limit`` times.  With ``config.dynamics`` set, the
-    link-state trajectory is one upfront draw from ``rng`` (after routing,
-    before the first attempt) and every hop probability is modulated by
-    the current slot's multiplier.
+    link-state trajectory is drawn from ``rng`` in one stream position
+    (after routing, before the first attempt) and every hop probability is
+    modulated by the current slot's multiplier.
     """
     config = config if config is not None else LinkLocalConfig()
     rng = require_rng(rng, "simulate_link_local")

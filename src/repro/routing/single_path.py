@@ -79,10 +79,11 @@ def simulate_single_path(
         Per-hop transmission attempts (at least 1); packets exceeding it
         are dropped.
     dynamics:
-        Optional bursty link dynamics: the state trajectory is one upfront
-        draw from the transfer's generator (after routing, before the
-        first attempt) and every hop probability is scaled by the current
-        slot's link multiplier — attempt draw counts are unchanged.
+        Optional bursty link dynamics: the state trajectory is drawn from
+        the transfer's generator in one stream position (after routing,
+        before the first attempt) and every hop probability is scaled by
+        the current slot's link multiplier — attempt draw counts are
+        unchanged.
     """
     if retry_limit < 1:
         raise ValueError("retry_limit must be >= 1")

@@ -17,7 +17,11 @@ from functools import partial
 import numpy as np
 import pytest
 
+import repro.routing.ensemble
+import repro.routing.exor
+import repro.routing.link_local
 from repro.channel.dynamics import (
+    FIRST_SLOTS,
     GilbertElliott,
     LinkDynamics,
     LossRateGrid,
@@ -26,6 +30,7 @@ from repro.channel.dynamics import (
     trajectory_from_states,
     trajectory_from_uniforms,
 )
+from repro.experiments import registry
 from repro.experiments.fig18_opportunistic import random_relay_topology
 from repro.experiments.runner import run_sweep
 from repro.experiments.supervisor import RetryPolicy
@@ -213,9 +218,59 @@ class TestTrajectory:
                     trajectory_from_uniforms(_DYNAMICS, nodes, 12.0, block)
 
     def test_compact_storage_is_one_byte_per_slot_and_link(self):
-        trajectory = materialise_trajectory(_DYNAMICS, [4, 7, 9], 12.0, np.random.default_rng(8))
+        """A new trajectory holds only its first block, one byte per slot and
+        link plus the self-link column; a read past it decodes the rest."""
+        dynamics = LinkDynamics(gilbert_elliott=_GE, horizon_slots=3 * FIRST_SLOTS)
+        trajectory = materialise_trajectory(dynamics, [4, 7, 9], 12.0, np.random.default_rng(8))
         assert trajectory.multipliers.dtype == np.uint8
-        assert trajectory.multipliers.shape == (_DYNAMICS.horizon_slots, 6)
+        assert trajectory.multipliers.shape == (FIRST_SLOTS, 7)
+        trajectory.pair_multiplier(FIRST_SLOTS - 1, 4, 7)
+        assert trajectory.multipliers.shape == (FIRST_SLOTS, 7)
+        trajectory.pair_multiplier(FIRST_SLOTS, 4, 7)
+        assert trajectory.multipliers.shape == (3 * FIRST_SLOTS, 7)
+        assert trajectory.pending is None
+
+
+#: Past the first block and then some: growth, and a wrap beyond it.
+_LONG = 3 * FIRST_SLOTS + 5
+
+
+class TestStreamPosition:
+    """The lazy draw leaves the lane generator exactly where the whole block would."""
+
+    nodes = [4, 7, 9]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.random.Generator(np.random.PCG64(21)),
+            lambda: np.random.Generator(np.random.PCG64DXSM(21)),
+            lambda: np.random.Generator(np.random.MT19937(21)),
+            lambda: np.random.Generator(np.random.Philox(21)),
+        ],
+        ids=["pcg64", "pcg64dxsm", "mt19937", "philox"],
+    )
+    @pytest.mark.parametrize("pending_half", [False, True], ids=["aligned", "pending-half"])
+    def test_generator_state_matches_the_whole_block_draw(self, make, pending_half):
+        dynamics = LinkDynamics(gilbert_elliott=_GE, grid=_GRID, horizon_slots=_LONG)
+        lazy, eager = make(), make()
+        if pending_half:
+            lazy.integers(0, 10)
+            eager.integers(0, 10)
+            if "has_uint32" in lazy.bit_generator.state:
+                assert lazy.bit_generator.state["has_uint32"] == 1
+        trajectory = materialise_trajectory(dynamics, self.nodes, 12.0, lazy)
+        block = eager.random((_LONG, 6))
+        np.testing.assert_equal(lazy.bit_generator.state, eager.bit_generator.state)
+        assert lazy.integers(0, 10, 5).tolist() == eager.integers(0, 10, 5).tolist()
+        assert lazy.random() == eager.random()
+        # The trajectory is the one the whole block gives.
+        oracle = trajectory_from_states(dynamics, self.nodes, 12.0, _loop_states(_GE, block))
+        for src in self.nodes:
+            receivers = [node for node in self.nodes if node != src]
+            np.testing.assert_array_equal(
+                trajectory.rows(0, _LONG, src, receivers), oracle.rows(0, _LONG, src, receivers)
+            )
 
 
 def _dense_cube(dynamics, node_ids, rate_mbps, uniforms):
@@ -262,8 +317,10 @@ class TestLazyAccessors:
             LinkDynamics(gilbert_elliott=_GE, horizon_slots=24),
             LinkDynamics(grid=_GRID, horizon_slots=24),
             LinkDynamics(gilbert_elliott=_GE, grid=_GRID, horizon_slots=24),
+            LinkDynamics(gilbert_elliott=_GE, horizon_slots=_LONG),
+            LinkDynamics(gilbert_elliott=_GE, grid=_GRID, horizon_slots=_LONG),
         ],
-        ids=["ge", "grid", "ge+grid"],
+        ids=["ge", "grid", "ge+grid", "ge-long", "ge+grid-long"],
     )
     def test_every_accessor_matches_the_dense_cube(self, dynamics):
         trajectory, cube = self.build(dynamics)
@@ -283,6 +340,7 @@ class TestLazyAccessors:
             for r, node in enumerate(receivers):
                 assert block[k, r] == self.at(cube, horizon - 3 + k, 7, node)
         assert trajectory.rows(0, 4, 7, []).shape == (4, 0)
+        assert trajectory.rows(5, 0, 7, receivers).shape == (0, 3)
         for slot in (1, horizon + 1):
             joint = trajectory.receiver_multipliers(slot, [10, 7], receivers)
             expected = [
@@ -310,6 +368,33 @@ class TestLazyAccessors:
         )
         assert trajectory.pair_multiplier(9, 5, 5) == factor
         np.testing.assert_array_equal(trajectory.rows(14, 4, 5, [5])[:, 0], [factor] * 4)
+
+    @pytest.mark.parametrize(
+        "first_read",
+        [
+            lambda t: t.rows(FIRST_SLOTS - 3, 7, 7, [3, 5]),
+            lambda t: t.rows(_LONG - 3, 7, 10, [7]),
+            lambda t: t.pair_multiplier(FIRST_SLOTS, 3, 5),
+            lambda t: t.pair_multiplier(2 * _LONG - 1, 5, 3),
+            lambda t: t.receiver_multipliers(FIRST_SLOTS + 9, [10, 3], [5, 7]),
+            lambda t: t.rows(FIRST_SLOTS - 1, 0, 7, [3, 5]),
+        ],
+        ids=["rows-across-prefix", "rows-across-wrap", "pair-past-prefix",
+             "pair-wrapped-last", "joint-past-prefix", "rows-empty"],
+    )
+    def test_growth_decodes_every_slot_as_the_dense_cube(self, first_read):
+        """Whichever read first reaches past the first block, every slot then
+        reads as the per-slot loop's cube, before, across and past the prefix."""
+        dynamics = LinkDynamics(gilbert_elliott=_GE, grid=_GRID, horizon_slots=_LONG)
+        trajectory, cube = self.build(dynamics)
+        first_read(trajectory)
+        for slot in range(_LONG):
+            for src in self.nodes:
+                receivers = [node for node in self.nodes if node != src]
+                np.testing.assert_array_equal(
+                    trajectory.receiver_multipliers(slot, [src], receivers),
+                    [self.at(cube, slot, src, node) for node in receivers],
+                )
 
     def test_read_order_cannot_change_a_multiplier(self):
         """Evaluating columns alone or together gives the same floats."""
@@ -481,6 +566,61 @@ class TestDrawLedgerAudit:
         )
         assert diff.identical, diff.report()
         assert diff.result_a == diff.result_b
+
+
+def _eager_from_uniforms(dynamics, node_ids, rate_mbps, rng):
+    """Oracle builder: the whole uniform block drawn up front."""
+    n_links = len(node_ids) * (len(node_ids) - 1)
+    uniforms = dynamics.draw_state_uniforms(rng, n_links)
+    return trajectory_from_uniforms(dynamics, node_ids, rate_mbps, uniforms)
+
+
+def _eager_from_loop(dynamics, node_ids, rate_mbps, rng):
+    """Oracle builder: the whole block, decoded by the per-slot loop."""
+    n_links = len(node_ids) * (len(node_ids) - 1)
+    uniforms = dynamics.draw_state_uniforms(rng, n_links)
+    states = None if uniforms is None else _loop_states(dynamics.gilbert_elliott, uniforms)
+    return trajectory_from_states(dynamics, node_ids, rate_mbps, states)
+
+
+#: The modules that build lane trajectories, by their imported name.
+_TRAJECTORY_CALLERS = (repro.routing.exor, repro.routing.link_local, repro.routing.ensemble)
+
+
+class TestEagerOracle:
+    @pytest.mark.parametrize("build", [_eager_from_uniforms, _eager_from_loop],
+                             ids=["uniforms", "loop"])
+    def test_fig20_smoke_matches_whole_block_trajectories(self, monkeypatch, build):
+        """fig20 ``smoke`` gives the same bytes when every trajectory is drawn
+        as a whole block up front — and some trajectory does grow, so the
+        saved-state re-draw is exercised.  Afterwards every lazy trajectory,
+        read over its whole horizon, equals its whole-block twin."""
+        spec = registry.get("fig20_link_dynamics")
+        config = spec.make_config("smoke")
+        built = {"lazy": [], "eager": []}
+
+        def recording(kind, builder):
+            def wrapped(*args):
+                built[kind].append(builder(*args))
+                return built[kind][-1]
+            return wrapped
+
+        for module in _TRAJECTORY_CALLERS:
+            monkeypatch.setattr(
+                module, "materialise_trajectory", recording("lazy", materialise_trajectory)
+            )
+        lazy = spec.run(config).to_json()
+        assert any(len(t.multipliers) > FIRST_SLOTS for t in built["lazy"])
+        for module in _TRAJECTORY_CALLERS:
+            monkeypatch.setattr(module, "materialise_trajectory", recording("eager", build))
+        assert spec.run(config).to_json() == lazy
+        assert len(built["lazy"]) == len(built["eager"])
+        for a, b in zip(built["lazy"], built["eager"]):
+            nodes = sorted({src for src, _ in a.columns})
+            for src in nodes:
+                np.testing.assert_array_equal(
+                    a.rows(0, a.horizon_slots, src, nodes), b.rows(0, b.horizon_slots, src, nodes)
+                )
 
 
 #: Near-zero backoff keeps any supervised retry cheap in tests.
