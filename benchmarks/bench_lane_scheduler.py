@@ -14,9 +14,6 @@ ends and writes ``BENCH_lane_scheduler.json``:
   loose quick-preset floor ``bench_exor_ensemble`` uses, so scheduler
   noise on loaded machines cannot fail the smoke test; typical observed
   ratios are ~2.2-2.5x and ~1.6x);
-* **newly batched experiments** — fig16 and ablation_slope gained
-  ``batched=True`` lanes in this PR; their ratios are recorded (not
-  asserted: both quick workloads are small, so ~1x is acceptable);
 * **raw dispatch cost** — a microbench of trivial scripted lanes through
   :class:`~repro.engine.LockstepScheduler` against the same bodies run
   inline, recording the per-lane-wave overhead in microseconds (bucketed
@@ -90,16 +87,12 @@ def _dispatch_overhead_us(n_lanes: int = 200, rounds: int = 5) -> float:
 def test_lane_scheduler_overhead(benchmark):
     fig18_batched, fig18_sequential = _time_both("fig18", "quick", repeats=5)
     fig19_batched, fig19_sequential = _time_both("fig19_traffic_load", "quick", repeats=3)
-    fig16_batched, fig16_sequential = _time_both("fig16", "quick", repeats=3)
-    slope_batched, slope_sequential = _time_both("ablation_slope", "quick", repeats=3)
     overhead_us = _dispatch_overhead_us()
 
     fig18_ratio = fig18_sequential / fig18_batched
     fig19_ratio = fig19_sequential / fig19_batched
     print(
         f"\nfig18 quick {fig18_ratio:.2f}x, fig19 quick {fig19_ratio:.2f}x, "
-        f"fig16 quick {fig16_sequential / fig16_batched:.2f}x, "
-        f"ablation_slope quick {slope_sequential / slope_batched:.2f}x, "
         f"dispatch overhead {overhead_us:.1f} us/lane-wave"
     )
 
@@ -113,10 +106,6 @@ def test_lane_scheduler_overhead(benchmark):
                 "fig19_traffic_load_quick": round(fig19_ratio, 1),
             },
             "pr_floor": {"fig18_quick": 1.5, "fig19_traffic_load_quick": 1.1},
-            "newly_batched_speedup": {
-                "fig16_quick": round(fig16_sequential / fig16_batched, 1),
-                "ablation_slope_quick": round(slope_sequential / slope_batched, 1),
-            },
             "dispatch_overhead_us_per_lane_wave_bucket": float(
                 np.ceil(overhead_us / 5.0) * 5.0
             ),

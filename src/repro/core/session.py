@@ -710,58 +710,6 @@ class SourceSyncSession:
         )
 
     # ------------------------------------------------------------------
-    # Batched ensemble entry points (lockstep core path)
-    # ------------------------------------------------------------------
-    def run_sync_trials_batch(self, n_trials: int, compensate: bool = True) -> list[SyncTrialResult]:
-        """``n_trials`` synchronization trials with batched computation.
-
-        Reproduces ``[self.run_sync_trial(compensate) for _ in range(n_trials)]``
-        (same RNG draw order, same results) with the per-trial detection and
-        phase-slope stages executed as stacked array operations; see
-        :mod:`repro.core.ensemble`.
-        """
-        from repro.core.ensemble import run_sync_trials_batch
-
-        return run_sync_trials_batch([self], repeats=n_trials, compensate=compensate)[0]
-
-    def run_joint_ensemble(
-        self,
-        payloads: list[bytes],
-        rate_mbps: float = 6.0,
-        data_cp_samples: int | list[int | None] | None = None,
-        compensate: bool = True,
-        genie_timing: bool = False,
-    ) -> list[JointFrameOutcome]:
-        """Transmit an ensemble of independent joint frames, decoded batched.
-
-        The batched counterpart of a ``run_joint_frame(...,
-        apply_tracking_feedback=False)`` loop: frames are independent given
-        the current tracker state, so the whole ensemble shares one batched
-        receive pass (single block-parallel Viterbi call).  ``data_cp_samples``
-        may be a scalar applied to every frame or one value per frame (the
-        Fig. 13 cyclic-prefix sweep).
-        """
-        from repro.core.ensemble import JointFrameJob, run_joint_frames_batch
-
-        if isinstance(data_cp_samples, list):
-            if len(data_cp_samples) != len(payloads):
-                raise ValueError("need one data_cp_samples entry per payload")
-            cps = data_cp_samples
-        else:
-            cps = [data_cp_samples] * len(payloads)
-        jobs = [
-            JointFrameJob(
-                payload=payload,
-                rate_mbps=rate_mbps,
-                data_cp_samples=cp,
-                compensate=compensate,
-                genie_timing=genie_timing,
-            )
-            for payload, cp in zip(payloads, cps)
-        ]
-        return run_joint_frames_batch([self], [jobs])[0]
-
-    # ------------------------------------------------------------------
     # Single-sender reference transmission (for gain comparisons)
     # ------------------------------------------------------------------
     def run_single_sender_frame(
@@ -773,8 +721,9 @@ class SourceSyncSession:
     ) -> JointFrameOutcome:
         """Transmit the same payload from a single sender (no co-senders).
 
-        Used by the power/diversity-gain experiments (§8.2) and the last-hop
-        baseline (single best AP, §8.3).
+        A reference for comparing a joint frame against one sender alone;
+        ``examples/quickstart.py`` and the session tests call it, and no
+        experiment does.
         """
         self._ensure_measured()
         topo = self.topology

@@ -210,8 +210,10 @@ def render_experiment_page(spec: ExperimentSpec) -> str:
         f"Tags: {', '.join(spec.tags)}."
         + (
             " The Monte-Carlo core runs through the lockstep ensemble engines"
-            " (`batched=False` switches to the sequential oracle path with"
-            " bit-identical seeded results)."
+            " (`batched=False` switches to the sequential oracle path, whose"
+            " seeded results are byte-identical except in fig12 and fig15:"
+            " their stacked joint-frame receive kernels round in the last ulp,"
+            " so they agree to `rel=1e-9`)."
             if spec.batched
             else ""
         ),

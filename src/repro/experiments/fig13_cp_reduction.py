@@ -29,7 +29,7 @@ from repro.phy import bits as bitutils
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.transmitter import encode_payload_to_symbols
 
-__all__ = ["Config", "SPEC", "measure_snr_vs_cp"]
+__all__ = ["Config", "SPEC"]
 
 
 @dataclass(frozen=True)
@@ -98,36 +98,6 @@ def _chain_seeds(seed: int, n_topologies: int) -> list:
     return list(np.random.SeedSequence(seed).spawn(n_topologies))
 
 
-def measure_snr_vs_cp(
-    cp_values_samples: tuple[int, ...],
-    compensate: bool,
-    snr_db: float = 20.0,
-    payload_bytes: int = 60,
-    n_frames: int = 2,
-    seed: int = 5,
-    params: OFDMParams = DEFAULT_PARAMS,
-    batched: bool = True,
-    n_topologies: int = 1,
-) -> list[float]:
-    """Average effective SNR at each CP value, with or without compensation.
-
-    The tracking loop converges during warm-up exchanges and is then frozen
-    for the measured frames (the channels are static, so per-frame feedback
-    would only inject estimator noise into the sweep); the frames are
-    therefore independent and, with ``batched``, decode as one ensemble
-    through :func:`repro.core.ensemble.run_joint_frames_batch` with
-    identical seeded results.  ``n_topologies`` widens the chain: the sweep
-    is measured over that many independent joint topologies (sessions) and
-    averaged per CP value, which is also what lets the lockstep engine
-    amortise — every topology's frames decode in one ensemble.
-    """
-    folds = _measure_folds(
-        cp_values_samples, compensate, snr_db, payload_bytes, n_frames, seed,
-        params, batched, n_topologies,
-    )
-    return _mean_over_topologies(folds)
-
-
 def _measure_folds(
     cp_values_samples: tuple[int, ...],
     compensate: bool,
@@ -136,29 +106,15 @@ def _measure_folds(
     n_frames: int,
     seed: int,
     params: OFDMParams,
-    batched: bool,
     n_topologies: int,
 ) -> list[list[float]]:
-    """Per-topology SNR-vs-CP folds for one measurement chain."""
-    chains = [
-        _prepare_chain(compensate, snr_db, payload_bytes, chain_seed, params)
-        for chain_seed in _chain_seeds(seed, n_topologies)
-    ]
-    if batched:
-        jobs = [
-            _sweep_jobs(payload, cp_values_samples, n_frames, compensate)
-            for _, payload in chains
-        ]
-        outcome_lists = run_joint_frames_batch([session for session, _ in chains], jobs)
-    else:
-        outcome_lists = [
-            _run_sweep_sequential(session, payload, cp_values_samples, n_frames, compensate)
-            for session, payload in chains
-        ]
-    return [
-        _fold_sweep(outcomes, payload, cp_values_samples, n_frames)
-        for outcomes, (_, payload) in zip(outcome_lists, chains)
-    ]
+    """Per-topology SNR-vs-CP folds for one measurement chain, run sequentially."""
+    folds = []
+    for chain_seed in _chain_seeds(seed, n_topologies):
+        session, payload = _prepare_chain(compensate, snr_db, payload_bytes, chain_seed, params)
+        outcomes = _run_sweep_sequential(session, payload, cp_values_samples, n_frames, compensate)
+        folds.append(_fold_sweep(outcomes, payload, cp_values_samples, n_frames))
+    return folds
 
 
 def _mean_over_topologies(folds: list[list[float]]) -> list[float]:
@@ -314,11 +270,11 @@ def _run(config: Config) -> ExperimentResult:
     else:
         sourcesync_folds = _measure_folds(
             cp_values_samples, True, config.snr_db, 60, config.n_frames,
-            config.seed, params, False, config.n_topologies,
+            config.seed, params, config.n_topologies,
         )
         baseline_folds = _measure_folds(
             cp_values_samples, False, config.snr_db, 60, config.n_frames,
-            config.seed, params, False, config.n_topologies,
+            config.seed, params, config.n_topologies,
         )
     sourcesync = _mean_over_topologies(sourcesync_folds)
     baseline = _mean_over_topologies(baseline_folds)

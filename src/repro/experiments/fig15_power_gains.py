@@ -103,40 +103,35 @@ def _regime_values(
     return single, joint, profiles
 
 
+def _placement_rngs(
+    target_snr_db: float, n_placements: int, seed: int
+) -> list[np.random.Generator]:
+    """One spawned generator per placement of the regime at ``target_snr_db``."""
+    root = np.random.SeedSequence((seed, int(target_snr_db * 10)))
+    return [np.random.default_rng(child) for child in root.spawn(n_placements)]
+
+
 def measure_regime(
     target_snr_db: float,
     n_placements: int = 4,
     seed: int = 15,
     params: OFDMParams = DEFAULT_PARAMS,
-    batched: bool = True,
-    rngs: list[np.random.Generator] | None = None,
 ) -> tuple[list[float], list[float], list[np.ndarray]]:
     """Single-sender and joint average SNRs for placements in one regime.
 
     Returns ``(single_sender_snrs, joint_snrs, per_subcarrier_joint_profiles)``;
     the single-sender list contains both senders of every placement.  Each
-    placement draws from its own spawned generator (``rngs`` overrides
-    them), so the lockstep ``batched`` path and the sequential path produce
-    the same seeded results.
+    placement draws from its own spawned generator, so this sequential
+    path and the experiment's lockstep path produce the same seeded results.
     """
-    if rngs is None:
-        root = np.random.SeedSequence((seed, int(target_snr_db * 10)))
-        rngs = [np.random.default_rng(child) for child in root.spawn(n_placements)]
     channels_list = []
-    if batched:
-        sessions = [_placement_session(target_snr_db, rng, params) for rng in rngs]
-        measure_delays_batch(sessions)
-        converge_tracking_batch(sessions, rounds=3)
-        outcomes = run_header_exchanges_batch(sessions, repeats=1, apply_tracking_feedback=False)
-        channels_list = [outcome[0].channels for outcome in outcomes]
-    else:
-        for rng in rngs:
-            session = _placement_session(target_snr_db, rng, params)
-            session.measure_delays()
-            session.converge_tracking(rounds=3)
-            channels_list.append(
-                session.run_header_exchange(apply_tracking_feedback=False).channels
-            )
+    for rng in _placement_rngs(target_snr_db, n_placements, seed):
+        session = _placement_session(target_snr_db, rng, params)
+        session.measure_delays()
+        session.converge_tracking(rounds=3)
+        channels_list.append(
+            session.run_header_exchange(apply_tracking_feedback=False).channels
+        )
     return _regime_values(channels_list, params)
 
 
@@ -163,21 +158,14 @@ def _run(config: Config) -> ExperimentResult:
     way, so both paths report the same seeded numbers).
     """
     regimes = list(SNR_REGIMES.keys())
-    regime_rngs = {
-        regime: [
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(
-                (config.seed, int(REGIME_TARGET_SNR_DB[regime] * 10))
-            ).spawn(config.n_placements)
-        ]
-        for regime in regimes
-    }
     per_regime: dict[str, tuple[list[float], list[float], list[np.ndarray]]] = {}
     if config.batched:
         cells = [
             (regime, _placement_session(REGIME_TARGET_SNR_DB[regime], rng, config.params))
             for regime in regimes
-            for rng in regime_rngs[regime]
+            for rng in _placement_rngs(
+                REGIME_TARGET_SNR_DB[regime], config.n_placements, config.seed
+            )
         ]
         sessions = [session for _, session in cells]
         measure_delays_batch(sessions)
@@ -193,12 +181,7 @@ def _run(config: Config) -> ExperimentResult:
     else:
         for regime in regimes:
             per_regime[regime] = measure_regime(
-                REGIME_TARGET_SNR_DB[regime],
-                config.n_placements,
-                config.seed,
-                config.params,
-                batched=False,
-                rngs=regime_rngs[regime],
+                REGIME_TARGET_SNR_DB[regime], config.n_placements, config.seed, config.params
             )
     single_means: list[float] = []
     joint_means: list[float] = []

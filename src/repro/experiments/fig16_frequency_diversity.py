@@ -20,13 +20,12 @@ import numpy as np
 from repro.analysis.snr import flatness_db
 from repro.channel.awgn import linear_to_db
 from repro.core import JointTopology, SourceSyncSession, SourceSyncConfig
-from repro.engine import Lane, LockstepScheduler
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig15_power_gains import REGIME_TARGET_SNR_DB
 from repro.experiments.registry import experiment
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "measure_profiles", "measure_profiles_batched"]
+__all__ = ["Config", "SPEC", "measure_profiles"]
 
 
 @dataclass(frozen=True)
@@ -36,23 +35,15 @@ class Config:
     The figure needs exactly one placement per SNR regime, so the workload
     is the same at every preset; ``max_attempts`` bounds the topology
     re-draws when a placement fails to produce a co-sender estimate.
-    ``batched`` runs the regimes' placement attempts in lockstep through
-    the shared engine (bit-identical to the per-regime sequential path).
     """
 
     seed: int = 16
     max_attempts: int = 5
     params: OFDMParams = DEFAULT_PARAMS
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-
-
-def _regime_rng(target_snr_db: float, seed: int) -> np.random.Generator:
-    """The regime's dedicated generator (both execution paths share it)."""
-    return np.random.default_rng(seed + int(target_snr_db * 7))
 
 
 def _profiles_from_channels(channels, params: OFDMParams) -> dict[str, np.ndarray] | None:
@@ -83,7 +74,7 @@ def measure_profiles(
     max_attempts: int = 5,
 ) -> dict[str, np.ndarray] | None:
     """Per-subcarrier SNR of sender 1, sender 2 and the joint transmission."""
-    rng = _regime_rng(target_snr_db, seed)
+    rng = np.random.default_rng(seed + int(target_snr_db * 7))
     for _ in range(max_attempts):
         topo = JointTopology.from_snrs(
             rng,
@@ -104,84 +95,6 @@ def measure_profiles(
     return None
 
 
-class _RegimeLane(Lane):
-    """One SNR regime's placement search, attempts advancing in lockstep.
-
-    Each wave is one placement attempt: every live regime draws a topology
-    and session from its own generator (in lane order), then the
-    measurement sequence — probe legs, tracking convergence, the header
-    exchange — runs through the lockstep kernels of
-    :mod:`repro.core.ensemble`, which consume each session's generator in
-    exactly its sequential order.  A regime finishes on its first usable
-    co-sender estimate or after ``max_attempts`` tries.
-    """
-
-    stacked = True
-
-    def __init__(
-        self, target_snr_db: float, seed: int, params: OFDMParams, max_attempts: int
-    ) -> None:
-        self.target_snr_db = target_snr_db
-        self.rng = _regime_rng(target_snr_db, seed)
-        self.after = None
-        self.params = params
-        self.max_attempts = max_attempts
-        self.attempts = 0
-        self.profiles: dict[str, np.ndarray] | None = None
-
-    @property
-    def finished(self) -> bool:
-        """Done on the first usable estimate or when attempts run out."""
-        return self.profiles is not None or self.attempts >= self.max_attempts
-
-    @classmethod
-    def advance_lanes(cls, lanes: list["_RegimeLane"]) -> None:
-        """One placement attempt per live regime; measurement runs batched."""
-        from repro.core.ensemble import (
-            converge_tracking_batch,
-            measure_delays_batch,
-            run_header_exchanges_batch,
-        )
-
-        sessions = []
-        for lane in lanes:
-            topo = JointTopology.from_snrs(
-                lane.rng,
-                lead_rx_snr_db=lane.target_snr_db,
-                cosender_rx_snr_db=[lane.target_snr_db],
-                lead_cosender_snr_db=[20.0],
-                params=lane.params,
-            )
-            sessions.append(
-                SourceSyncSession(topo, SourceSyncConfig(params=lane.params), rng=lane.rng)
-            )
-        measure_delays_batch(sessions)
-        converge_tracking_batch(sessions, rounds=3)
-        outcomes = run_header_exchanges_batch(
-            sessions, repeats=1, apply_tracking_feedback=False
-        )
-        for lane, per_repeat in zip(lanes, outcomes):
-            lane.attempts += 1
-            channels = per_repeat[0].channels
-            if channels is not None:
-                lane.profiles = _profiles_from_channels(channels, lane.params)
-
-    def result(self) -> dict[str, np.ndarray] | None:
-        """The regime's profile dict (None when every attempt failed)."""
-        return self.profiles
-
-
-def measure_profiles_batched(
-    targets: list[float],
-    seed: int = 16,
-    params: OFDMParams = DEFAULT_PARAMS,
-    max_attempts: int = 5,
-) -> list[dict[str, np.ndarray] | None]:
-    """Profiles for every target regime at once, one result per target."""
-    lanes = [_RegimeLane(target, seed, params, max_attempts) for target in targets]
-    return LockstepScheduler().run(lanes)
-
-
 @experiment(
     name="fig16",
     description="Per-subcarrier SNR of each sender and of the SourceSync joint transmission",
@@ -199,19 +112,10 @@ def _run(config: Config) -> ExperimentResult:
     params = config.params
     series: dict[str, list[float]] = {"subcarrier_index": list(range(params.n_occupied_subcarriers))}
     summary: dict[str, float] = {}
-    if config.batched:
-        batched = measure_profiles_batched(
-            list(REGIME_TARGET_SNR_DB.values()),
-            seed=config.seed, params=params, max_attempts=config.max_attempts,
-        )
-        per_regime = dict(zip(REGIME_TARGET_SNR_DB, batched))
     for regime, target in REGIME_TARGET_SNR_DB.items():
-        if config.batched:
-            profiles = per_regime[regime]
-        else:
-            profiles = measure_profiles(
-                target, seed=config.seed, params=params, max_attempts=config.max_attempts
-            )
+        profiles = measure_profiles(
+            target, seed=config.seed, params=params, max_attempts=config.max_attempts
+        )
         if profiles is None:
             continue
         for key, values in profiles.items():

@@ -244,9 +244,12 @@ class ExperimentSpec:
         Such experiments run their Monte-Carlo core as lockstep lanes on
         :mod:`repro.engine` (the joint-frame lanes of
         :mod:`repro.core.ensemble`, the routing and downlink lanes of
-        :mod:`repro.routing.ensemble`, or lanes of their own); the config's
-        ``batched=False`` switches to the sequential oracle path, with
-        bit-identical seeded results.
+        :mod:`repro.routing.ensemble`, or the flow lanes of
+        :mod:`repro.traffic.service`); the config's
+        ``batched=False`` switches to the sequential oracle path.  Its seeded
+        results are byte-identical except in fig12 and fig15, whose stacked
+        joint-frame receive kernels round in the last ulp, so they agree to
+        ``rel=1e-9``.
         """
         return any(f.name == "batched" for f in dataclasses.fields(self.config_cls))
 

@@ -2,7 +2,10 @@
 
 Every lockstep lane class in the reproduction registers a :class:`LaneCase`
 here (see ``tests/engine/test_engine_conformance.py``), and the parametrized
-harness gives it the full engine contract for free:
+harness gives it the full engine contract for free.  The lanes live in the
+engine modules (:mod:`repro.experiments.batch`, :mod:`repro.core.ensemble`,
+:mod:`repro.routing.ensemble`, :mod:`repro.traffic.service`); experiment
+modules keep no lanes of their own.  The contract:
 
 * **lockstep-vs-sequential bit-identity** — the lane's lockstep ensemble
   produces the results of running each lane's sequential simulation to

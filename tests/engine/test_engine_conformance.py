@@ -2,8 +2,7 @@
 
 Registers one :class:`tests.engine.conformance.LaneCase` per lane class —
 packet ensembles, joint frames, ExOR, single-path, link-local recovery,
-downlink last hop, traffic flows, and the two batched experiments
-(fig16 regime search, ablation_slope trials) — then runs the kit's
+downlink last hop and traffic flows — then runs the kit's
 parametrized checks over the registry: lockstep-vs-sequential identity,
 ledger audits, chained activation, empty ensembles, and chunking/jobs
 invariance (including non-dividing chunk widths).
@@ -405,71 +404,6 @@ register(LaneCase(
 
 
 # ----------------------------------------------------------------------
-# fig16 regime search (batched experiment lane)
-# ----------------------------------------------------------------------
-def _fig16_target() -> float:
-    from repro.experiments.fig15_power_gains import REGIME_TARGET_SNR_DB
-
-    return max(REGIME_TARGET_SNR_DB.values())
-
-
-def _fig16_lockstep():
-    from repro.experiments.fig16_frequency_diversity import measure_profiles_batched
-
-    return measure_profiles_batched([_fig16_target()], seed=16, max_attempts=2)
-
-
-def _fig16_sequential():
-    from repro.experiments.fig16_frequency_diversity import measure_profiles
-
-    return [measure_profiles(_fig16_target(), seed=16, max_attempts=2)]
-
-
-# allclose compare and no audit pair: the regime's measurement runs
-# through the batched receive kernels, which draw ahead (noise blocks
-# before header bits) and stack FFTs — per-session results agree to the
-# documented ulp tolerance while the raw draw order is rearranged.
-register(LaneCase(
-    name="fig16_regime",
-    lockstep=_fig16_lockstep,
-    sequential=_fig16_sequential,
-    compare=assert_results_close,
-))
-
-
-# ----------------------------------------------------------------------
-# ablation_slope trials (batched experiment lane, chained on one rng)
-# ----------------------------------------------------------------------
-def _ablation_run(batched: bool, n_trials: int = 3):
-    from repro.experiments.ablation_slope import estimation_errors
-
-    windowed, fullband = estimation_errors(
-        (1.0, 2.0), snr_db=15.0, n_trials=n_trials, seed=42, batched=batched
-    )
-    return [windowed, fullband]
-
-
-def _ablation_chained():
-    """Five chained trial lanes on one generator equal the sequential loop."""
-    assert_results_equal(_ablation_run(True, n_trials=5), _ablation_run(False, n_trials=5))
-
-
-def _ablation_empty():
-    windowed, fullband = (np.asarray(v) for v in _ablation_run(True, n_trials=0))
-    assert windowed.size == 0 and fullband.size == 0
-
-
-register(LaneCase(
-    name="ablation_slope",
-    lockstep=partial(_ablation_run, True),
-    sequential=partial(_ablation_run, False),
-    audit=(partial(_ablation_run, True), partial(_ablation_run, False)),
-    chained=_ablation_chained,
-    empty=_ablation_empty,
-))
-
-
-# ----------------------------------------------------------------------
 # The harness: one parametrized check per conformance axis
 # ----------------------------------------------------------------------
 def _cases_with(attr: str) -> list[str]:
@@ -513,7 +447,7 @@ def test_engine_conformance_registry_covers_all_lanes():
     """Every lane class shipped by the engine has a conformance case."""
     assert set(CASES) == {
         "packet", "joint_frame", "exor", "single_path", "link_local",
-        "downlink", "traffic_flow", "fig16_regime", "ablation_slope",
+        "downlink", "traffic_flow",
     }
 
 

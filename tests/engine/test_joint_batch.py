@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import JointTopology, SourceSyncConfig, SourceSyncSession
 from repro.core import ensemble as ens
+from repro.core.ensemble import run_sync_trials_batch
 from repro.phy import bits as bitutils
 
 
@@ -113,7 +114,7 @@ class TestJointBatchExchanges:
     def test_joint_batch_sync_trials_match_sequential(self, session_pairs):
         seq, bat = session_pairs
         sequential = [[s.run_sync_trial() for _ in range(2)] for s in seq]
-        batched = [s_b.run_sync_trials_batch(2) for s_b in bat]
+        batched = run_sync_trials_batch(bat, repeats=2)
         for per_session_seq, per_session_bat in zip(sequential, batched):
             for a, b in zip(per_session_seq, per_session_bat):
                 assert a.feasible == b.feasible
@@ -146,10 +147,8 @@ class TestJointBatchFrames:
             ]
             for s in seq
         ]
-        batched = [
-            s.run_joint_ensemble([payload] * len(cps), data_cp_samples=list(cps), genie_timing=True)
-            for s in bat
-        ]
+        jobs = [ens.JointFrameJob(payload, data_cp_samples=cp, genie_timing=True) for cp in cps]
+        batched = ens.run_joint_frames_batch(bat, [jobs] * len(bat))
         for per_session_seq, per_session_bat in zip(sequential, batched):
             for a, b in zip(per_session_seq, per_session_bat):
                 assert a.result.detected == b.result.detected
@@ -172,7 +171,7 @@ class TestJointBatchFrames:
         ens.measure_delays_batch(bat)
         payload = bitutils.random_payload(30, np.random.default_rng(2))
         a = seq[0].run_joint_frame(payload, data_cp_samples=8, apply_tracking_feedback=False)
-        (b,) = bat[0].run_joint_ensemble([payload], data_cp_samples=8)
+        ((b,),) = ens.run_joint_frames_batch(bat, [[ens.JointFrameJob(payload, data_cp_samples=8)]])
         assert a.result.detected == b.result.detected
         assert a.result.start_index == b.result.start_index
         assert a.result.payload == b.result.payload

@@ -98,6 +98,10 @@ class TestSlopeAblation:
         assert windowed < 0.5
         assert fullband < 0.5
 
+    def test_zero_trials_give_empty_error_arrays(self):
+        windowed, fullband = ablation_slope.estimation_errors((1.0, 2.0), n_trials=0)
+        assert windowed.size == 0 and fullband.size == 0
+
 
 class TestLinkLevelExperiments:
     def test_fig17_small_run_shows_gain(self):

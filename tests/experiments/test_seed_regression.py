@@ -15,9 +15,16 @@ also moves the coarse-CFO estimation window), fig12/fig15 now seed every
 (SNR, topology) cell from its own spawned generator, fig13 freezes the
 tracking loop during the measured CP sweep, and fig17/fig18 thread
 independent per-trial seeds through ``run_trials`` — all deliberate,
-order-independence-enabling changes (see CHANGES.md).  The batched and
-sequential (``batched=False``) paths produce these same values.
+order-independence-enabling changes (see CHANGES.md).
+
+For experiments with a ``batched`` field, the sequential oracle
+(``batched=False``) reproduces the default lockstep output at ``smoke``
+byte for byte, except fig12 and fig15: their batched joint-frame receive
+stage differs from the per-frame one in the last ulp, so they agree to
+``rel=1e-9`` (see :data:`ULP_DIVERGENT`).
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -41,6 +48,14 @@ PINNED = {
 }
 
 
+#: Batched experiments whose sequential oracle agrees only to ``rel=1e-9``:
+#: the stacked joint-frame header and receive kernels round differently
+#: from the per-frame ones in the last ulp.
+ULP_DIVERGENT = {"fig12", "fig15"}
+
+BATCHED = sorted(name for name in registry.names() if registry.get(name).batched)
+
+
 def test_every_experiment_is_pinned():
     assert set(PINNED) == set(registry.names())
 
@@ -62,3 +77,27 @@ def test_seed_override_changes_or_preserves_output_deterministically(name):
     assert first.summary.keys() == second.summary.keys()
     for summary_key in first.summary:
         np.testing.assert_array_equal(first.summary[summary_key], second.summary[summary_key])
+
+
+def test_ulp_divergent_experiments_are_batched():
+    assert ULP_DIVERGENT <= set(BATCHED)
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_sequential_oracle_reproduces_default_smoke_output(name):
+    """``batched=False`` gives the default config's ``series``/``summary``."""
+    spec = registry.get(name)
+    lockstep = spec.run(spec.make_config("smoke"))
+    sequential = spec.run(spec.make_config("smoke", {"batched": False}))
+    if name not in ULP_DIVERGENT:
+        assert json.dumps([lockstep.series, lockstep.summary], sort_keys=True) == json.dumps(
+            [sequential.series, sequential.summary], sort_keys=True
+        )
+        return
+    for a, b in ((lockstep.series, sequential.series), (lockstep.summary, sequential.summary)):
+        assert a.keys() == b.keys()
+        for key in a:
+            if isinstance(a[key], list) and a[key] and isinstance(a[key][0], str):
+                assert a[key] == b[key]
+            else:
+                np.testing.assert_allclose(a[key], b[key], rtol=1e-9, equal_nan=True)
