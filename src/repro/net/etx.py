@@ -9,16 +9,16 @@ ExOR orders candidate forwarders by their ETX distance to the destination.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import heapq
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.net.topology import Testbed
 
-if TYPE_CHECKING:
-    import networkx as nx
-
 __all__ = [
+    "EtxGraph",
     "link_etx",
     "etx_graph",
     "path_etx",
@@ -39,12 +39,27 @@ def link_etx(forward_delivery: float, reverse_delivery: float) -> float:
     return 1.0 / product
 
 
+@dataclass(frozen=True)
+class EtxGraph:
+    """Directed graph of usable links, weighted by ETX.
+
+    ``successors[a][b]`` and ``predecessors[b][a]`` both hold the ETX of
+    link ``a -> b``.  Every testbed node is a key of both maps, linked or
+    not.  The inner maps keep the order edges were added in (source-major
+    over ``testbed.node_ids``), which is the order route searches visit
+    neighbours in.
+    """
+
+    successors: dict[int, dict[int, float]]
+    predecessors: dict[int, dict[int, float]]
+
+
 def etx_graph(
     testbed: Testbed,
     probe_rate_mbps: float = 6.0,
     probe_bytes: int = 1460,
     max_loss: float = MAX_USABLE_LOSS,
-) -> nx.DiGraph:
+) -> EtxGraph:
     """Directed graph of usable links weighted by ETX.
 
     Memoised on the testbed: link profiles are static for a testbed's
@@ -62,12 +77,10 @@ def _build_etx_graph(
     probe_rate_mbps: float,
     probe_bytes: int,
     max_loss: float,
-) -> nx.DiGraph:
-    import networkx as nx
-
+) -> EtxGraph:
     testbed.prime_delivery_cache(probe_rate_mbps, probe_bytes)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(testbed.node_ids)
+    successors: dict[int, dict[int, float]] = {node: {} for node in testbed.node_ids}
+    predecessors: dict[int, dict[int, float]] = {node: {} for node in testbed.node_ids}
     for src in testbed.node_ids:
         for dst in testbed.node_ids:
             if src == dst:
@@ -78,40 +91,78 @@ def _build_etx_graph(
                 continue
             etx = link_etx(fwd, rev)
             if np.isfinite(etx):
-                graph.add_edge(src, dst, etx=etx, delivery=fwd)
-    return graph
+                successors[src][dst] = etx
+                predecessors[dst][src] = etx
+    return EtxGraph(successors, predecessors)
 
 
-def path_etx(graph: nx.DiGraph, path: list[int]) -> float:
+def path_etx(graph: EtxGraph, path: list[int]) -> float:
     """Sum of link ETX values along a path."""
     total = 0.0
     for a, b in zip(path[:-1], path[1:]):
-        if not graph.has_edge(a, b):
+        etx = graph.successors.get(a, {}).get(b)
+        if etx is None:
             return float("inf")
-        total += graph.edges[a, b]["etx"]
+        total += etx
     return total
 
 
-def best_route(graph: nx.DiGraph, src: int, dst: int) -> list[int] | None:
-    """Minimum-ETX route between two nodes (None when disconnected)."""
-    import networkx as nx
+def _dijkstra(
+    adjacency: dict[int, dict[int, float]], source: int
+) -> tuple[dict[int, float], dict[int, int]]:
+    """Single-source Dijkstra over ``adjacency[node] = {neighbour: etx}``.
 
-    try:
-        return nx.shortest_path(graph, src, dst, weight="etx")
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
+    Returns the distance of every reachable node, in the order nodes are
+    settled, and the last hop of every reached node other than ``source``.
+    Heap entries are ``(distance, counter, node)`` and a relaxation must be
+    strictly shorter, so among equal-cost last hops the first one relaxed
+    is kept.
+    """
+    distances: dict[int, float] = {}
+    tentative = {source: 0.0}
+    last_hop: dict[int, int] = {}
+    counter = itertools.count()
+    heap = [(0.0, next(counter), source)]
+    while heap:
+        distance, _, node = heapq.heappop(heap)
+        if node in distances:
+            continue
+        distances[node] = distance
+        for neighbour, etx in adjacency[node].items():
+            candidate = distance + etx
+            if neighbour not in distances and candidate < tentative.get(neighbour, float("inf")):
+                tentative[neighbour] = candidate
+                last_hop[neighbour] = node
+                heapq.heappush(heap, (candidate, next(counter), neighbour))
+    return distances, last_hop
+
+
+def best_route(graph: EtxGraph, src: int, dst: int) -> list[int] | None:
+    """Minimum-ETX route between two nodes (None when disconnected).
+
+    Ties between equal-cost routes are broken per hop: walking back from
+    ``dst``, each node keeps the first-relaxed last hop of the search from
+    ``src``, so the same graph always yields the same route.
+    """
+    if src not in graph.successors:
         return None
+    distances, last_hop = _dijkstra(graph.successors, src)
+    if dst not in distances:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(last_hop[path[-1]])
+    path.reverse()
+    return path
 
 
-def etx_to_destination(graph: nx.DiGraph, dst: int) -> dict[int, float]:
-    """ETX distance from every node to the destination."""
-    import networkx as nx
-
-    reversed_graph = graph.reverse(copy=False)
-    lengths = nx.single_source_dijkstra_path_length(reversed_graph, dst, weight="etx")
-    return dict(lengths)
+def etx_to_destination(graph: EtxGraph, dst: int) -> dict[int, float]:
+    """ETX distance from every node that can reach ``dst`` to ``dst``."""
+    distances, _ = _dijkstra(graph.predecessors, dst)
+    return distances
 
 
-def forwarder_order(graph: nx.DiGraph, candidates: list[int], dst: int) -> list[int]:
+def forwarder_order(graph: EtxGraph, candidates: list[int], dst: int) -> list[int]:
     """Order candidate forwarders by increasing ETX distance to the destination.
 
     This is ExOR's forwarder priority: the node closest (in ETX) to the

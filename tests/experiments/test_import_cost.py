@@ -1,12 +1,12 @@
-"""scipy and networkx load only when an experiment reaches code that uses them.
+"""scipy loads only when the LP solves, and networkx never loads.
 
-``scipy.optimize`` (the §4.6 wait-time linear program) and ``networkx``
-(the ETX routing graphs) are the two heaviest imports of the package.
-Importing :mod:`repro.experiments` and running a PHY-only experiment
-must not pay for either; the routing experiments load ``networkx`` when
-they build their first ETX graph, and the linear program loads ``scipy``
-on its first solve.  Each check runs in a fresh interpreter, because the
-test process itself has long since imported both.
+``scipy.optimize`` (the §4.6 wait-time linear program) is the heaviest
+import of the package, so importing :mod:`repro.experiments` and running
+the PHY and routing experiments must not pay for it: it loads on the
+first :func:`repro.core.sync.optimize_wait_times` solve.  The routing
+layer keeps its ETX graphs in :class:`repro.net.etx.EtxGraph`, so no
+step may load ``networkx`` at all.  Each check runs in a fresh
+interpreter, because the test process itself may have imported both.
 """
 
 import json
@@ -25,7 +25,7 @@ def loaded():
     return {"scipy": "scipy" in sys.modules, "networkx": "networkx" in sys.modules}
 
 steps = {}
-for name in ("fig12", "fig18"):
+for name in ("fig12", "fig18", "fig20_link_dynamics"):
     spec = registry.get(name)
     spec.run(spec.make_config("smoke"))
     steps[name] = loaded()
@@ -50,5 +50,6 @@ def _probe() -> dict[str, dict[str, bool]]:
 def test_heavy_imports_load_only_when_used():
     steps = _probe()
     assert steps["fig12"] == {"scipy": False, "networkx": False}
-    assert steps["fig18"] == {"scipy": False, "networkx": True}
-    assert steps["lp"] == {"scipy": True, "networkx": True}
+    assert steps["fig18"] == {"scipy": False, "networkx": False}
+    assert steps["fig20_link_dynamics"] == {"scipy": False, "networkx": False}
+    assert steps["lp"] == {"scipy": True, "networkx": False}
