@@ -22,11 +22,12 @@ order the sequential code would make it: stages that consume randomness are
 looped per session (draws are cheap), stages that only compute are batched
 (compute is where the time goes).  A lockstep run over sessions
 ``[s1, ..., sn]`` therefore produces the same results as running each
-session's sequential loop to completion, up to floating-point
-last-ulp differences from SIMD kernel selection on batched arrays (the same
-caveat as :meth:`repro.phy.receiver.Receiver.receive_batch`); decoded bits,
-CRC outcomes and detection decisions are identical in practice and asserted
-so by ``tests/engine/test_joint_batch.py``.
+session's sequential loop to completion.  Both run the same stacked
+receiver kernels (the sequential path on stacks of one), so detection and
+CRC decisions, decoded bits and misalignment reports are identical, as
+``tests/engine/test_joint_batch.py`` asserts; the LTF noise-variance mean,
+and with it the SNR, can round differently on a stack of one in the last
+ulp.
 
 Entry points
 ------------
@@ -53,7 +54,10 @@ back per session, in order::
     jobs = [[JointFrameJob(payload, rate_mbps=6.0, data_cp_samples=cp)
              for cp in cp_sweep] for _ in sessions]
     outcomes = run_joint_frames_batch(sessions, jobs)
-    # outcomes[s][r] == sessions[s].run_joint_frame(...) for job r, bit-for-bit
+    # outcomes[s][r] matches sessions[s].run_joint_frame(...,
+    # apply_tracking_feedback=False) for job r: the same decisions,
+    # misalignment report and equalized symbols; SNR may differ in the
+    # last ulp
 
 Heterogeneous ensembles are fine: ``jobs_per_session`` rows may have
 different lengths (sessions simply drop out of later waves), which is how
@@ -74,7 +78,7 @@ from repro.channel.composite import (
     propagate_rows,
 )
 from repro.core.channel_est.cfo import CfoEstimate
-from repro.core.frame import HEADER_SYMBOLS, JointFrameLayout, SyncHeader, make_joint_frame_config
+from repro.core.frame import HEADER_SYMBOLS, JointFrameLayout, make_joint_frame_config
 from repro.engine import Lane, LockstepScheduler
 from repro.core.sender import CoSender, header_symbol_bits, header_waveforms_from_bits
 from repro.core.session import (
@@ -586,12 +590,14 @@ def _header_layout(session: SourceSyncSession) -> JointFrameLayout:
 
 def _draw_header(
     session: SourceSyncSession, layout: JointFrameLayout, rate_mbps: float = 6.0
-) -> tuple[SyncHeader, np.ndarray]:
-    """Draw a header's packet id and expand its keyed bits straight away.
+) -> np.ndarray:
+    """Draw a header's packet id and return its keyed header bits.
 
     The keyed expansion uses a generator of its own, which the draw ledger
     records too, so it stays right after the packet-id draw as in the
-    per-frame path; only the waveform synthesis is left to a batch.
+    per-frame path; only the waveform synthesis is left to a batch, and
+    the lead waveform reuses that batch's row instead of expanding the
+    header again.
     """
     header = session.lead.make_header(
         packet_id=int(session.rng.integers(0, 1 << 16)),
@@ -600,7 +606,7 @@ def _draw_header(
         n_cosenders=layout.n_cosenders,
     )
     n_bits = HEADER_SYMBOLS * layout.params.n_data_subcarriers
-    return header, header_symbol_bits(header, n_bits)
+    return header_symbol_bits(header, n_bits)
 
 
 def _cosender_transmissions(
@@ -656,7 +662,7 @@ def run_sync_trials_batch(
     results: list[list[SyncTrialResult]] = [[] for _ in sessions]
     for _ in range(repeats):
         layouts = [_header_layout(session) for session in sessions]
-        bits = [_draw_header(session, layout)[1] for session, layout in zip(sessions, layouts)]
+        bits = [_draw_header(session, layout) for session, layout in zip(sessions, layouts)]
         waveforms = header_waveforms_from_bits(np.stack(bits), layouts[0].params)
         lanes = list(zip(sessions, layouts, waveforms))
         starts, feasible = _schedule_lockstep(lanes, compensate)
@@ -699,8 +705,8 @@ def run_header_exchanges_batch(
     # probe is detected and (b) the combined waveform fits the standard
     # total length.  Both assumptions are verified after the batched
     # computation; a session that violates either is rolled back to its
-    # generator snapshot and replayed through the scalar path, so outputs
-    # are always those of the sequential loop.
+    # generator snapshot and replayed through run_header_exchange, so its
+    # draws are always those of the sequential loop.
     # ------------------------------------------------------------------
     layouts = [_header_layout(session) for session in sessions]
     snapshots = [
@@ -865,7 +871,7 @@ def run_header_exchanges_batch(
             bad.add(s)
 
     # ------------------------------------------------------------------
-    # Roll back violated sessions and replay them through the scalar path.
+    # Roll back violated sessions and replay them through run_header_exchange.
     # ------------------------------------------------------------------
     results: list[list[HeaderExchangeOutcome | None]] = [[None] * repeats for _ in sessions]
     for s in bad:
@@ -1032,21 +1038,22 @@ class _JointFrameLane(Lane):
                 data_cp_samples=job.data_cp_samples,
                 sifs_us=session.config.sifs_us,
             )
-            header, bits = _draw_header(session, layout, job.rate_mbps)
-            lead_waveform = session.lead.build_waveform(
-                job.payload, header, layout, frame_config, sections=ctx.data_sections
-            )
-            drawn.append((wrapper, job, frame_config, layout, bits, lead_waveform))
+            bits = _draw_header(session, layout, job.rate_mbps)
+            drawn.append((wrapper, job, frame_config, layout, bits))
         # Header waveform synthesis draws nothing, and the lanes share one
-        # numerology, so the whole wave's headers are synthesised at once.
+        # numerology, so the whole wave's headers are synthesised at once;
+        # each lane's lead waveform reuses its header row.
         waveforms = header_waveforms_from_bits(
             np.stack([entry[4] for entry in drawn]), drawn[0][3].params
         )
         built = [
-            (wrapper, job, frame_config, layout, header_waveform, lead_waveform)
-            for (wrapper, job, frame_config, layout, _, lead_waveform), header_waveform in zip(
-                drawn, waveforms
+            (
+                wrapper, job, frame_config, layout, header_waveform,
+                wrapper.session.lead.build_waveform(
+                    job.payload, header_waveform, layout, frame_config, sections=ctx.data_sections
+                ),
             )
+            for (wrapper, job, frame_config, layout, _), header_waveform in zip(drawn, waveforms)
         ]
         schedule_lanes = [
             (entry[0].session, entry[3], entry[4]) for entry in built

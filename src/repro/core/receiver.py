@@ -15,6 +15,12 @@ places the paper calls out:
 
 It also produces the misalignment report (§4.5) that the receiver piggybacks
 on its ACK so co-senders can track delay changes without new probes.
+
+Every stage runs on a stack of frames: :meth:`JointReceiver.measure_header_batch`
+and :meth:`JointReceiver.receive_many` share one start, acquisition and CFO
+prologue and one header stage, and the per-frame
+:meth:`JointReceiver.measure_header` and :meth:`JointReceiver.receive` are
+stacks of one.
 """
 
 from __future__ import annotations
@@ -23,32 +29,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.channel_est.joint_estimator import (
-    JointChannelEstimate,
-    estimate_sender_channel,
-    sender_active,
-)
-from repro.core.sync.detection_delay import phase_slope_windowed_batch
+from repro.core.channel_est.joint_estimator import JointChannelEstimate
 from repro.core.channel_est.phase_tracking import track_phases_batch
 from repro.core.combining.stbc import SmartCombiner
 from repro.core.config import SourceSyncConfig
 from repro.core.frame import JointFrameLayout
-from repro.core.sync.detection_delay import estimate_detection_delay
-from repro.core.sync.tracking import MisalignmentReport, measure_misalignment
+from repro.core.sync.detection_delay import phase_slope_windowed_batch
+from repro.core.sync.tracking import MisalignmentReport
 from repro.phy import bits as bitutils
 from repro.phy.coding.convolutional import get_code
 from repro.phy.coding.interleaver import interleaver_permutation
 from repro.phy.coding.puncturing import depuncture
-from repro.phy.detection import (
-    detect_packet_autocorrelation,
-    detect_packet_autocorrelation_batch,
-    estimate_coarse_cfo_rows,
-)
+from repro.phy.detection import detect_packet_autocorrelation_batch, estimate_coarse_cfo_rows
 from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf, estimate_noise_from_ltf
 from repro.phy.modulation import get_modulation
-from repro.phy.params import OFDMParams
-from repro.phy.receiver import apply_cfo_correction
-from repro.phy.detection import estimate_coarse_cfo
 from repro.phy.transmitter import FrameConfig
 
 __all__ = ["JointReceiveResult", "JointReceiver"]
@@ -116,42 +110,7 @@ class JointReceiver:
         self.combiner = SmartCombiner(config.combiner_scheme)
 
     # ------------------------------------------------------------------
-    # Timing acquisition
-    # ------------------------------------------------------------------
-    def acquire(self, samples: np.ndarray, layout: JointFrameLayout) -> tuple[bool, int]:
-        """Detect the joint frame and estimate its start to the nearest sample.
-
-        Coarse detection uses the standard STF autocorrelator; the coarse
-        index is then corrected with the channel-phase-slope estimate of the
-        detection delay (§4.2a) measured on the lead sender's LTF — the same
-        estimator co-senders use — rather than a matched filter.
-        """
-        params = layout.params
-        detection = detect_packet_autocorrelation(samples, params)
-        if not detection.detected:
-            return False, -1
-        # Anchor on the detection *instant* (which lags the true start by
-        # the metric run plus the correlation lag) rather than the coarse
-        # start estimate: backing the double guard off from the late instant
-        # centres the LTF windows inside the periodic training field with
-        # maximal margin to the phase-slope ambiguity limit (+-n_fft/4
-        # samples of window offset).
-        coarse = detection.detect_index
-        backoff = 2 * params.cp_samples
-        ltf_start = coarse + layout.stf_samples + 2 * params.cp_samples - backoff
-        reps = np.empty((2, params.n_fft), dtype=np.complex128)
-        for rep in range(2):
-            chunk = samples[ltf_start + rep * params.n_fft : ltf_start + (rep + 1) * params.n_fft]
-            if chunk.size < params.n_fft:
-                return False, -1
-            reps[rep] = np.fft.fft(chunk) / np.sqrt(params.n_fft)
-        channel = estimate_channel_ltf(reps, params)
-        offset = estimate_detection_delay(channel, params).delay_samples + backoff
-        start = int(round(coarse - offset))
-        return True, max(start, 0)
-
-    # ------------------------------------------------------------------
-    # Header-only processing (synchronization measurements, §4.5 / §8.1)
+    # Per-frame entry points: stacks of one
     # ------------------------------------------------------------------
     def measure_header(
         self,
@@ -169,59 +128,14 @@ class JointReceiver:
         high-accuracy repeated-header estimator of §8.1.1.
 
         Returns ``(channels, misalignment, start_index)``; the first two are
-        ``None`` when the frame is not detected.
+        ``None`` when the frame is not detected.  A stack of one through
+        :meth:`measure_header_batch`.
         """
-        params = layout.params
         samples = np.asarray(samples, dtype=np.complex128)
-        backoff = self.config.window_backoff_samples
-        if start_index is None:
-            detected, start = self.acquire(samples, layout)
-            if not detected:
-                return None, None, -1
-        else:
-            start = int(start_index)
-        needed = layout.data_offset
-        if start + needed > samples.size:
-            return None, None, start
-        frame = samples[start : start + needed]
-        if correct_cfo:
-            try:
-                cfo_hz = estimate_coarse_cfo(samples, start, params)
-            except ValueError:
-                cfo_hz = 0.0
-            frame = apply_cfo_correction(frame, cfo_hz, params.sample_period_s)
+        return self.measure_header_batch(
+            samples[None], [samples.size], layout, [start_index], correct_cfo
+        )[0]
 
-        ltf_start = layout.stf_samples + 2 * params.cp_samples - backoff
-        reps = np.empty((2, params.n_fft), dtype=np.complex128)
-        for rep in range(2):
-            chunk = frame[ltf_start + rep * params.n_fft : ltf_start + (rep + 1) * params.n_fft]
-            reps[rep] = np.fft.fft(chunk) / np.sqrt(params.n_fft)
-        lead_channel = estimate_channel_ltf(reps, params)
-        noise_var = estimate_noise_from_ltf(reps, params)
-        lead_channel.noise_var = noise_var
-
-        cosender_channels: list[ChannelEstimate | None] = []
-        for k in range(layout.n_cosenders):
-            slot_start = layout.cosender_training_offset(k)
-            slot = frame[slot_start : slot_start + layout.ltf_samples]
-            if not sender_active(slot, noise_var):
-                cosender_channels.append(None)
-                continue
-            channel = estimate_sender_channel(slot, params, window_backoff=backoff)
-            channel.noise_var = noise_var
-            cosender_channels.append(channel)
-
-        joint_estimate = JointChannelEstimate(
-            lead=lead_channel, cosenders=cosender_channels, noise_var=noise_var, params=params
-        )
-        misalignment = measure_misalignment(
-            lead_channel, [ch for ch in cosender_channels if ch is not None], params
-        )
-        return joint_estimate, misalignment, start
-
-    # ------------------------------------------------------------------
-    # Main receive path
-    # ------------------------------------------------------------------
     def receive(
         self,
         samples: np.ndarray,
@@ -230,7 +144,7 @@ class JointReceiver:
         start_index: int | None = None,
         correct_cfo: bool = True,
     ) -> JointReceiveResult:
-        """Decode one joint frame.
+        """Decode one joint frame: a stack of one through :meth:`receive_many`.
 
         Parameters
         ----------
@@ -247,126 +161,36 @@ class JointReceiver:
             Whether to apply the standard receiver-side CFO correction
             referenced to the lead sender's preamble.
         """
-        params = layout.params
         samples = np.asarray(samples, dtype=np.complex128)
-        backoff = self.config.window_backoff_samples
-
-        if start_index is None:
-            detected, start = self.acquire(samples, layout)
-            if not detected:
-                return JointReceiveResult(False, False, b"")
-        else:
-            start = int(start_index)
-        if start + layout.total_samples > samples.size:
-            return JointReceiveResult(False, False, b"", start_index=start)
-
-        cfo_hz = 0.0
-        if correct_cfo:
-            try:
-                cfo_hz = estimate_coarse_cfo(samples, start, params)
-            except ValueError:
-                cfo_hz = 0.0
-        # The header span and, below, the data windows are CFO-corrected by
-        # _frame_samples exactly as receive_many corrects them.
-        rows = samples[None]
-        starts = np.array([start])
-        cfo = np.array([cfo_hz])
-        member = np.zeros(1, dtype=np.int64)
-        sample_period = params.sample_period_s if correct_cfo else None
-        frame = _frame_samples(
-            rows, starts, cfo, member, np.arange(layout.data_offset), sample_period
+        return self.receive_many(
+            [(samples, samples.size, layout, frame_config, start_index)], correct_cfo
         )[0]
 
-        # --- lead sender channel from its preamble LTF
-        ltf_start = layout.stf_samples + 2 * params.cp_samples - backoff
-        reps = np.empty((2, params.n_fft), dtype=np.complex128)
-        for rep in range(2):
-            chunk = frame[ltf_start + rep * params.n_fft : ltf_start + (rep + 1) * params.n_fft]
-            reps[rep] = np.fft.fft(chunk) / np.sqrt(params.n_fft)
-        lead_channel = estimate_channel_ltf(reps, params)
-        noise_var = estimate_noise_from_ltf(reps, params)
-        lead_channel.noise_var = noise_var
-
-        # --- co-sender channels from their training slots
-        cosender_channels: list[ChannelEstimate | None] = []
-        for k in range(layout.n_cosenders):
-            slot_start = layout.cosender_training_offset(k)
-            slot = frame[slot_start : slot_start + layout.ltf_samples]
-            if not sender_active(slot, noise_var):
-                cosender_channels.append(None)
-                continue
-            channel = estimate_sender_channel(slot, params, window_backoff=backoff)
-            channel.noise_var = noise_var
-            cosender_channels.append(channel)
-
-        joint_estimate = JointChannelEstimate(
-            lead=lead_channel,
-            cosenders=cosender_channels,
-            noise_var=noise_var,
-            params=params,
-        )
-
-        # --- data section: the job-stacked stage of receive_many on a stack
-        # of one.
-        silent = np.zeros_like(lead_channel.response)
-        decoded_symbols, llrs = self._data_llrs_batch(
-            rows,
-            member,
-            starts,
-            cfo,
-            sample_period,
-            lead_channel.response[None],
-            np.array([noise_var]),
-            [
-                (np.array([ch is not None]), (ch.response if ch is not None else silent)[None])
-                for ch in cosender_channels
-            ],
-            layout,
-            frame_config,
-        )
-        decoded_symbols = decoded_symbols[0]
-        decoded_bits = _CODE.decode(llrs[0], terminated=True)
-        descrambled = bitutils.descramble(decoded_bits, frame_config.scrambler_seed)
-        info_bits = descrambled[: frame_config.n_info_bits]
-        frame_bytes = bitutils.bits_to_bytes(info_bits)
-        payload, crc_ok = bitutils.check_crc(frame_bytes)
-
-        # --- feedback and quality metrics
-        misalignment = measure_misalignment(
-            lead_channel, [ch for ch in cosender_channels if ch is not None], params
-        )
-        per_sc_snr = joint_estimate.per_subcarrier_snr_db()
-        snr_db = float(10.0 * np.log10(max(np.mean(10.0 ** (per_sc_snr / 10.0)), 1e-15)))
-
-        return JointReceiveResult(
-            detected=True,
-            crc_ok=crc_ok,
-            payload=payload if crc_ok else frame_bytes[:-4],
-            start_index=start,
-            channels=joint_estimate,
-            misalignment=misalignment,
-            snr_db=snr_db,
-            per_subcarrier_snr_db=per_sc_snr,
-            cfo_hz=cfo_hz,
-            equalized_symbols=decoded_symbols,
-        )
-
     # ------------------------------------------------------------------
-    # Batched processing (the lockstep joint-frame ensemble path)
+    # Batched stages
     # ------------------------------------------------------------------
     def _acquire_batch(
         self, rows: np.ndarray, lengths: np.ndarray, layout: JointFrameLayout
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`acquire` over zero-padded rows.
+        """Detect each zero-padded row's joint frame and estimate its start.
 
-        Returns ``(detected, starts)`` arrays; per row the same detection,
-        LTF estimation and phase-slope correction as the scalar path, with
-        the detection and slope stages batched across the ensemble.
+        Coarse detection uses the standard STF autocorrelator; the coarse
+        index is then corrected with the channel-phase-slope estimate of the
+        detection delay (§4.2a) measured on the lead sender's LTF — the same
+        estimator co-senders use — rather than a matched filter.  Returns
+        ``(detected, starts)`` arrays; ``starts`` is -1 where nothing usable
+        was detected.
         """
         params = layout.params
         detections = detect_packet_autocorrelation_batch(rows, params)
         n_rows = rows.shape[0]
         detected = np.array([d.detected for d in detections])
+        # Anchor on the detection *instant* (which lags the true start by
+        # the metric run plus the correlation lag) rather than the coarse
+        # start estimate: backing the double guard off from the late instant
+        # centres the LTF windows inside the periodic training field with
+        # maximal margin to the phase-slope ambiguity limit (+-n_fft/4
+        # samples of window offset).
         coarse = np.array([d.detect_index for d in detections], dtype=np.int64)
         starts = np.full(n_rows, -1, dtype=np.int64)
         backoff = 2 * params.cp_samples
@@ -383,6 +207,44 @@ class JointReceiver:
             starts[idx] = np.maximum(np.round(coarse[idx] - offsets).astype(np.int64), 0)
         return fits, starts
 
+    def _locate_frames(
+        self,
+        rows: np.ndarray,
+        lengths: np.ndarray,
+        layout: JointFrameLayout,
+        start_hints: list[int | None],
+        spans: np.ndarray | int,
+        correct_cfo: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Start, fit and coarse CFO of every row: the batched methods' prologue.
+
+        A row with a start hint uses it (genie timing); the others are
+        acquired together by :meth:`_acquire_batch`.  Returns
+        ``(detected, starts, fits, cfo)``: ``detected`` is False only where
+        acquisition failed, ``fits`` also needs ``spans`` samples after the
+        start, and ``cfo`` is 0.0 outside ``fits`` or without
+        ``correct_cfo``.
+        """
+        n = rows.shape[0]
+        if len(start_hints) != n or lengths.shape != (n,):
+            raise ValueError("need one start hint and one length per row")
+        starts = np.zeros(n, dtype=np.int64)
+        detected = np.ones(n, dtype=bool)
+        need_acquire = [i for i, hint in enumerate(start_hints) if hint is None]
+        for i, hint in enumerate(start_hints):
+            if hint is not None:
+                starts[i] = int(hint)
+        if need_acquire:
+            sub = np.asarray(need_acquire)
+            found, acquired = self._acquire_batch(rows[sub], lengths[sub], layout)
+            detected[sub] = found
+            starts[sub] = np.maximum(acquired, 0)
+        fits = detected & (starts + spans <= lengths)
+        cfo = np.zeros(n)
+        if correct_cfo:
+            cfo = estimate_coarse_cfo_rows(rows, starts, lengths, fits, layout.params)
+        return detected, starts, fits, cfo
+
     def _header_channels_batch(
         self, frames: np.ndarray, layout: JointFrameLayout
     ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -391,8 +253,8 @@ class JointReceiver:
         ``frames`` is ``(n, >= layout.data_offset)`` of CFO-corrected,
         frame-aligned samples.  Returns ``(lead_responses, noise_vars,
         slots)`` where ``slots[k] = (active_mask, responses)`` for co-sender
-        ``k`` — the batched equivalent of the per-frame estimation loops in
-        :meth:`measure_header` / :meth:`receive`.
+        ``k``, whose ``active_mask`` is the §6 energy test: the slot's mean
+        power exceeds the noise variance by 3 dB.
         """
         params = layout.params
         backoff = self.config.window_backoff_samples
@@ -565,55 +427,33 @@ class JointReceiver:
         start_indices: list[int | None],
         correct_cfo: bool = True,
     ) -> list[tuple[JointChannelEstimate | None, MisalignmentReport | None, int]]:
-        """Batched :meth:`measure_header` over a zero-padded row ensemble.
+        """Header measurement (:meth:`measure_header`) of a zero-padded row stack.
 
         ``rows`` is ``(n, max_len)`` with per-row true lengths in
         ``lengths``; ``start_indices[i]`` is a genie frame start or ``None``
-        to acquire.  Returns the scalar method's ``(channels, misalignment,
-        start)`` triple per row, computed with every stage batched.
+        to acquire.  Returns ``(channels, misalignment, start)`` per row,
+        computed with every stage batched; ``channels`` and
+        ``misalignment`` are ``None`` where no header was detected or it
+        does not fit in the row.  Raises ``ValueError`` unless
+        ``start_indices`` and ``lengths`` have one entry per row.
         """
-        params = layout.params
         rows = np.asarray(rows, dtype=np.complex128)
-        n = rows.shape[0]
         lengths = np.asarray(lengths, dtype=np.int64)
-        starts = np.zeros(n, dtype=np.int64)
-        ok = np.ones(n, dtype=bool)
-        need_acquire = [i for i, s in enumerate(start_indices) if s is None]
-        for i, s in enumerate(start_indices):
-            if s is not None:
-                starts[i] = int(s)
-        if need_acquire:
-            sub = np.asarray(need_acquire)
-            fits, acquired = self._acquire_batch(rows[sub], lengths[sub], layout)
-            ok[sub] = fits
-            starts[sub] = np.maximum(acquired, 0)
-
-        needed = layout.data_offset
-        fits_frame = ok & (starts + needed <= lengths)
+        detected, starts, fits, cfo = self._locate_frames(
+            rows, lengths, layout, start_indices, layout.data_offset, correct_cfo
+        )
         results: list[tuple[JointChannelEstimate | None, MisalignmentReport | None, int]] = [
-            (None, None, -1)
-        ] * n
-        for i in range(n):
-            if not ok[i]:
-                results[i] = (None, None, -1)
-            elif not fits_frame[i]:
-                results[i] = (None, None, int(starts[i]))
-        idx = np.nonzero(fits_frame)[0]
+            (None, None, int(start) if found else -1) for found, start in zip(detected, starts)
+        ]
+        idx = np.nonzero(fits)[0]
         if idx.size == 0:
             return results
-
-        gather = starts[idx, None] + np.arange(needed)[None, :]
-        frames = rows[idx[:, None], gather]
-        if correct_cfo:
-            cfo = estimate_coarse_cfo_rows(rows, starts, lengths, fits_frame, params)[idx]
-            span = np.arange(needed)[None, :]
-            frames = frames * np.exp(
-                -2j * np.pi * cfo[:, None] * span * params.sample_period_s
-            )
-
-        lead_responses, noise_vars, slots = self._header_channels_batch(frames, layout)
+        sample_period = layout.params.sample_period_s if correct_cfo else None
+        frames = _frame_samples(
+            rows, starts, cfo, idx, np.arange(layout.data_offset), sample_period
+        )
         estimates, reports = self._joint_estimates_batch(
-            lead_responses, noise_vars, slots, layout
+            *self._header_channels_batch(frames, layout), layout
         )
         for pos, i in enumerate(idx):
             results[i] = (estimates[pos], reports[pos], int(starts[i]))
@@ -630,7 +470,8 @@ class JointReceiver:
         Layouts must share the header geometry (same numerology and
         co-sender count); the data sections may differ per job (e.g. a
         cyclic-prefix sweep).  Timing acquisition, CFO, channel estimation
-        and misalignment run batched across jobs.  Jobs that share
+        and misalignment run batched across jobs, as in
+        :meth:`measure_header_batch`.  Jobs that share
         ``(layout, frame_config)`` then form one stack per data-section
         geometry: the aligned, CFO-corrected data windows, their FFT,
         the per-sender pilot tracker (one loop over symbols updating every
@@ -639,8 +480,8 @@ class JointReceiver:
         stack.  All frames with equal coded length share a single
         block-parallel Viterbi call, followed by one descramble and bit
         packing per stack.  Only the CRC check, the per-subcarrier SNR and
-        result assembly stay per job.  :meth:`receive` runs the same data
-        stage on a stack of one, and no float depends on how jobs group.
+        result assembly stay per job.  :meth:`receive` is a stack of one,
+        and no decision depends on how jobs group.
         """
         if not jobs:
             return []
@@ -658,36 +499,18 @@ class JointReceiver:
             rows[i, : samples.size] = samples
             lengths[i] = length
 
-        starts = np.zeros(n, dtype=np.int64)
-        ok = np.ones(n, dtype=bool)
-        need_acquire = [i for i, job in enumerate(jobs) if job[4] is None]
-        for i, job in enumerate(jobs):
-            if job[4] is not None:
-                starts[i] = int(job[4])
-        if need_acquire:
-            sub = np.asarray(need_acquire)
-            fits, acquired = self._acquire_batch(rows[sub], lengths[sub], layout0)
-            ok[sub] = fits
-            starts[sub] = np.maximum(acquired, 0)
-
-        results: list[JointReceiveResult | None] = [None] * n
         total = np.array([job[2].total_samples for job in jobs], dtype=np.int64)
-        fits_frame = ok & (starts + total <= lengths)
-        for i in range(n):
-            if not ok[i]:
-                results[i] = JointReceiveResult(False, False, b"")
-            elif not fits_frame[i]:
-                results[i] = JointReceiveResult(False, False, b"", start_index=int(starts[i]))
-        idx = np.nonzero(fits_frame)[0]
+        detected, starts, fits, cfo = self._locate_frames(
+            rows, lengths, layout0, [job[4] for job in jobs], total, correct_cfo
+        )
+        results: list[JointReceiveResult] = [
+            JointReceiveResult(False, False, b"", start_index=int(start) if found else -1)
+            for found, start in zip(detected, starts)
+        ]
+        idx = np.nonzero(fits)[0]
         if idx.size == 0:
-            return results  # type: ignore[return-value]
+            return results
 
-        cfo = np.zeros(n)
-        if correct_cfo:
-            cfo = estimate_coarse_cfo_rows(rows, starts, lengths, fits_frame, params)
-
-        # The common header stage runs batched over every job, on the
-        # aligned, CFO-corrected header span.
         sample_period = params.sample_period_s if correct_cfo else None
         header_frames = _frame_samples(
             rows, starts, cfo, idx, np.arange(layout0.data_offset), sample_period
@@ -754,4 +577,4 @@ class JointReceiver:
                 cfo_hz=float(cfo[i]),
                 equalized_symbols=decoded_symbols_by_job[i],
             )
-        return results  # type: ignore[return-value]
+        return results

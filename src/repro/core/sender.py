@@ -163,7 +163,7 @@ class LeadSender:
     def build_waveform(
         self,
         payload: bytes,
-        header: SyncHeader,
+        header_wave: np.ndarray,
         layout: JointFrameLayout,
         frame_config: FrameConfig,
         combiner: SmartCombiner | None = None,
@@ -171,10 +171,11 @@ class LeadSender:
     ) -> np.ndarray:
         """Full lead-sender waveform for one joint frame (Fig. 6a).
 
-        ``sections`` is passed to :func:`build_data_section`.
+        ``header_wave`` is the frame's :meth:`header_waveform` (or its
+        :func:`header_waveforms_from_bits` row), which callers already hold
+        for scheduling.  ``sections`` is passed to :func:`build_data_section`.
         """
         combiner = combiner if combiner is not None else SmartCombiner(self.config.combiner_scheme)
-        header_wave = self.header_waveform(header, layout)
         silence = np.zeros(
             layout.sifs_samples + layout.n_cosenders * layout.ltf_samples, dtype=np.complex128
         )

@@ -649,7 +649,7 @@ class SourceSyncSession:
             n_cosenders=layout.n_cosenders,
         )
         header_waveform = self.lead.header_waveform(header, layout)
-        lead_waveform = self.lead.build_waveform(payload, header, layout, frame_config)
+        lead_waveform = self.lead.build_waveform(payload, header_waveform, layout, frame_config)
 
         starts, feasible = self._schedule_cosenders(layout, header_waveform, compensate)
 
@@ -745,7 +745,9 @@ class SourceSyncSession:
         else:
             index = int(sender) if not isinstance(sender, int) else sender
             link = topo.links_cosender_rx[index]
-        waveform = self.lead.build_waveform(payload, header, layout, frame_config)
+        waveform = self.lead.build_waveform(
+            payload, self.lead.header_waveform(header, layout), layout, frame_config
+        )
         leading_silence = 60
         received = combine_at_receiver(
             [Transmission(link=link, samples=waveform, start_sample=0.0)],

@@ -100,12 +100,16 @@ class TestSenderWaveforms:
 
     def test_lead_waveform_length_matches_layout(self):
         config, lead, frame_config, layout, header = self._setup()
-        waveform = lead.build_waveform(b"\x00" * 40, header, layout, frame_config)
+        waveform = lead.build_waveform(
+            b"\x00" * 40, lead.header_waveform(header, layout), layout, frame_config
+        )
         assert waveform.size == layout.total_samples
 
     def test_lead_silent_during_sifs_and_slots(self):
         config, lead, frame_config, layout, header = self._setup()
-        waveform = lead.build_waveform(b"\x01" * 40, header, layout, frame_config)
+        waveform = lead.build_waveform(
+            b"\x01" * 40, lead.header_waveform(header, layout), layout, frame_config
+        )
         gap = waveform[layout.sync_header_samples : layout.data_offset]
         assert np.allclose(gap, 0.0)
 

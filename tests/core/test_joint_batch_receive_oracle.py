@@ -1,10 +1,16 @@
 """Job-stacked receive stage, batched headers and data-section reuse.
 
 ``JointReceiver.receive_many`` runs its data stage once per stack of jobs
-that share ``(layout, frame_config)``.  The reference below is the
+that share ``(layout, frame_config)``.  The first reference below is the
 per-job data loop that stacking replaced (scalar pilot tracker, per-job
 rotation, combiner, demap, de-interleave and depuncture); every result
 field must agree exactly, floats included, however the jobs group.
+
+The second, :func:`reference_measure_header`, is the per-frame header
+stage (acquisition, CFO correction, lead and co-sender channels,
+misalignment) built from the public scalar estimators.  The batched
+header stage that ``measure_header_batch`` and ``receive_many`` share must
+reproduce its decisions exactly and its floats to ``rtol=1e-9``.
 """
 
 import numpy as np
@@ -12,6 +18,12 @@ import pytest
 
 from repro.core import JointTopology, SourceSyncConfig, SourceSyncSession
 from repro.core import ensemble as ens
+from repro.core import sender as sender_module
+from repro.core.channel_est.joint_estimator import (
+    JointChannelEstimate,
+    estimate_sender_channel,
+    sender_active,
+)
 from repro.core.channel_est.phase_tracking import (
     PerSenderPhaseTracker,
     pilot_owner,
@@ -22,13 +34,20 @@ from repro.core.combining.stbc import SmartCombiner
 from repro.core.frame import JointFrameLayout, make_joint_frame_config
 from repro.core.receiver import JointReceiveResult, JointReceiver, _CODE
 from repro.core.sender import LeadSender, build_data_section
+from repro.core.sync.detection_delay import estimate_detection_delay
+from repro.core.sync.tracking import measure_misalignment
 from repro.phy import bits as bitutils
 from repro.phy.coding.interleaver import interleaver_permutation
 from repro.phy.coding.puncturing import depuncture
-from repro.phy.detection import estimate_coarse_cfo_rows
-from repro.phy.equalizer import ChannelEstimate
+from repro.phy.detection import (
+    detect_packet_autocorrelation,
+    estimate_coarse_cfo,
+    estimate_coarse_cfo_rows,
+)
+from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf, estimate_noise_from_ltf
 from repro.phy.modulation import get_modulation
 from repro.phy.params import DEFAULT_PARAMS
+from repro.phy.receiver import apply_cfo_correction
 
 
 def reference_receive_many(receiver, jobs, correct_cfo=True):
@@ -164,6 +183,62 @@ def reference_receive_many(receiver, jobs, correct_cfo=True):
     return results
 
 
+def _ltf_symbols(window, params):
+    """The two LTF repetitions of ``window`` in the frequency domain."""
+    return np.fft.fft(window.reshape(2, params.n_fft), axis=-1) / np.sqrt(params.n_fft)
+
+
+def reference_measure_header(receiver, samples, layout, start_index=None, correct_cfo=True):
+    """The per-frame header stage ``measure_header`` ran before it became a stack of one."""
+    params = layout.params
+    samples = np.asarray(samples, dtype=np.complex128)
+    backoff = receiver.config.window_backoff_samples
+    if start_index is None:
+        detection = detect_packet_autocorrelation(samples, params)
+        if not detection.detected:
+            return None, None, -1
+        coarse = detection.detect_index
+        guard = 2 * params.cp_samples
+        ltf_start = coarse + layout.stf_samples + 2 * params.cp_samples - guard
+        window = samples[ltf_start : ltf_start + 2 * params.n_fft]
+        if window.size < 2 * params.n_fft:
+            return None, None, -1
+        channel = estimate_channel_ltf(_ltf_symbols(window, params), params)
+        offset = estimate_detection_delay(channel, params).delay_samples + guard
+        start = max(int(round(coarse - offset)), 0)
+    else:
+        start = int(start_index)
+    if start + layout.data_offset > samples.size:
+        return None, None, start
+    frame = samples[start : start + layout.data_offset]
+    if correct_cfo:
+        try:
+            cfo_hz = estimate_coarse_cfo(samples, start, params)
+        except ValueError:
+            cfo_hz = 0.0
+        frame = apply_cfo_correction(frame, cfo_hz, params.sample_period_s)
+    ltf_start = layout.stf_samples + 2 * params.cp_samples - backoff
+    reps = _ltf_symbols(frame[ltf_start : ltf_start + 2 * params.n_fft], params)
+    lead = estimate_channel_ltf(reps, params)
+    noise_var = estimate_noise_from_ltf(reps, params)
+    lead.noise_var = noise_var
+    cosenders = []
+    for k in range(layout.n_cosenders):
+        slot_start = layout.cosender_training_offset(k)
+        slot = frame[slot_start : slot_start + layout.ltf_samples]
+        if not sender_active(slot, noise_var):
+            cosenders.append(None)
+            continue
+        channel = estimate_sender_channel(slot, params, window_backoff=backoff)
+        channel.noise_var = noise_var
+        cosenders.append(channel)
+    estimate = JointChannelEstimate(
+        lead=lead, cosenders=cosenders, noise_var=noise_var, params=params
+    )
+    report = measure_misalignment(lead, [ch for ch in cosenders if ch is not None], params)
+    return estimate, report, start
+
+
 def reference_combiner_decode(combiner, received, sender_channels, codewords, points=None):
     """``SmartCombiner.decode(..., return_gain=True)`` as a per-frame routine."""
     branches = combiner.combine_branch_channels(sender_channels, codewords)
@@ -296,11 +371,12 @@ class TestJointBatchReceiveOracle:
     def test_joint_batch_receive_long_frames_match_sequential_receive(self, monkeypatch):
         # 800 bytes at 6 Mbps make frames of more than 16384 samples (256 KiB
         # of complex128), the size from which numpy reuses large temporaries
-        # as ufunc outputs.  receive and receive_many must still decode the
-        # same symbols bit for bit, with and without CFO correction.  (The
-        # header-stage SNR and misalignment reports of the two paths come
-        # from separate per-frame and batched estimators and are not
-        # compared here.)
+        # as ufunc outputs.  receive is receive_many on a stack of one, so
+        # this checks grouping invariance: a stack of four and stacks of one
+        # must decode the same symbols bit for bit and report the same
+        # misalignment, with and without CFO correction.  The LTF
+        # noise-variance mean rounds differently on a stack of one, so the
+        # SNR agrees to rtol=1e-9.
         sessions = _sessions([511, 512], SourceSyncConfig())
         payload = bitutils.random_payload(800, np.random.default_rng(5))
         per_session = [
@@ -319,6 +395,8 @@ class TestJointBatchReceiveOracle:
                 assert got.cfo_hz == want.cfo_hz
                 assert got.crc_ok == want.crc_ok and got.payload == want.payload
                 assert np.array_equal(got.equalized_symbols, want.equalized_symbols)
+                assert got.misalignment == want.misalignment
+                np.testing.assert_allclose(got.snr_db, want.snr_db, rtol=1e-9)
             if correct_cfo:
                 assert any(r.crc_ok for r in results)
 
@@ -334,6 +412,105 @@ class TestJointBatchReceiveOracle:
         samples, length, layout, frame_config, start = jobs[0]
         short = [(samples[:500], 500, layout, frame_config, start)]
         _assert_same_results(receiver.receive_many(short), reference_receive_many(receiver, short))
+
+
+def _assert_same_header(got, want):
+    """Header triples agree: decisions exactly, floats to ``rtol=1e-9``."""
+    (channels, report, start), (want_channels, want_report, want_start) = got, want
+    assert start == want_start
+    assert (channels is None) == (want_channels is None)
+    assert (report is None) == (want_report is None)
+    if want_channels is None:
+        return
+    assert [ch is None for ch in channels.cosenders] == [
+        ch is None for ch in want_channels.cosenders
+    ]
+    np.testing.assert_allclose(channels.noise_var, want_channels.noise_var, rtol=1e-9)
+    pairs = zip([channels.lead, *channels.cosenders], [want_channels.lead, *want_channels.cosenders])
+    for channel, want_channel in pairs:
+        if want_channel is not None:
+            np.testing.assert_allclose(channel.response, want_channel.response, rtol=1e-9)
+            np.testing.assert_allclose(channel.noise_var, want_channel.noise_var, rtol=1e-9)
+    for field in ("lead_offset_samples", "cosender_offsets_samples", "misalignments_samples"):
+        np.testing.assert_allclose(
+            getattr(report, field), getattr(want_report, field), rtol=1e-9
+        )
+
+
+def _check_header_oracle(receiver, jobs):
+    """Both batched header paths against the per-frame stage, with and without CFO."""
+    layout0 = jobs[0][2]
+    rows = np.zeros((len(jobs), max(job[0].size for job in jobs)), dtype=np.complex128)
+    for row, job in zip(rows, jobs):
+        row[: job[0].size] = job[0]
+    lengths = [job[1] for job in jobs]
+    hints = [job[4] for job in jobs]
+    for correct_cfo in (True, False):
+        want = [
+            reference_measure_header(receiver, samples[:length], layout, start, correct_cfo)
+            for samples, length, layout, _, start in jobs
+        ]
+        measured = receiver.measure_header_batch(rows, lengths, layout0, hints, correct_cfo)
+        for got, expected in zip(measured, want):
+            _assert_same_header(got, expected)
+        for result, expected in zip(receiver.receive_many(jobs, correct_cfo), want):
+            if result.detected:
+                _assert_same_header(
+                    (result.channels, result.misalignment, result.start_index), expected
+                )
+            else:
+                assert result.start_index == expected[2]
+    return measured
+
+
+class TestJointBatchHeaderOracle:
+    @pytest.mark.parametrize("genie", [True, False])
+    def test_joint_batch_header_matches_per_frame_stage(self, monkeypatch, genie):
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig(), genie=genie)
+        measured = _check_header_oracle(receiver, jobs)
+        assert all(channels is not None for channels, _, _ in measured)
+
+    def test_joint_batch_header_inactive_cosender_slot(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(
+            monkeypatch, SourceSyncConfig(), n_cosenders=2, active=(0,), genie=False
+        )
+        measured = _check_header_oracle(receiver, jobs)
+        assert any(channels.cosenders[1] is None for channels, _, _ in measured)
+        assert any(channels.cosenders[0] is not None for channels, _, _ in measured)
+
+    def test_joint_batch_header_undetected_and_non_fitting_rows(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig(), genie=False)
+        samples, length, layout, frame_config, _ = jobs[0]
+        noise = np.random.default_rng(8).normal(size=length) * (1 + 0j)
+        jobs = jobs + [
+            (noise, length, layout, frame_config, None),
+            (samples[: length - 200], length - 200, layout, frame_config, None),
+            (samples[:300], 300, layout, frame_config, 61),
+            (samples, length, layout, frame_config, length),
+        ]
+        measured = _check_header_oracle(receiver, jobs)
+        assert measured[-4] == (None, None, -1)
+        assert measured[-3][0] is not None  # the header fits, the frame does not
+        assert measured[-2] == (None, None, 61)
+        assert measured[-1] == (None, None, length)
+        assert not receiver.receive_many(jobs[-3:-2])[0].detected
+
+    def test_joint_batch_header_large_stack(self, monkeypatch):
+        # Over 256 KiB of header span, where numpy starts reusing large
+        # temporaries as ufunc outputs.
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig(), genie=False)
+        jobs = jobs * 3
+        assert len(jobs) * jobs[0][2].data_offset * 16 > 1 << 18
+        _check_header_oracle(receiver, jobs)
+
+    def test_joint_batch_header_needs_one_hint_and_length_per_row(self, monkeypatch):
+        receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
+        samples, length, layout, _, start = jobs[0]
+        rows = np.stack([samples] * 3)
+        with pytest.raises(ValueError, match="one start hint and one length per row"):
+            receiver.measure_header_batch(rows, [length] * 3, layout, [None])
+        with pytest.raises(ValueError, match="one start hint and one length per row"):
+            receiver.measure_header_batch(rows, [length], layout, [start] * 3)
 
 
 class TestJointBatchStackedStages:
@@ -420,6 +597,27 @@ class TestJointBatchTransmitSynthesis:
         assert batch.shape[0] == len(headers)
         for header, row in zip(headers, batch):
             assert np.array_equal(row, lead.header_waveform(header, layout))
+
+    def test_joint_batch_expands_each_header_once(self, monkeypatch):
+        calls = []
+        original = sender_module.header_symbol_bits
+
+        def counting(header, n_bits):
+            calls.append(header)
+            return original(header, n_bits)
+
+        # The ensemble imports the function by name, so patch both bindings.
+        monkeypatch.setattr(sender_module, "header_symbol_bits", counting)
+        monkeypatch.setattr(ens, "header_symbol_bits", counting)
+        sessions = _sessions([521, 522], SourceSyncConfig())
+        payload = bitutils.random_payload(30, np.random.default_rng(6))
+        jobs = [ens.JointFrameJob(payload, data_cp_samples=cp) for cp in (0, 8, 32)]
+        calls.clear()
+        ens.run_joint_frames_batch(sessions, [jobs] * len(sessions))
+        assert len(calls) == len(jobs) * len(sessions)
+        calls.clear()
+        sessions[0].run_joint_frame(payload)
+        assert len(calls) == 1
 
     def test_joint_batch_data_sections_are_reused_read_only(self):
         frame_config = make_joint_frame_config(30, 6.0, DEFAULT_PARAMS, 8)

@@ -97,13 +97,7 @@ class TestJointBatchExchanges:
                 np.testing.assert_allclose(
                     a.true_misalignment_samples, b.true_misalignment_samples, rtol=1e-9
                 )
-                if a.detected:
-                    np.testing.assert_allclose(
-                        a.measured_misalignment.misalignments_samples,
-                        b.measured_misalignment.misalignments_samples,
-                        rtol=1e-6,
-                        atol=1e-9,
-                    )
+                assert a.measured_misalignment == b.measured_misalignment
         assert _rng_states_match(seq, bat)
 
     def test_joint_batch_feedback_requires_single_repeat(self, session_pairs):
@@ -155,6 +149,7 @@ class TestJointBatchFrames:
                 assert a.result.crc_ok == b.result.crc_ok
                 assert a.result.payload == b.result.payload
                 assert a.result.start_index == b.result.start_index
+                assert a.result.misalignment == b.result.misalignment
                 np.testing.assert_allclose(
                     a.result.equalized_symbols, b.result.equalized_symbols, rtol=1e-9, atol=1e-12
                 )
