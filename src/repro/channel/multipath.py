@@ -118,7 +118,8 @@ def rayleigh_taps_batch(
         k = 10.0 ** (profile.k_factor_db / 10.0)
         p0 = powers[0]
         phases = rng.uniform(0, 2 * np.pi, size=n_realizations)
-        los = np.sqrt(p0 * k / (k + 1.0)) * np.exp(1j * phases)
+        rotation = np.exp(1j * phases)
+        los = np.sqrt(p0 * k / (k + 1.0)) * rotation
         taps[:, 0] = los + taps[:, 0] * np.sqrt(1.0 / (k + 1.0))
     return taps
 

@@ -98,4 +98,5 @@ def apply_cfo(
     samples = np.asarray(samples, dtype=np.complex128)
     n = np.arange(start_sample, start_sample + samples.size)
     phase = 2.0 * np.pi * cfo_hz * n / sample_rate_hz + initial_phase
-    return samples * np.exp(1j * phase)
+    rotation = np.exp(1j * phase)
+    return samples * rotation

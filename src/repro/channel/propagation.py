@@ -108,6 +108,7 @@ def fractional_delay(samples: np.ndarray, delay_samples: float, pad: int = 0) ->
     n_fft = int(2 ** np.ceil(np.log2(max(total, 2))))
     spectrum = np.fft.fft(samples, n_fft)
     freqs = np.fft.fftfreq(n_fft)
-    shifted = spectrum * np.exp(-2j * np.pi * freqs * delay_samples)
+    ramp = np.exp(-2j * np.pi * freqs * delay_samples)
+    shifted = spectrum * ramp
     out = np.fft.ifft(shifted)[:total]
     return out

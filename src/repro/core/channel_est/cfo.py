@@ -89,4 +89,5 @@ def precorrect_cfo(
     """
     samples = np.asarray(samples, dtype=np.complex128)
     n = np.arange(samples.size)
-    return samples * np.exp(-2j * np.pi * cfo_hz * n / sample_rate_hz)
+    ramp = np.exp(-2j * np.pi * cfo_hz * n / sample_rate_hz)
+    return samples * ramp

@@ -125,7 +125,8 @@ class JointChannelEstimate:
             raise ValueError("phases must have one entry per active sender")
         total = np.zeros(self.params.n_fft, dtype=np.complex128)
         for phase, channel in zip(phases, channels):
-            total += channel.response * np.exp(1j * phase)
+            rotation = np.exp(1j * phase)
+            total += channel.response * rotation
         return total
 
     def per_subcarrier_snr_db(self, bins: np.ndarray | None = None) -> np.ndarray:
@@ -156,5 +157,6 @@ def composite_channel(
         raise ValueError("phases must have one entry per sender")
     total = np.zeros_like(sender_channels[0].response)
     for phase, channel in zip(phases, sender_channels):
-        total += channel.response * np.exp(1j * phase)
+        rotation = np.exp(1j * phase)
+        total += channel.response * rotation
     return total

@@ -107,7 +107,8 @@ class PerSenderPhaseTracker:
             * pilot_polarity(symbol_index)
         )
         observed = received_symbol_freq[pilot_bins]
-        correlation = np.sum(observed * np.conj(expected))
+        reference = np.conj(expected)
+        correlation = np.sum(observed * reference)
         if np.abs(correlation) > 1e-15:
             measured = float(np.angle(correlation))
             previous = self._phases[owner]
@@ -136,10 +137,11 @@ class PerSenderPhaseTracker:
         """
         if len(sender_channels) != self.n_senders:
             raise ValueError("sender_channels must have one entry per sender")
-        return [
-            ch.response * np.exp(1j * self._phases[i])
-            for i, ch in enumerate(sender_channels)
-        ]
+        rotated = []
+        for phase, ch in zip(self._phases, sender_channels):
+            rotation = np.exp(1j * phase)
+            rotated.append(ch.response * rotation)
+        return rotated
 
     def history(self) -> np.ndarray:
         """Phase trajectory, shape ``(n_updates, n_senders)``."""
@@ -188,7 +190,8 @@ def track_phases_batch(
     # Summed along a C-contiguous last axis, each frame's four products take
     # the same pairwise order as the scalar tracker's 1-D sum; the layout
     # numpy picks for the fancy-indexed product may reorder the additions.
-    products = np.ascontiguousarray(freq[:, :, pilot_bins] * np.conj(expected))
+    reference = np.conj(expected)
+    products = np.ascontiguousarray(freq[:, :, pilot_bins] * reference)
     correlation = np.sum(products, axis=-1)
     update = gate[:, owners] & (np.abs(correlation) > 1e-15)
     measured = np.angle(correlation)

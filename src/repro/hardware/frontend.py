@@ -41,7 +41,8 @@ class DetectionLatencyModel:
 
     def mean_latency_samples(self, snr_db: float) -> float:
         """Average detection latency at a given SNR, in samples."""
-        excess = self.snr_slope_samples * np.exp(-max(snr_db, 0.0) / self.snr_scale_db)
+        decay = np.exp(-max(snr_db, 0.0) / self.snr_scale_db)
+        excess = self.snr_slope_samples * decay
         return float(min(self.base_samples + excess, self.max_samples))
 
     def sample(self, snr_db: float, rng: np.random.Generator) -> float:

@@ -1,4 +1,4 @@
-"""The determinism rule set (``R001``–``R006``).
+"""The determinism rule set (``R001``–``R007``).
 
 Every rule guards one way the bit-identical-replay contract has broken
 (or nearly broken) in practice:
@@ -26,6 +26,11 @@ Every rule guards one way the bit-identical-replay contract has broken
     Iterating a ``set`` (or ``dict.values()``) to feed RNG draws or
     seed spawns makes the draw *order* depend on hash/insertion order
     rather than on the documented canonical order.
+``R007`` ``unnamed-product-operand``
+    ``x * np.exp(...)`` / ``x * np.conj(...)``: numpy may reuse a large
+    unnamed right-hand temporary as the product's output and swap the
+    operands, which rounds a complex product differently — so a stacked
+    kernel stops matching the same kernel on a stack of one.
 
 The module exposes :data:`DEFAULT_RULES` (one instance of each) and the
 allowlist constants the repo-specific rules consult.
@@ -45,6 +50,7 @@ __all__ = [
     "MutableConfigDataclass",
     "RawArtifactWrite",
     "UnorderedIterationRng",
+    "UnnamedProductOperand",
     "DEFAULT_RULES",
     "rules_by_code",
 ]
@@ -372,6 +378,43 @@ class UnorderedIterationRng(Rule):
                 )
 
 
+#: Calls whose result, as the unnamed right operand of ``*``, numpy may
+#: elide into the product's output (temporaries over 256 KiB).
+_SWAPPABLE_CALLS = frozenset(
+    {"np.exp", "numpy.exp", "np.conj", "numpy.conj", "np.conjugate", "numpy.conjugate"}
+)
+
+
+class UnnamedProductOperand(Rule):
+    """R007: ``<expr> * np.exp(...)`` / ``np.conj(...)`` with an unnamed right operand."""
+
+    code = "R007"
+    name = "unnamed-product-operand"
+    description = (
+        "an unnamed np.exp/np.conj temporary on the right of * can become the "
+        "product's output with the operands swapped, rounding complex products "
+        "differently on large stacks; bind it to a name first"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
+        """Flag products whose right operand is (a subscript of) a swappable call."""
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.BinOp) or not isinstance(node.op, ast.Mult):
+                continue
+            right = node.right
+            while isinstance(right, ast.Subscript):
+                right = right.value
+            if not isinstance(right, ast.Call):
+                continue
+            func = dotted_name(right.func)
+            if func in _SWAPPABLE_CALLS:
+                yield (
+                    node,
+                    f"{func}(...) is an unnamed right operand of *; numpy may reuse it "
+                    "as the output and swap the operands, so bind it to a name first",
+                )
+
+
 #: One instance of every rule, in code order — the default rule set the
 #: CLI and the pytest gate run.
 DEFAULT_RULES = (
@@ -381,6 +424,7 @@ DEFAULT_RULES = (
     MutableConfigDataclass(),
     RawArtifactWrite(),
     UnorderedIterationRng(),
+    UnnamedProductOperand(),
 )
 
 

@@ -125,7 +125,8 @@ def detect_packet_autocorrelation_batch(
 
     # Autocorrelation and energy over a sliding window of `lag` samples;
     # the sliding sums are cumulative-sum differences along the time axis.
-    prod = samples[:, lag:] * np.conj(samples[:, :-lag])
+    lagged = np.conj(samples[:, :-lag])
+    prod = samples[:, lag:] * lagged
     energy = np.abs(samples[:, lag:]) ** 2
     corr = _sliding_sum(prod, lag)
     power = _sliding_sum(energy, lag).real
@@ -273,7 +274,8 @@ def estimate_coarse_cfo(
     segment = samples[..., start_index : start_index + span + lag]
     if segment.shape[-1] < span + lag:
         raise ValueError("not enough samples after start_index for CFO estimation")
-    prod = segment[..., lag:] * np.conj(segment[..., :-lag])
+    lagged = np.conj(segment[..., :-lag])
+    prod = segment[..., lag:] * lagged
     angle = np.angle(prod.sum(axis=-1))
     cfo = angle / (2.0 * np.pi * lag * params.sample_period_s)
     return float(cfo) if np.ndim(cfo) == 0 else cfo
@@ -306,7 +308,8 @@ def estimate_coarse_cfo_rows(
         return cfo
     gather = starts[idx, None] + np.arange(span + lag)[None, :]
     segments = rows[idx[:, None], gather]
-    prod = segments[:, lag:] * np.conj(segments[:, :-lag])
+    lagged = np.conj(segments[:, :-lag])
+    prod = segments[:, lag:] * lagged
     angle = np.angle(prod.sum(axis=-1))
     cfo[idx] = angle / (2.0 * np.pi * lag * params.sample_period_s)
     return cfo

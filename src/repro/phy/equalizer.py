@@ -103,8 +103,12 @@ def estimate_noise_from_ltf(
         raise ValueError("noise estimation requires at least two LTF repetitions")
     occupied = params.occupied_bins()
     diff = received[..., 1:, occupied] - received[..., :-1, occupied]
-    # Var(a-b) = 2 * noise_var per complex dimension
-    noise = np.mean(np.abs(diff) ** 2, axis=(-2, -1)) / 2.0
+    # Var(a-b) = 2 * noise_var per complex dimension.  The fancy-indexed
+    # ``diff`` keeps the stack axis innermost in memory, so a mean over it
+    # would sum in a stack-size dependent order; a C-contiguous copy reduced
+    # along one flattened axis sums each packet alike however many there are.
+    power = np.ascontiguousarray(np.abs(diff) ** 2)
+    noise = np.mean(power.reshape(*power.shape[:-2], -1), axis=-1) / 2.0
     return float(noise) if noise.ndim == 0 else noise
 
 
@@ -141,7 +145,8 @@ def track_pilot_phases(
         channel_response[..., None, :][..., pilot_bins] * PILOT_VALUES * polarity[:, None]
     )
     observed = received_symbols_freq[..., pilot_bins]
-    correlation = np.sum(observed * np.conj(expected), axis=-1)
+    reference = np.conj(expected)
+    correlation = np.sum(observed * reference, axis=-1)
     return np.where(np.abs(correlation) < 1e-15, 0.0, np.angle(correlation))
 
 
@@ -201,7 +206,8 @@ def equalize_symbols_batch(
         )
     else:
         phases = np.zeros(received_symbols_freq.shape[:-1], dtype=np.float64)
-    corrected = received_symbols_freq * np.exp(-1j * phases)[..., None]
+    derotation = np.exp(-1j * phases)[..., None]
+    corrected = received_symbols_freq * derotation
     data_bins = params.data_bins()
     h = channel_response[..., data_bins]
     h_safe = np.where(np.abs(h) < 1e-9, 1e-9, h)

@@ -95,7 +95,8 @@ def apply_cfo_correction(samples: np.ndarray, cfo_hz: float, sample_period_s: fl
     """Remove a carrier frequency offset from a sample stream."""
     samples = np.asarray(samples, dtype=np.complex128)
     n = np.arange(samples.size)
-    return samples * np.exp(-2j * np.pi * cfo_hz * n * sample_period_s)
+    ramp = np.exp(-2j * np.pi * cfo_hz * n * sample_period_s)
+    return samples * ramp
 
 
 class Receiver:
@@ -233,9 +234,8 @@ class Receiver:
             except ValueError:
                 cfo_hz = np.zeros(n_active, dtype=np.float64)
             n = np.arange(frame_len)
-            frames = frames * np.exp(
-                -2j * np.pi * cfo_hz[:, None] * n[None, :] * params.sample_period_s
-            )
+            ramp = np.exp(-2j * np.pi * cfo_hz[:, None] * n[None, :] * params.sample_period_s)
+            frames = frames * ramp
 
         # --- channel + noise estimation from the two LTF repetitions
         ltf_start = stf_len + 2 * params.cp_samples

@@ -19,11 +19,9 @@ order-independence-enabling changes (see CHANGES.md).
 
 For experiments with a ``batched`` field, the sequential oracle
 (``batched=False``) reproduces the default lockstep output at ``smoke``
-byte for byte, except fig15: it agrees to ``rel=1e-9`` (see
-:data:`ULP_DIVERGENT`).  Both paths run the joint receiver's stacked
-header stage, but fig15's sequential path measures each header as a stack
-of one, and the LTF noise-variance mean (``estimate_noise_from_ltf``)
-rounds differently on a stack of one than on the lockstep stack.
+byte for byte.  Both paths run the joint receiver's stacked stages, the
+sequential one on stacks of one, and every receive stage gives a row the
+same floats however many rows share its stack.
 """
 
 import json
@@ -49,11 +47,6 @@ PINNED = {
     "ablation_slope": ("windowed_median_error_ns", 3.350235425786269),
 }
 
-
-#: Batched experiments whose sequential oracle agrees only to ``rel=1e-9``:
-#: the LTF noise-variance mean rounds differently on a stack of one than on
-#: the lockstep stack, in the last ulp.
-ULP_DIVERGENT = {"fig15"}
 
 BATCHED = sorted(name for name in registry.names() if registry.get(name).batched)
 
@@ -81,25 +74,12 @@ def test_seed_override_changes_or_preserves_output_deterministically(name):
         np.testing.assert_array_equal(first.summary[summary_key], second.summary[summary_key])
 
 
-def test_ulp_divergent_experiments_are_batched():
-    assert ULP_DIVERGENT <= set(BATCHED)
-
-
 @pytest.mark.parametrize("name", BATCHED)
 def test_sequential_oracle_reproduces_default_smoke_output(name):
     """``batched=False`` gives the default config's ``series``/``summary``."""
     spec = registry.get(name)
     lockstep = spec.run(spec.make_config("smoke"))
     sequential = spec.run(spec.make_config("smoke", {"batched": False}))
-    if name not in ULP_DIVERGENT:
-        assert json.dumps([lockstep.series, lockstep.summary], sort_keys=True) == json.dumps(
-            [sequential.series, sequential.summary], sort_keys=True
-        )
-        return
-    for a, b in ((lockstep.series, sequential.series), (lockstep.summary, sequential.summary)):
-        assert a.keys() == b.keys()
-        for key in a:
-            if isinstance(a[key], list) and a[key] and isinstance(a[key][0], str):
-                assert a[key] == b[key]
-            else:
-                np.testing.assert_allclose(a[key], b[key], rtol=1e-9, equal_nan=True)
+    assert json.dumps([lockstep.series, lockstep.summary], sort_keys=True) == json.dumps(
+        [sequential.series, sequential.summary], sort_keys=True
+    )

@@ -10,6 +10,7 @@ from repro.phy.detection import (
     detect_packet_autocorrelation_batch,
     detect_packet_crosscorrelation,
     estimate_coarse_cfo,
+    estimate_coarse_cfo_rows,
     fine_timing_ltf,
 )
 from repro.phy.equalizer import (
@@ -201,3 +202,57 @@ class TestEqualizer:
         channel.noise_var = 1.0
         snrs = channel.snr_per_subcarrier_db(P.occupied_bins())
         assert np.allclose(snrs, 10 * np.log10(4.0), atol=1e-6)
+
+
+def _preamble_stack(n_rows=200, n_samples=1200, seed=0):
+    """Noisy preambles with random starts and CFOs, one per row."""
+    rng = np.random.default_rng(seed)
+    training = preamble(P)
+    rows = np.zeros((n_rows, n_samples), dtype=complex)
+    starts = rng.integers(40, 200, n_rows)
+    for row, start in zip(rows, starts):
+        cfo = rng.uniform(-100e3, 100e3)
+        ramp = np.exp(2j * np.pi * cfo * np.arange(training.size) * P.sample_period_s)
+        row[start : start + training.size] = training * ramp
+    rows += 0.05 * (rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape))
+    return rows, starts
+
+
+class TestGroupingInvariance:
+    """A stack over 256 KiB gives each row the floats a stack of one gives it.
+
+    On temporaries that large numpy may reuse an unnamed right operand as
+    the output of a complex product, swapping its operands; and a mean whose
+    inner memory axis is the stack axis sums in an order that depends on
+    the stack size.  Either makes a batched receiver depend on how its
+    frames are grouped.
+    """
+
+    def test_coarse_cfo_rows(self):
+        rows, starts = _preamble_stack()
+        lengths = np.full(rows.shape[0], rows.shape[1])
+        mask = np.ones(rows.shape[0], dtype=bool)
+        stacked = estimate_coarse_cfo_rows(rows, starts, lengths, mask, P)
+        assert stacked.size * 128 * 16 > 1 << 18
+        for i in range(rows.shape[0]):
+            one = estimate_coarse_cfo_rows(
+                rows[i : i + 1], starts[i : i + 1], lengths[i : i + 1], mask[i : i + 1], P
+            )
+            assert one.tobytes() == stacked[i : i + 1].tobytes()
+
+    def test_autocorrelation_detection(self):
+        rows, _ = _preamble_stack()
+        assert rows.nbytes > 1 << 18
+        stacked = detect_packet_autocorrelation_batch(rows, P)
+        assert all(result.detected for result in stacked)
+        for row, result in zip(rows, stacked):
+            assert detect_packet_autocorrelation_batch(row[None], P) == [result]
+
+    def test_noise_from_ltf(self):
+        rows, _ = _preamble_stack()
+        ltf = np.fft.fft(rows[:, : 2 * P.n_fft].reshape(-1, 2, P.n_fft), axis=-1)
+        stacked = estimate_noise_from_ltf(ltf, P)
+        for i, reps in enumerate(ltf):
+            one = estimate_noise_from_ltf(ltf[i : i + 1], P)
+            assert one.tobytes() == stacked[i : i + 1].tobytes()
+            assert estimate_noise_from_ltf(reps, P) == stacked[i]
