@@ -23,11 +23,13 @@ looped per session (draws are cheap), stages that only compute are batched
 (compute is where the time goes).  A lockstep run over sessions
 ``[s1, ..., sn]`` therefore produces the same results as running each
 session's sequential loop to completion.  Both run the same stacked
-receiver kernels (the sequential path on stacks of one), so detection and
-CRC decisions, decoded bits and misalignment reports are identical, as
-``tests/engine/test_joint_batch.py`` asserts; the LTF noise-variance mean,
-and with it the SNR, can round differently on a stack of one in the last
-ulp.
+receiver kernels (the sequential path on stacks of one), and every receive
+stage gives a frame the same floats whichever frames share its stack, so
+detection and CRC decisions, decoded bits and misalignment reports are
+identical, as ``tests/engine/test_joint_batch.py`` asserts.  Floats can
+still differ in the last ulp where the sequential path's per-session
+propagation (``combine_at_receiver``) rounds a co-sender's received
+samples differently from ``combine_ensemble_at_receiver``.
 
 Entry points
 ------------
@@ -38,8 +40,10 @@ Entry points
 * :func:`run_header_exchanges_batch` — header-only joint exchanges (the
   Fig. 12 measurement primitive), optionally repeated per session;
 * :func:`run_sync_trials_batch` — schedule-only synchronization trials;
-* :func:`run_joint_frames_batch` — full joint frames decoded with one
-  block-parallel Viterbi pass across the whole ensemble (the Fig. 13 core).
+* :func:`run_joint_frames_batch` — full joint frames; each wave's receive
+  front end (acquisition through depunctured LLRs) runs as the wave lands,
+  and only the Viterbi waits, one block-parallel pass per coded length
+  across the whole ensemble (the Fig. 13 core).
 
 Usage
 -----
@@ -56,8 +60,8 @@ back per session, in order::
     outcomes = run_joint_frames_batch(sessions, jobs)
     # outcomes[s][r] matches sessions[s].run_joint_frame(...,
     # apply_tracking_feedback=False) for job r: the same decisions,
-    # misalignment report and equalized symbols; SNR may differ in the
-    # last ulp
+    # misalignment report and equalized symbols; floats may differ in the
+    # last ulp where sequential propagation rounds differently
 
 Heterogeneous ensembles are fine: ``jobs_per_session`` rows may have
 different lengths (sessions simply drop out of later waves), which is how
@@ -80,6 +84,7 @@ from repro.channel.composite import (
 from repro.core.channel_est.cfo import CfoEstimate
 from repro.core.frame import HEADER_SYMBOLS, JointFrameLayout, make_joint_frame_config
 from repro.engine import Lane, LockstepScheduler
+from repro.core.receiver import JointReceiver
 from repro.core.sender import CoSender, header_symbol_bits, header_waveforms_from_bits
 from repro.core.session import (
     HeaderExchangeOutcome,
@@ -971,16 +976,19 @@ class JointFrameJob:
 
 
 class _JointFrameContext:
-    """Receive jobs accumulated across waves for one deferred decode pass.
+    """Receive front-end records accumulated across waves for one Viterbi pass.
 
-    Every wave appends its combined receiver rows here; the expensive
-    receive chain (data FFTs, demapping, Viterbi) then runs once over the
-    whole ensemble via ``receiver.receive_many`` — which performs no draws,
-    so deferring it cannot perturb any lane's stream.
+    Every wave runs ``receiver``'s front end (acquisition, CFO, channel
+    estimation, data FFTs, tracking, combining, demapping) on its combined
+    rows as soon as they land and appends the record here, so the received
+    samples die with their wave.  Only the Viterbi, descrambling and CRC
+    wait for the single back-end pass over all records; the receiver
+    performs no draws, so neither stage can perturb any lane's stream.
     """
 
-    def __init__(self) -> None:
-        self.receive_jobs: list[tuple] = []
+    def __init__(self, receiver: JointReceiver) -> None:
+        self.receiver = receiver
+        self.records: list = []
         self.lane_meta: list[tuple] = []
         # Data sections built so far in this call (read-only, see
         # build_data_section): the frames of a CP sweep repeat payloads.
@@ -1102,10 +1110,17 @@ class _JointFrameLane(Lane):
             [entry[0].session.rng for entry in built],
             leading_silence=leading_silence,
         )
-        for (wrapper, layout, frame_config, starts, feasible, start_index), row, length in zip(
-            wave_info, wave_rows, wave_lengths
-        ):
-            ctx.receive_jobs.append((row[:length], int(length), layout, frame_config, start_index))
+        ctx.records.append(
+            ctx.receiver._receive_front(
+                [
+                    (row[:length], int(length), layout, frame_config, start_index)
+                    for (_, layout, frame_config, _, _, start_index), row, length in zip(
+                        wave_info, wave_rows, wave_lengths
+                    )
+                ]
+            )
+        )
+        for wrapper, layout, frame_config, starts, feasible, _ in wave_info:
             ctx.lane_meta.append(
                 (wrapper.s, wrapper.wave_index, layout, frame_config, starts, feasible)
             )
@@ -1116,23 +1131,27 @@ def run_joint_frames_batch(
     sessions: list[SourceSyncSession],
     jobs_per_session: list[list[JointFrameJob]],
 ) -> list[list[JointFrameOutcome]]:
-    """Full joint frames for an ensemble, decoded in one batched pass.
+    """Full joint frames for an ensemble, decoded wave by wave.
 
     ``jobs_per_session[s]`` lists the frames session ``s`` transmits, in
     order; frame ``r`` of every session forms wave ``r``.  Frames are
     independent (no per-frame tracking feedback — the batched counterpart
-    of ``run_joint_frame(..., apply_tracking_feedback=False)``), so the
-    expensive receive chain (data FFTs, demapping, Viterbi) runs once over
-    the whole ensemble; equal coded lengths share one block-parallel
-    Viterbi call.  Each distinct sender data section is built once per
-    call and shared read-only by every frame that repeats it.
+    of ``run_joint_frame(..., apply_tracking_feedback=False)``).  Each
+    wave's receive front end (acquisition through depunctured LLRs) runs as
+    one stack as soon as the wave is combined, so received samples never
+    outlive their wave; only the Viterbi is deferred, and equal coded
+    lengths across the whole ensemble share one block-parallel call.  The
+    receive stages are grouping-invariant, so the results equal one
+    ``receive_many`` over every frame.  Each distinct sender data section
+    is built once per call and shared read-only by every frame that
+    repeats it.
     """
     if len(jobs_per_session) != len(sessions):
         raise ValueError("need one job list per session")
     _check_common_structure(sessions)
     _ensure_measured_batch(sessions)
 
-    ctx = _JointFrameContext()
+    ctx = _JointFrameContext(sessions[0].receiver)
     LockstepScheduler().run(
         [
             _JointFrameLane(session, s, jobs_per_session[s], ctx)
@@ -1141,8 +1160,7 @@ def run_joint_frames_batch(
     )
 
     ctx.data_sections.clear()  # only transmission needs them; free before decoding
-    receiver = sessions[0].receiver
-    received_results = receiver.receive_many(ctx.receive_jobs)
+    received_results = ctx.receiver._receive_back(ctx.records)
 
     results: list[list[JointFrameOutcome | None]] = [
         [None] * len(jobs) for jobs in jobs_per_session

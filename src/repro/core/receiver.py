@@ -20,7 +20,9 @@ Every stage runs on a stack of frames: :meth:`JointReceiver.measure_header_batch
 and :meth:`JointReceiver.receive_many` share one start, acquisition and CFO
 prologue and one header stage, and the per-frame
 :meth:`JointReceiver.measure_header` and :meth:`JointReceiver.receive` are
-stacks of one.
+stacks of one.  ``receive_many`` splits at the LLRs: a front end that keeps
+no received samples, and a back end (the Viterbi) that may run once over
+the front-end records of many stacks.
 """
 
 from __future__ import annotations
@@ -73,6 +75,30 @@ class JointReceiveResult:
     def success(self) -> bool:
         """True when the frame was detected and passed its CRC."""
         return self.detected and self.crc_ok
+
+
+@dataclass
+class _FrontRecord:
+    """What :meth:`JointReceiver._receive_front` keeps of a job stack: no samples.
+
+    ``detected``, ``starts`` and ``cfo`` have one entry per job; ``fits``
+    lists the jobs whose whole frame fits their row.  For those jobs,
+    ``estimates`` and ``reports`` follow ``fits`` order, ``symbols`` maps a
+    job to its equalized data symbols, and ``llr_blocks`` maps a coded
+    length to ``(members, llrs, frame_config)`` blocks whose ``llrs`` rows
+    are the depunctured LLRs of jobs ``members``.
+    """
+
+    detected: np.ndarray
+    starts: np.ndarray
+    cfo: np.ndarray
+    fits: np.ndarray
+    estimates: list[JointChannelEstimate] = field(default_factory=list)
+    reports: list[MisalignmentReport] = field(default_factory=list)
+    symbols: dict[int, np.ndarray] = field(default_factory=dict)
+    llr_blocks: dict[int, list[tuple[np.ndarray, np.ndarray, FrameConfig]]] = field(
+        default_factory=dict
+    )
 
 
 def _frame_samples(
@@ -469,22 +495,39 @@ class JointReceiver:
         Each job is ``(samples, length, layout, frame_config, start_index)``.
         Layouts must share the header geometry (same numerology and
         co-sender count); the data sections may differ per job (e.g. a
-        cyclic-prefix sweep).  Timing acquisition, CFO, channel estimation
-        and misalignment run batched across jobs, as in
-        :meth:`measure_header_batch`.  Jobs that share
-        ``(layout, frame_config)`` then form one stack per data-section
-        geometry: the aligned, CFO-corrected data windows, their FFT,
-        the per-sender pilot tracker (one loop over symbols updating every
-        job's owner phase at once), channel rotation, combining, soft
-        demapping, de-interleaving and depuncturing each run once per
-        stack.  All frames with equal coded length share a single
-        block-parallel Viterbi call, followed by one descramble and bit
-        packing per stack.  Only the CRC check, the per-subcarrier SNR and
-        result assembly stay per job.  :meth:`receive` is a stack of one,
-        and no decision depends on how jobs group.
+        cyclic-prefix sweep).  The front end (:meth:`_receive_front`) runs
+        timing acquisition, CFO, channel estimation and misalignment
+        batched across jobs, as :meth:`measure_header_batch` does, then the
+        data stage once per stack of jobs sharing ``(layout,
+        frame_config)``, up to depunctured LLRs.  The back end
+        (:meth:`_receive_back`) runs one block-parallel Viterbi call per
+        coded length, then descrambling, bit packing, the CRC check and
+        result assembly.  A lockstep caller may run the front end per batch
+        of frames as they arrive and the back end once over all of them;
+        :meth:`receive` is a stack of one.
+
+        Grouping invariance: every stage computes a job's floats with
+        per-row operations only (named complex-product operands, reductions
+        along C-contiguous per-row axes, a row-independent Viterbi), so a
+        job decodes to the same bytes whichever jobs share its stack.
         """
         if not jobs:
             return []
+        return self._receive_back([self._receive_front(jobs, correct_cfo)])
+
+    def _receive_front(
+        self,
+        jobs: list[tuple[np.ndarray, int, JointFrameLayout, FrameConfig, int | None]],
+        correct_cfo: bool = True,
+    ) -> _FrontRecord:
+        """Everything of :meth:`receive_many` up to the LLRs, for a non-empty job stack.
+
+        Locates each frame, estimates its channels and misalignment, and
+        runs the data stage (:meth:`_data_llrs_batch`) once per stack of
+        jobs sharing ``(layout, frame_config)``.  The returned record holds
+        no received samples, so the caller may drop them before the
+        Viterbi pass.
+        """
         layout0 = jobs[0][2]
         params = layout0.params
         n = len(jobs)
@@ -503,32 +546,26 @@ class JointReceiver:
         detected, starts, fits, cfo = self._locate_frames(
             rows, lengths, layout0, [job[4] for job in jobs], total, correct_cfo
         )
-        results: list[JointReceiveResult] = [
-            JointReceiveResult(False, False, b"", start_index=int(start) if found else -1)
-            for found, start in zip(detected, starts)
-        ]
-        idx = np.nonzero(fits)[0]
+        record = _FrontRecord(detected, starts, cfo, np.nonzero(fits)[0])
+        idx = record.fits
         if idx.size == 0:
-            return results
+            return record
 
         sample_period = params.sample_period_s if correct_cfo else None
         header_frames = _frame_samples(
             rows, starts, cfo, idx, np.arange(layout0.data_offset), sample_period
         )
         lead_responses, noise_vars, slots = self._header_channels_batch(header_frames, layout0)
-        estimates, reports = self._joint_estimates_batch(
+        record.estimates, record.reports = self._joint_estimates_batch(
             lead_responses, noise_vars, slots, layout0
         )
 
         # Jobs sharing (layout, frame_config) share every data-section
         # geometry: each such group runs the data stage as one stack up to
-        # the LLR block, then one Viterbi pass per coded length covers
-        # every group.
+        # the LLR block.
         members_of: dict[tuple[JointFrameLayout, FrameConfig], list[int]] = {}
         for pos, i in enumerate(idx):
             members_of.setdefault((jobs[i][2], jobs[i][3]), []).append(pos)
-        llr_blocks: dict[int, list[tuple[np.ndarray, np.ndarray, FrameConfig]]] = {}
-        decoded_symbols_by_job: dict[int, np.ndarray] = {}
         for (layout, frame_config), positions in members_of.items():
             stack = np.asarray(positions)
             members = idx[stack]
@@ -539,14 +576,29 @@ class JointReceiver:
                 layout, frame_config,
             )
             for i, symbols in zip(members, decoded_symbols):
-                decoded_symbols_by_job[i] = symbols
-            llr_blocks.setdefault(llrs.shape[1], []).append((members, llrs, frame_config))
+                record.symbols[i] = symbols
+            record.llr_blocks.setdefault(llrs.shape[1], []).append((members, llrs, frame_config))
+        return record
 
-        frame_bytes_by_job: dict[int, np.ndarray] = {}
-        for block in llr_blocks.values():
-            decoded = _CODE.decode_batch(np.concatenate([llrs for _, llrs, _ in block]))
+    def _receive_back(self, records: list[_FrontRecord]) -> list[JointReceiveResult]:
+        """Decode front-end records: the results of their jobs, concatenated in order.
+
+        LLR blocks of equal coded length share one block-parallel Viterbi
+        call across all records; each block is then descrambled and packed
+        as one stack, and the CRC check, per-subcarrier SNR and result
+        assembly run per job.
+        """
+        blocks: dict[int, list[tuple[int, np.ndarray, np.ndarray, FrameConfig]]] = {}
+        for r, record in enumerate(records):
+            for coded_length, entries in record.llr_blocks.items():
+                blocks.setdefault(coded_length, []).extend(
+                    (r, members, llrs, frame_config) for members, llrs, frame_config in entries
+                )
+        frame_bytes_by_job: dict[tuple[int, int], np.ndarray] = {}
+        for block in blocks.values():
+            decoded = _CODE.decode_batch(np.concatenate([llrs for _, _, llrs, _ in block]))
             lo = 0
-            for members, _, frame_config in block:
+            for r, members, _, frame_config in block:
                 descrambled = bitutils.descramble(
                     decoded[lo : lo + members.size], frame_config.scrambler_seed
                 )
@@ -554,27 +606,34 @@ class JointReceiver:
                     descrambled[:, : frame_config.n_info_bits], axis=-1, bitorder="little"
                 )
                 for i, frame_bytes in zip(members, info):
-                    frame_bytes_by_job[i] = frame_bytes
+                    frame_bytes_by_job[r, i] = frame_bytes
                 lo += members.size
 
-        for pos, i in enumerate(idx):
-            joint_estimate = estimates[pos]
-            frame_bytes = frame_bytes_by_job[i].tobytes()
-            payload, crc_ok = bitutils.check_crc(frame_bytes)
-            per_sc_snr = joint_estimate.per_subcarrier_snr_db()
-            snr_db = float(
-                10.0 * np.log10(max(np.mean(10.0 ** (per_sc_snr / 10.0)), 1e-15))
-            )
-            results[i] = JointReceiveResult(
-                detected=True,
-                crc_ok=crc_ok,
-                payload=payload if crc_ok else frame_bytes[:-4],
-                start_index=int(starts[i]),
-                channels=joint_estimate,
-                misalignment=reports[pos],
-                snr_db=snr_db,
-                per_subcarrier_snr_db=per_sc_snr,
-                cfo_hz=float(cfo[i]),
-                equalized_symbols=decoded_symbols_by_job[i],
-            )
+        results: list[JointReceiveResult] = []
+        for r, record in enumerate(records):
+            stack = [
+                JointReceiveResult(False, False, b"", start_index=int(start) if found else -1)
+                for found, start in zip(record.detected, record.starts)
+            ]
+            for pos, i in enumerate(record.fits):
+                joint_estimate = record.estimates[pos]
+                frame_bytes = frame_bytes_by_job[r, i].tobytes()
+                payload, crc_ok = bitutils.check_crc(frame_bytes)
+                per_sc_snr = joint_estimate.per_subcarrier_snr_db()
+                snr_db = float(
+                    10.0 * np.log10(max(np.mean(10.0 ** (per_sc_snr / 10.0)), 1e-15))
+                )
+                stack[i] = JointReceiveResult(
+                    detected=True,
+                    crc_ok=crc_ok,
+                    payload=payload if crc_ok else frame_bytes[:-4],
+                    start_index=int(record.starts[i]),
+                    channels=joint_estimate,
+                    misalignment=record.reports[pos],
+                    snr_db=snr_db,
+                    per_subcarrier_snr_db=per_sc_snr,
+                    cfo_hz=float(record.cfo[i]),
+                    equalized_symbols=record.symbols[i],
+                )
+            results.extend(stack)
         return results

@@ -11,7 +11,14 @@ stage (acquisition, CFO correction, lead and co-sender channels,
 misalignment) built from the public scalar estimators.  The batched
 header stage that ``measure_header_batch`` and ``receive_many`` share must
 reproduce its decisions exactly and its floats to ``rtol=1e-9``.
+
+``run_joint_frames_batch`` runs the receive front end once per wave and
+the Viterbi once per coded length over all waves; the streaming tests
+hold it to one ``receive_many`` over the same jobs, byte for byte.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -282,20 +289,25 @@ def _sessions(seeds, config, n_cosenders=1, snr_db=16.0):
     return sessions
 
 
-def _captured_jobs(monkeypatch, sessions, jobs_per_session):
-    """The receive jobs ``run_joint_frames_batch`` hands to ``receive_many``."""
-    captured = []
-    original = JointReceiver.receive_many
+def _captured_waves(monkeypatch, sessions, jobs_per_session):
+    """``run_joint_frames_batch``'s results and the job stack of each wave's front stage."""
+    waves = []
+    original = JointReceiver._receive_front
 
     def spy(self, jobs, correct_cfo=True):
-        captured.append(list(jobs))
+        waves.append(list(jobs))
         return original(self, jobs, correct_cfo)
 
-    monkeypatch.setattr(JointReceiver, "receive_many", spy)
-    ens.run_joint_frames_batch(sessions, jobs_per_session)
+    monkeypatch.setattr(JointReceiver, "_receive_front", spy)
+    outcomes = ens.run_joint_frames_batch(sessions, jobs_per_session)
     monkeypatch.undo()
-    (jobs,) = captured
-    return jobs
+    return outcomes, waves
+
+
+def _captured_jobs(monkeypatch, sessions, jobs_per_session):
+    """Every receive job ``run_joint_frames_batch`` decodes, in wave order."""
+    _, waves = _captured_waves(monkeypatch, sessions, jobs_per_session)
+    return [job for wave in waves for job in wave]
 
 
 def _cp_sweep_jobs(monkeypatch, config, n_cosenders=1, active=None, genie=True):
@@ -408,6 +420,82 @@ class TestJointBatchReceiveOracle:
         samples, length, layout, frame_config, start = jobs[0]
         short = [(samples[:500], 500, layout, frame_config, start)]
         _assert_same_results(receiver.receive_many(short), reference_receive_many(receiver, short))
+
+
+def _uneven_jobs():
+    """Job lists of 3, 1 and 2 frames: waves of three, two and one lane.
+
+    Two payload sizes and three cyclic prefixes give several data-section
+    geometries and two coded lengths, some of which recur across waves.
+    """
+    rng = np.random.default_rng(7)
+    short, long = bitutils.random_payload(36, rng), bitutils.random_payload(60, rng)
+    return [
+        [
+            ens.JointFrameJob(short, data_cp_samples=8, genie_timing=True),
+            ens.JointFrameJob(long, data_cp_samples=0),
+            ens.JointFrameJob(short, data_cp_samples=32),
+        ],
+        [ens.JointFrameJob(long, data_cp_samples=8, genie_timing=True)],
+        [
+            ens.JointFrameJob(short, data_cp_samples=0),
+            ens.JointFrameJob(long, data_cp_samples=8, genie_timing=True),
+        ],
+    ]
+
+
+class TestJointBatchStreaming:
+    """``run_joint_frames_batch`` runs the receive front end wave by wave."""
+
+    def test_joint_batch_streaming_matches_one_receive_many(self, monkeypatch):
+        jobs_per_session = _uneven_jobs()
+        sessions = _sessions([531, 532, 533], SourceSyncConfig())
+        coded_lengths = []
+        original_decode = type(_CODE).decode_batch
+
+        def counting_decode(code, llrs, *args, **kwargs):
+            coded_lengths.append(llrs.shape[1])
+            return original_decode(code, llrs, *args, **kwargs)
+
+        monkeypatch.setattr(type(_CODE), "decode_batch", counting_decode)
+        outcomes, waves = _captured_waves(monkeypatch, sessions, jobs_per_session)
+        assert [len(wave) for wave in waves] == [3, 2, 1]
+        jobs = [job for wave in waves for job in wave]
+        # One Viterbi call per coded length, each covering every wave.
+        assert len(coded_lengths) == len(set(coded_lengths)) == 2
+        streamed = [
+            outcomes[s][r].result
+            for r in range(len(waves))
+            for s, session_jobs in enumerate(jobs_per_session)
+            if r < len(session_jobs)
+        ]
+        assert all(result.crc_ok for result in streamed)
+        _assert_same_results(streamed, sessions[0].receiver.receive_many(jobs))
+
+    def test_joint_batch_wave_samples_die_with_their_wave(self, monkeypatch):
+        # Before the Viterbi pass runs, no wave's received rows are alive:
+        # the context keeps only front-end records.
+        rows_alive = []
+        original_combine = ens.combine_ensemble_at_receiver
+
+        def tracking_combine(*args, **kwargs):
+            rows, lengths = original_combine(*args, **kwargs)
+            rows_alive.append(weakref.ref(rows))
+            return rows, lengths
+
+        original_back = JointReceiver._receive_back
+
+        def checking_back(self, records):
+            gc.collect()
+            assert len(rows_alive) == 3
+            assert all(ref() is None for ref in rows_alive)
+            return original_back(self, records)
+
+        monkeypatch.setattr(ens, "combine_ensemble_at_receiver", tracking_combine)
+        monkeypatch.setattr(JointReceiver, "_receive_back", checking_back)
+        sessions = _sessions([531, 532, 533], SourceSyncConfig())
+        outcomes = ens.run_joint_frames_batch(sessions, _uneven_jobs())
+        assert all(outcome.result.crc_ok for session in outcomes for outcome in session)
 
 
 def _assert_same_header(got, want):
