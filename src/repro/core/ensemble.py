@@ -1110,21 +1110,16 @@ class _JointFrameLane(Lane):
             [entry[0].session.rng for entry in built],
             leading_silence=leading_silence,
         )
-        ctx.records.append(
-            ctx.receiver._receive_front(
-                [
-                    (row[:length], int(length), layout, frame_config, start_index)
-                    for (_, layout, frame_config, _, _, start_index), row, length in zip(
-                        wave_info, wave_rows, wave_lengths
-                    )
-                ]
-            )
-        )
-        for wrapper, layout, frame_config, starts, feasible, _ in wave_info:
+        receive_jobs = []
+        for (wrapper, layout, frame_config, starts, feasible, start_index), row, length in zip(
+            wave_info, wave_rows, wave_lengths
+        ):
+            receive_jobs.append((row[:length], int(length), layout, frame_config, start_index))
             ctx.lane_meta.append(
                 (wrapper.s, wrapper.wave_index, layout, frame_config, starts, feasible)
             )
             wrapper.wave_index += 1
+        ctx.records.append(ctx.receiver._receive_front(receive_jobs))
 
 
 def run_joint_frames_batch(
