@@ -99,4 +99,4 @@ def apply_cfo(
     n = np.arange(start_sample, start_sample + samples.size)
     phase = 2.0 * np.pi * cfo_hz * n / sample_rate_hz + initial_phase
     rotation = np.exp(1j * phase)
-    return samples * rotation
+    return np.multiply(samples, rotation, out=rotation)

@@ -109,6 +109,6 @@ def fractional_delay(samples: np.ndarray, delay_samples: float, pad: int = 0) ->
     spectrum = np.fft.fft(samples, n_fft)
     freqs = np.fft.fftfreq(n_fft)
     ramp = np.exp(-2j * np.pi * freqs * delay_samples)
-    shifted = spectrum * ramp
+    shifted = np.multiply(spectrum, ramp, out=ramp)
     out = np.fft.ifft(shifted)[:total]
     return out

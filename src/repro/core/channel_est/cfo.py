@@ -90,4 +90,4 @@ def precorrect_cfo(
     samples = np.asarray(samples, dtype=np.complex128)
     n = np.arange(samples.size)
     ramp = np.exp(-2j * np.pi * cfo_hz * n / sample_rate_hz)
-    return samples * ramp
+    return np.multiply(samples, ramp, out=ramp)

@@ -123,9 +123,10 @@ def _frame_samples(
     if sample_period is None:
         return samples
     # A named ramp keeps numpy from reusing it as the output of a swapped
-    # (ramp * samples) product, which rounds complex products differently.
+    # (ramp * samples) product, which rounds complex products differently;
+    # writing the product back into it keeps the order and saves a buffer.
     ramp = np.exp(-2j * np.pi * cfo[members].reshape(lead) * offsets * sample_period)
-    return samples * ramp
+    return np.multiply(samples, ramp, out=ramp)
 
 
 class JointReceiver:

@@ -126,7 +126,7 @@ def detect_packet_autocorrelation_batch(
     # Autocorrelation and energy over a sliding window of `lag` samples;
     # the sliding sums are cumulative-sum differences along the time axis.
     lagged = np.conj(samples[:, :-lag])
-    prod = samples[:, lag:] * lagged
+    prod = np.multiply(samples[:, lag:], lagged, out=lagged)
     energy = np.abs(samples[:, lag:]) ** 2
     corr = _sliding_sum(prod, lag)
     power = _sliding_sum(energy, lag).real
@@ -275,7 +275,7 @@ def estimate_coarse_cfo(
     if segment.shape[-1] < span + lag:
         raise ValueError("not enough samples after start_index for CFO estimation")
     lagged = np.conj(segment[..., :-lag])
-    prod = segment[..., lag:] * lagged
+    prod = np.multiply(segment[..., lag:], lagged, out=lagged)
     angle = np.angle(prod.sum(axis=-1))
     cfo = angle / (2.0 * np.pi * lag * params.sample_period_s)
     return float(cfo) if np.ndim(cfo) == 0 else cfo
@@ -309,7 +309,7 @@ def estimate_coarse_cfo_rows(
     gather = starts[idx, None] + np.arange(span + lag)[None, :]
     segments = rows[idx[:, None], gather]
     lagged = np.conj(segments[:, :-lag])
-    prod = segments[:, lag:] * lagged
+    prod = np.multiply(segments[:, lag:], lagged, out=lagged)
     angle = np.angle(prod.sum(axis=-1))
     cfo[idx] = angle / (2.0 * np.pi * lag * params.sample_period_s)
     return cfo

@@ -96,7 +96,7 @@ def apply_cfo_correction(samples: np.ndarray, cfo_hz: float, sample_period_s: fl
     samples = np.asarray(samples, dtype=np.complex128)
     n = np.arange(samples.size)
     ramp = np.exp(-2j * np.pi * cfo_hz * n * sample_period_s)
-    return samples * ramp
+    return np.multiply(samples, ramp, out=ramp)
 
 
 class Receiver:
@@ -235,7 +235,7 @@ class Receiver:
                 cfo_hz = np.zeros(n_active, dtype=np.float64)
             n = np.arange(frame_len)
             ramp = np.exp(-2j * np.pi * cfo_hz[:, None] * n[None, :] * params.sample_period_s)
-            frames = frames * ramp
+            frames = np.multiply(frames, ramp, out=ramp)
 
         # --- channel + noise estimation from the two LTF repetitions
         ltf_start = stf_len + 2 * params.cp_samples

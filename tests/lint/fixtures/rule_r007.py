@@ -44,3 +44,8 @@ def in_place_product_is_fine(samples, phases):
 
 def suppressed_product(samples, phases):
     return samples * np.exp(1j * phases)  # repro-lint: disable=R007
+
+
+def written_back_is_fine(samples, cfo, n):
+    ramp = np.exp(-2j * np.pi * cfo * n)
+    return np.multiply(samples, ramp, out=ramp)
