@@ -37,9 +37,13 @@ Entry points
   §4.2c for an ensemble of sessions;
 * :func:`converge_tracking_batch` — the §4.5 wait-time convergence loop in
   lockstep;
-* :func:`run_header_exchanges_batch` — header-only joint exchanges (the
-  Fig. 12 measurement primitive), optionally repeated per session;
-* :func:`run_sync_trials_batch` — schedule-only synchronization trials;
+* :func:`run_header_exchanges_batch` — one header-only joint exchange per
+  session (the Fig. 12 measurement primitive and the §4.5 tracking step);
+  a caller that repeats exchanges calls it once per repetition, so the
+  received rows alive at once are bounded by the ensemble, not by the
+  repetition count;
+* :func:`run_sync_trials_batch` — one schedule-only synchronization trial
+  per session;
 * :func:`run_joint_frames_batch` — full joint frames; each wave's receive
   front end (acquisition through depunctured LLRs) runs as the wave lands,
   and only the Viterbi waits, one block-parallel pass per coded length
@@ -55,6 +59,9 @@ back per session, in order::
                 for topo, rng in zip(topologies, rngs)]
     measure_delays_batch(sessions)                  # probe phase, all at once
     converge_tracking_batch(sessions, rounds=4)     # §4.5 warm-up in lockstep
+    headers = run_header_exchanges_batch(sessions)  # one exchange per session
+    # headers[s] matches sessions[s].run_header_exchange(
+    # apply_tracking_feedback=False); call again for another repetition
     jobs = [[JointFrameJob(payload, rate_mbps=6.0, data_cp_samples=cp)
              for cp in cp_sweep] for _ in sessions]
     outcomes = run_joint_frames_batch(sessions, jobs)
@@ -654,58 +661,52 @@ def _cosender_transmissions(
 # ----------------------------------------------------------------------
 def run_sync_trials_batch(
     sessions: list[SourceSyncSession],
-    repeats: int = 1,
     compensate: bool = True,
-) -> list[list[SyncTrialResult]]:
-    """Schedule-only synchronization trials for an ensemble, in lockstep.
+) -> list[SyncTrialResult]:
+    """One schedule-only synchronization trial per session, in lockstep.
 
-    Returns ``results[session][repeat]`` matching ``repeats`` sequential
-    :meth:`SourceSyncSession.run_sync_trial` calls per session.
+    Returns ``results[session]`` matching one sequential
+    :meth:`SourceSyncSession.run_sync_trial` call per session.
     """
     _check_common_structure(sessions)
     _ensure_measured_batch(sessions)
-    results: list[list[SyncTrialResult]] = [[] for _ in sessions]
-    for _ in range(repeats):
-        layouts = [_header_layout(session) for session in sessions]
-        bits = [_draw_header(session, layout) for session, layout in zip(sessions, layouts)]
-        waveforms = header_waveforms_from_bits(np.stack(bits), layouts[0].params)
-        lanes = list(zip(sessions, layouts, waveforms))
-        starts, feasible = _schedule_lockstep(lanes, compensate)
-        for s, session in enumerate(sessions):
-            layout = lanes[s][1]
-            misalignment = session._true_misalignments(layout, starts[s])
-            snr_db = session.topology.link_lead_rx.snr_db(session.topology.noise_power)
-            results[s].append(SyncTrialResult(misalignment, tuple(feasible[s]), snr_db))
+    layouts = [_header_layout(session) for session in sessions]
+    bits = [_draw_header(session, layout) for session, layout in zip(sessions, layouts)]
+    waveforms = header_waveforms_from_bits(np.stack(bits), layouts[0].params)
+    lanes = list(zip(sessions, layouts, waveforms))
+    starts, feasible = _schedule_lockstep(lanes, compensate)
+    results = []
+    for s, (session, layout, _) in enumerate(lanes):
+        misalignment = session._true_misalignments(layout, starts[s])
+        snr_db = session.topology.link_lead_rx.snr_db(session.topology.noise_power)
+        results.append(SyncTrialResult(misalignment, tuple(feasible[s]), snr_db))
     return results
 
 
 def run_header_exchanges_batch(
     sessions: list[SourceSyncSession],
-    repeats: int = 1,
     compensate: bool = True,
     apply_tracking_feedback: bool = False,
     genie_timing: bool = False,
-) -> list[list[HeaderExchangeOutcome]]:
-    """Header-only joint exchanges for an ensemble of sessions, in lockstep.
+) -> list[HeaderExchangeOutcome]:
+    """One header-only joint exchange per session, in lockstep.
 
-    ``repeats`` exchanges per session are executed as waves across sessions;
+    Returns ``outcomes[session]`` matching one sequential
+    :meth:`SourceSyncSession.run_header_exchange` call per session.  The
     receiver-side measurement (detection, CFO, per-sender channels,
-    misalignment) is deferred and batched across *all* waves at the end,
-    which is where the Fig. 12 measurement loop spends its time.
-
-    ``apply_tracking_feedback`` requires ``repeats == 1``: feedback makes
-    exchange ``r+1`` of a session depend on the measurement of exchange
-    ``r``, which is exactly the sequencing lockstep removes.
+    misalignment) runs as one stack over the sessions' received rows, so a
+    caller that repeats the exchange, as Fig. 12's ground-truth estimator
+    does, holds one received row per session at a time.  With
+    ``apply_tracking_feedback`` each session's co-senders apply the
+    measured misalignment before the call returns.
     """
-    if apply_tracking_feedback and repeats != 1:
-        raise ValueError("tracking feedback requires repeats == 1 (sequential dependence)")
     _check_common_structure(sessions)
     _ensure_measured_batch(sessions)
     leading_silence = 60
     n_cosenders = sessions[0].topology.n_cosenders
 
     # ------------------------------------------------------------------
-    # Optimistic draw-ahead: every RNG draw of every repeat happens now,
+    # Optimistic draw-ahead: every RNG draw of the exchange happens now,
     # per session in exact sequential order, *assuming* (a) every header
     # probe is detected and (b) the combined waveform fits the standard
     # total length.  Both assumptions are verified after the batched
@@ -717,10 +718,10 @@ def run_header_exchanges_batch(
     snapshots = [
         {**session.rng.bit_generator.state} for session in sessions
     ]
-    pids: list[list[int]] = []
-    probe_noises: list[list[list[np.ndarray]]] = []
-    extras: list[list[list[float]]] = []
-    combine_noises: list[list[np.ndarray | None]] = []
+    pids: list[int] = []
+    probe_noises: list[list[np.ndarray]] = []
+    extras: list[list[float]] = []
+    combine_noises: list[np.ndarray | None] = []
     totals: list[int] = []
     for s, session in enumerate(sessions):
         topo = session.topology
@@ -733,143 +734,115 @@ def run_header_exchanges_batch(
             + 40
         )
         totals.append(total_needed)
-        session_pids: list[int] = []
-        session_noises: list[list[np.ndarray]] = []
-        session_extras: list[list[float]] = []
-        session_combine: list[np.ndarray | None] = []
-        for _ in range(repeats):
-            session_pids.append(int(session.rng.integers(0, 1 << 16)))
-            rep_noises: list[np.ndarray] = []
-            rep_extras: list[float] = []
-            for i in range(n_cosenders):
-                link = topo.links_lead_cosender[i]
-                length = _probe_received_length(link, header_len)
-                rep_noises.append(awgn(length, topo.noise_power, session.rng))
-                snr_db = link.snr_db(topo.noise_power)
-                rep_extras.append(
-                    topo.cosenders[i].frontend.detection_delay_samples(snr_db, session.rng)
-                )
-            session_noises.append(rep_noises)
-            session_extras.append(rep_extras)
-            session_combine.append(
-                awgn(total_needed, topo.noise_power, session.rng)
-                if topo.noise_power > 0
-                else None
+        pids.append(int(session.rng.integers(0, 1 << 16)))
+        session_noises: list[np.ndarray] = []
+        session_extras: list[float] = []
+        for i in range(n_cosenders):
+            link = topo.links_lead_cosender[i]
+            length = _probe_received_length(link, header_len)
+            session_noises.append(awgn(length, topo.noise_power, session.rng))
+            snr_db = link.snr_db(topo.noise_power)
+            session_extras.append(
+                topo.cosenders[i].frontend.detection_delay_samples(snr_db, session.rng)
             )
-        pids.append(session_pids)
         probe_noises.append(session_noises)
         extras.append(session_extras)
-        combine_noises.append(session_combine)
+        combine_noises.append(
+            awgn(total_needed, topo.noise_power, session.rng)
+            if topo.noise_power > 0
+            else None
+        )
 
     # ------------------------------------------------------------------
-    # Batched computation over every (session, repeat, cosender) probe row.
+    # Batched computation over every (session, cosender) probe row.
     # ------------------------------------------------------------------
     # Lockstep sessions share one header layout (_check_common_structure),
-    # so every header of every repeat is synthesised in one batch.
-    flat = sessions[0].lead.header_waveforms(
+    # so every session's header is synthesised in one batch.
+    header_waveforms = sessions[0].lead.header_waveforms(
         [
-            sessions[s].lead.make_header(
+            session.lead.make_header(
                 packet_id=pid,
                 rate_mbps=6.0,
-                data_cp_samples=layouts[s].effective_data_cp,
-                n_cosenders=layouts[s].n_cosenders,
+                data_cp_samples=layout.effective_data_cp,
+                n_cosenders=layout.n_cosenders,
             )
-            for s in range(len(sessions))
-            for pid in pids[s]
+            for session, layout, pid in zip(sessions, layouts, pids)
         ],
         layouts[0],
     )
-    header_waveforms = [flat[s * repeats : (s + 1) * repeats] for s in range(len(sessions))]
     jobs: list[_LegJob] = []
-    job_key: list[tuple[int, int, int]] = []
+    job_key: list[tuple[int, int]] = []
     noises_flat: list[np.ndarray] = []
     for s, session in enumerate(sessions):
         topo = session.topology
-        for r in range(repeats):
-            for i in range(n_cosenders):
-                jobs.append(
-                    _LegJob(
-                        link=topo.links_lead_cosender[i],
-                        rng=session.rng,
-                        noise_power=topo.noise_power,
-                        params=topo.params,
-                        waveform=header_waveforms[s][r],
-                        frontend=topo.cosenders[i].frontend,
-                    )
+        for i in range(n_cosenders):
+            jobs.append(
+                _LegJob(
+                    link=topo.links_lead_cosender[i],
+                    rng=session.rng,
+                    noise_power=topo.noise_power,
+                    params=topo.params,
+                    waveform=header_waveforms[s],
+                    frontend=topo.cosenders[i].frontend,
                 )
-                job_key.append((s, r, i))
-                noises_flat.append(probe_noises[s][r][i])
+            )
+            job_key.append((s, i))
+            noises_flat.append(probe_noises[s][i])
     bad: set[int] = set()
-    legs_by_key: dict[tuple[int, int, int], ProbeLegResult] = {}
+    legs: list[list[ProbeLegResult]] = [[] for _ in sessions]
     if jobs:
         rows = _propagate_and_noise(jobs, noises_flat)
         for job, noise in zip(jobs, noises_flat):
             if job.length != noise.size:
                 raise AssertionError("draw-ahead noise length desynchronised")
         detections = detect_packet_autocorrelation_batch(rows, jobs[0].params)
-        for (s, r, i), detection in zip(job_key, detections):
+        for (s, _), detection in zip(job_key, detections):
             if not detection.detected:
                 bad.add(s)
         detect_instants = np.array(
             [
-                detections[k].detect_index + extras[s][r][i]
-                if detections[k].detected
-                else 0.0
-                for k, (s, r, i) in enumerate(job_key)
+                detections[k].detect_index + extras[s][i] if detections[k].detected else 0.0
+                for k, (s, i) in enumerate(job_key)
             ]
         )
-        legs = _probe_legs_estimate(jobs, rows, detections, detect_instants)
-        for key, leg in zip(job_key, legs):
-            legs_by_key[key] = leg
+        for (s, _), leg in zip(job_key, _probe_legs_estimate(jobs, rows, detections, detect_instants)):
+            legs[s].append(leg)
 
     # Schedules, transmissions and combined waveforms for intact sessions.
-    lane_order: list[tuple[int, int]] = []
-    lane_starts: dict[tuple[int, int], list[float]] = {}
-    lane_feasible: dict[tuple[int, int], list[bool]] = {}
-    for s, session in enumerate(sessions):
-        if s in bad:
-            continue
-        for r in range(repeats):
-            starts = []
-            feasible = []
-            for i in range(n_cosenders):
-                start, ok = _schedule_from_leg(
-                    session, layouts[s], i, legs_by_key[(s, r, i)], compensate
-                )
-                starts.append(start)
-                feasible.append(ok)
-            lane_starts[(s, r)] = starts
-            lane_feasible[(s, r)] = feasible
-            lane_order.append((s, r))
+    lane_order = [s for s in range(len(sessions)) if s not in bad]
+    lane_starts: dict[int, list[float]] = {}
+    lane_feasible: dict[int, list[bool]] = {}
+    for s in lane_order:
+        scheduled = [
+            _schedule_from_leg(sessions[s], layouts[s], i, legs[s][i], compensate)
+            for i in range(n_cosenders)
+        ]
+        lane_starts[s] = [start for start, _ in scheduled]
+        lane_feasible[s] = [ok for _, ok in scheduled]
 
     # Propagate lead + co-sender contributions (grouped, batched) and check
     # the combined waveform fits the pre-drawn noise length.
-    lane_contributions: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
-    grouped: dict[int, list[tuple[tuple[int, int], Transmission]]] = {}
-    for s, r in lane_order:
+    lane_contributions: dict[int, list[tuple[int, np.ndarray]]] = {}
+    grouped: dict[int, list[tuple[int, Transmission]]] = {}
+    for s in lane_order:
         session = sessions[s]
-        topo = session.topology
         transmissions = [
             Transmission(
-                link=topo.link_lead_rx, samples=header_waveforms[s][r], start_sample=0.0
+                link=session.topology.link_lead_rx, samples=header_waveforms[s], start_sample=0.0
             )
         ]
-        transmissions.extend(
-            _cosender_transmissions(session, layouts[s], lane_starts[(s, r)])
-        )
+        transmissions.extend(_cosender_transmissions(session, layouts[s], lane_starts[s]))
         for tx in transmissions:
-            grouped.setdefault(np.asarray(tx.samples).shape[-1], []).append(((s, r), tx))
+            grouped.setdefault(np.asarray(tx.samples).shape[-1], []).append((s, tx))
     for _, members in grouped.items():
         links = [tx.link for _, tx in members]
         waveforms = np.stack([tx.samples for _, tx in members])
         starts_rows = [tx.start_sample for _, tx in members]
-        for (key, _), (waveform, start) in zip(members, propagate_rows(links, waveforms, starts_rows)):
-            lane_contributions.setdefault(key, []).append(
-                (int(start) + leading_silence, waveform)
-            )
-    for s, r in lane_order:
+        for (s, _), (waveform, start) in zip(members, propagate_rows(links, waveforms, starts_rows)):
+            lane_contributions.setdefault(s, []).append((int(start) + leading_silence, waveform))
+    for s in lane_order:
         end = max(
-            (start_idx + waveform.size for start_idx, waveform in lane_contributions[(s, r)]),
+            (start_idx + waveform.size for start_idx, waveform in lane_contributions[s]),
             default=0,
         )
         if end > totals[s]:
@@ -878,26 +851,25 @@ def run_header_exchanges_batch(
     # ------------------------------------------------------------------
     # Roll back violated sessions and replay them through run_header_exchange.
     # ------------------------------------------------------------------
-    results: list[list[HeaderExchangeOutcome | None]] = [[None] * repeats for _ in sessions]
+    results: list[HeaderExchangeOutcome | None] = [None] * len(sessions)
     for s in bad:
         sessions[s].rng.bit_generator.state = snapshots[s]
-        for r in range(repeats):
-            results[s][r] = sessions[s].run_header_exchange(
-                compensate=compensate,
-                apply_tracking_feedback=apply_tracking_feedback,
-                genie_timing=genie_timing,
-            )
+        results[s] = sessions[s].run_header_exchange(
+            compensate=compensate,
+            apply_tracking_feedback=apply_tracking_feedback,
+            genie_timing=genie_timing,
+        )
 
-    ok_lanes = [(s, r) for s, r in lane_order if s not in bad]
+    ok_lanes = [s for s in lane_order if s not in bad]
     if ok_lanes:
-        max_len = max(totals[s] for s, _ in ok_lanes)
+        max_len = max(totals[s] for s in ok_lanes)
         padded = np.zeros((len(ok_lanes), max_len), dtype=np.complex128)
         lengths = np.zeros(len(ok_lanes), dtype=np.int64)
         start_hints: list[int | None] = []
-        for row, (s, r) in enumerate(ok_lanes):
-            for start_idx, waveform in lane_contributions[(s, r)]:
+        for row, s in enumerate(ok_lanes):
+            for start_idx, waveform in lane_contributions[s]:
                 padded[row, start_idx : start_idx + waveform.size] += waveform
-            noise = combine_noises[s][r]
+            noise = combine_noises[s]
             if noise is not None:
                 padded[row, : totals[s]] += noise
             lengths[row] = totals[s]
@@ -908,11 +880,11 @@ def run_header_exchanges_batch(
                 else None
             )
         measured = sessions[0].receiver.measure_header_batch(
-            padded, lengths, layouts[ok_lanes[0][0]], start_hints
+            padded, lengths, layouts[ok_lanes[0]], start_hints
         )
-        for (s, r), (channels, misalignment, _) in zip(ok_lanes, measured):
+        for s, (channels, misalignment, _) in zip(ok_lanes, measured):
             session = sessions[s]
-            starts = lane_starts[(s, r)]
+            starts = lane_starts[s]
             true_misalignment = session._true_misalignments(layouts[s], starts)
             if apply_tracking_feedback and misalignment is not None:
                 reported = iter(misalignment.misalignments_samples)
@@ -927,10 +899,10 @@ def run_header_exchanges_batch(
                     except StopIteration:
                         break
             snr_db = session.topology.link_lead_rx.snr_db(session.topology.noise_power)
-            results[s][r] = HeaderExchangeOutcome(
+            results[s] = HeaderExchangeOutcome(
                 measured_misalignment=misalignment,
                 true_misalignment_samples=true_misalignment,
-                schedules_feasible=tuple(lane_feasible[(s, r)]),
+                schedules_feasible=tuple(lane_feasible[s]),
                 snr_db=snr_db,
                 channels=channels,
             )
@@ -958,9 +930,7 @@ def converge_tracking_batch(
 ) -> None:
     """Run the §4.5 wait-time convergence loop for an ensemble, in lockstep."""
     for _ in range(max(rounds, 0)):
-        run_header_exchanges_batch(
-            sessions, repeats=1, compensate=compensate, apply_tracking_feedback=True
-        )
+        run_header_exchanges_batch(sessions, compensate=compensate, apply_tracking_feedback=True)
 
 
 @dataclass(frozen=True)
@@ -990,9 +960,11 @@ class _JointFrameContext:
         self.receiver = receiver
         self.records: list = []
         self.lane_meta: list[tuple] = []
-        # Data sections built so far in this call (read-only, see
-        # build_data_section): the frames of a CP sweep repeat payloads.
-        self.data_sections: dict = {}
+        # Data-section memos (read-only, see build_data_section), one per
+        # frame layout that the latest wave used.  A CP sweep sends each
+        # CP's frames in consecutive waves, so a section lives as long as
+        # its CP's waves and is still built only once.
+        self.data_sections: dict[JointFrameLayout, dict] = {}
 
 
 class _JointFrameLane(Lane):
@@ -1058,7 +1030,11 @@ class _JointFrameLane(Lane):
             (
                 wrapper, job, frame_config, layout, header_waveform,
                 wrapper.session.lead.build_waveform(
-                    job.payload, header_waveform, layout, frame_config, sections=ctx.data_sections
+                    job.payload,
+                    header_waveform,
+                    layout,
+                    frame_config,
+                    sections=ctx.data_sections.setdefault(layout, {}),
                 ),
             )
             for (wrapper, job, frame_config, layout, _), header_waveform in zip(drawn, waveforms)
@@ -1094,7 +1070,7 @@ class _JointFrameLane(Lane):
                     payload=job.payload,
                     frame_config=frame_config,
                     active=active,
-                    sections=ctx.data_sections,
+                    sections=ctx.data_sections[layout],
                 )
             )
             wave_trials.append((transmissions, None))
@@ -1110,6 +1086,8 @@ class _JointFrameLane(Lane):
             [entry[0].session.rng for entry in built],
             leading_silence=leading_silence,
         )
+        # Transmission is done: keep only the sections of this wave's layouts.
+        ctx.data_sections = {info[1]: ctx.data_sections[info[1]] for info in wave_info}
         receive_jobs = []
         for (wrapper, layout, frame_config, starts, feasible, start_index), row, length in zip(
             wave_info, wave_rows, wave_lengths
@@ -1138,8 +1116,9 @@ def run_joint_frames_batch(
     lengths across the whole ensemble share one block-parallel call.  The
     receive stages are grouping-invariant, so the results equal one
     ``receive_many`` over every frame.  Each distinct sender data section
-    is built once per call and shared read-only by every frame that
-    repeats it.
+    is built once and shared read-only by the frames that repeat it in
+    consecutive waves; a wave drops the sections of layouts it no longer
+    uses.
     """
     if len(jobs_per_session) != len(sessions):
         raise ValueError("need one job list per session")

@@ -119,29 +119,30 @@ def _measure_residual_batch(
 ) -> list[list[float]]:
     """Lockstep counterpart of :func:`measure_residual_sync_error`.
 
-    All sessions advance measurement-by-measurement together; the repeated
-    header receptions of one measurement are batched across sessions *and*
-    repetitions, and the per-measurement tracking update runs as one more
-    lockstep wave — the same per-session sequence as the sequential loop.
+    All sessions advance measurement-by-measurement together.  Each
+    repetition of a measurement is one lockstep header exchange across the
+    sessions, measured as it arrives as a receiver would, so only one
+    received row per session is alive at a time; the per-measurement
+    tracking update runs as one more lockstep exchange — the same
+    per-session sequence as the sequential loop.
     """
     errors: list[list[float]] = [[] for _ in sessions]
     for _ in range(n_measurements):
-        outcomes = run_header_exchanges_batch(
-            sessions, repeats=repetitions_per_measurement, apply_tracking_feedback=False
-        )
-        for s in range(len(sessions)):
-            estimates = []
-            for outcome in outcomes[s]:
+        estimates: list[list[float]] = [[] for _ in sessions]
+        for _ in range(repetitions_per_measurement):
+            outcomes = run_header_exchanges_batch(sessions, apply_tracking_feedback=False)
+            for s, outcome in enumerate(outcomes):
                 if outcome.measured_misalignment is None:
                     continue
                 values = outcome.measured_misalignment.misalignments_samples
                 if values:
-                    estimates.append(values[0])
-            if estimates:
-                errors[s].append(abs(float(np.mean(estimates))) * params.sample_period_ns)
+                    estimates[s].append(values[0])
+        for s, session_estimates in enumerate(estimates):
+            if session_estimates:
+                errors[s].append(abs(float(np.mean(session_estimates))) * params.sample_period_ns)
         # One tracking update per measurement keeps the loop converged, as a
         # real deployment would via ACK feedback on data packets.
-        run_header_exchanges_batch(sessions, repeats=1, apply_tracking_feedback=True)
+        run_header_exchanges_batch(sessions, apply_tracking_feedback=True)
     return errors
 
 

@@ -170,10 +170,10 @@ def _run(config: Config) -> ExperimentResult:
         sessions = [session for _, session in cells]
         measure_delays_batch(sessions)
         converge_tracking_batch(sessions, rounds=3)
-        outcomes = run_header_exchanges_batch(sessions, repeats=1, apply_tracking_feedback=False)
+        outcomes = run_header_exchanges_batch(sessions, apply_tracking_feedback=False)
         for regime in regimes:
             channels_list = [
-                outcome[0].channels
+                outcome.channels
                 for (cell_regime, _), outcome in zip(cells, outcomes)
                 if cell_regime == regime
             ]

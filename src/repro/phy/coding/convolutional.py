@@ -36,10 +36,12 @@ import numpy as np
 __all__ = ["ConvolutionalCode", "get_code"]
 
 #: Cap on decisions-array elements (steps x packets x states) held live per
-#: decode_batch call; larger ensembles are split into packet chunks, which
-#: changes nothing numerically (every packet's recursion is independent) but
-#: bounds memory the same way the receiver chunks its soft demapper.
-_DECODE_CHUNK_ELEMS = 1 << 26
+#: decode_batch call.  Decisions are one byte each, so the array stays under
+#: 4 MiB; larger ensembles are split into packet chunks, which changes
+#: nothing numerically (every packet's recursion is independent) but bounds
+#: memory the same way the receiver chunks its soft demapper.  Fig. 13's 320
+#: frames of 528 trellis steps decode in three chunks.
+_DECODE_CHUNK_ELEMS = 1 << 22
 
 #: Trellis steps whose branch-metric table decode_batch builds at a time.
 _TABLE_STEPS = 64

@@ -10,11 +10,14 @@ ulp (SIMD kernel selection on batched arrays — the documented
 checked end to end at their smoke presets.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import JointTopology, SourceSyncConfig, SourceSyncSession
 from repro.core import ensemble as ens
+from repro.core import sender
 from repro.core.ensemble import run_sync_trials_batch
 from repro.phy import bits as bitutils
 
@@ -79,6 +82,25 @@ class TestJointBatchMeasurement:
         assert _rng_states_match(seq, bat)
 
 
+def _assert_header_outcomes_identical(a, b):
+    """Two header-exchange outcomes agree byte for byte."""
+    assert a.measured_misalignment == b.measured_misalignment
+    assert a.schedules_feasible == b.schedules_feasible
+    assert a.true_misalignment_samples == b.true_misalignment_samples
+    assert a.snr_db == b.snr_db
+    assert (a.channels is None) == (b.channels is None)
+    if a.channels is not None:
+        assert a.channels.noise_var == b.channels.noise_var
+        pairs = [(a.channels.lead, b.channels.lead)]
+        assert len(a.channels.cosenders) == len(b.channels.cosenders)
+        pairs.extend(zip(a.channels.cosenders, b.channels.cosenders))
+        for ca, cb in pairs:
+            assert (ca is None) == (cb is None)
+            if ca is not None:
+                assert ca.noise_var == cb.noise_var
+                assert ca.response.tobytes() == cb.response.tobytes()
+
+
 class TestJointBatchExchanges:
     def test_joint_batch_header_exchanges_match_sequential(self, session_pairs):
         seq, bat = session_pairs
@@ -89,28 +111,63 @@ class TestJointBatchExchanges:
             [s.run_header_exchange(apply_tracking_feedback=False) for _ in range(3)]
             for s in seq
         ]
-        batched = ens.run_header_exchanges_batch(bat, repeats=3)
-        for per_session_seq, per_session_bat in zip(sequential, batched):
-            for a, b in zip(per_session_seq, per_session_bat):
-                assert a.detected == b.detected
-                assert a.schedules_feasible == b.schedules_feasible
-                np.testing.assert_allclose(
-                    a.true_misalignment_samples, b.true_misalignment_samples, rtol=1e-9
-                )
-                assert a.measured_misalignment == b.measured_misalignment
+        batched = [ens.run_header_exchanges_batch(bat) for _ in range(3)]
+        for s, per_session_seq in enumerate(sequential):
+            for r, a in enumerate(per_session_seq):
+                _assert_header_outcomes_identical(a, batched[r][s])
         assert _rng_states_match(seq, bat)
 
-    def test_joint_batch_feedback_requires_single_repeat(self, session_pairs):
-        _, bat = session_pairs
-        with pytest.raises(ValueError):
-            ens.run_header_exchanges_batch(bat, repeats=2, apply_tracking_feedback=True)
+    def test_joint_batch_header_rollback_matches_sequential(self, session_pairs, monkeypatch):
+        """A session whose probe goes undetected is rolled back and replayed.
+
+        The draw-ahead pre-draws every session's exchange assuming each
+        probe is detected; the forced miss on the middle session's second
+        exchange must rewind its generator and replay it sequentially, and
+        every outcome and generator state must still equal the per-session
+        loop byte for byte.
+        """
+        seq, bat = session_pairs
+        for session in seq:
+            session.measure_delays()
+        ens.measure_delays_batch(bat)
+        sequential = [
+            [s.run_header_exchange(apply_tracking_feedback=False) for _ in range(3)]
+            for s in seq
+        ]
+
+        forced = 1
+        n_cosenders = bat[forced].topology.n_cosenders
+        real_detect = ens.detect_packet_autocorrelation_batch
+
+        def detect_missing_forced(rows, params):
+            rows = np.array(rows)
+            rows[forced * n_cosenders : (forced + 1) * n_cosenders] = 0.0
+            return real_detect(rows, params)
+
+        replays = []
+        replay = bat[forced].run_header_exchange
+        monkeypatch.setattr(
+            bat[forced], "run_header_exchange", lambda **kw: replays.append(kw) or replay(**kw)
+        )
+        batched = []
+        for r in range(3):
+            with monkeypatch.context() as patch:
+                if r == 1:
+                    patch.setattr(ens, "detect_packet_autocorrelation_batch", detect_missing_forced)
+                batched.append(ens.run_header_exchanges_batch(bat))
+        assert len(replays) == 1
+        for s, per_session_seq in enumerate(sequential):
+            for r, a in enumerate(per_session_seq):
+                _assert_header_outcomes_identical(a, batched[r][s])
+        assert _rng_states_match(seq, bat)
 
     def test_joint_batch_sync_trials_match_sequential(self, session_pairs):
         seq, bat = session_pairs
         sequential = [[s.run_sync_trial() for _ in range(2)] for s in seq]
-        batched = run_sync_trials_batch(bat, repeats=2)
-        for per_session_seq, per_session_bat in zip(sequential, batched):
-            for a, b in zip(per_session_seq, per_session_bat):
+        batched = [run_sync_trials_batch(bat) for _ in range(2)]
+        for s, per_session_seq in enumerate(sequential):
+            for r, a in enumerate(per_session_seq):
+                b = batched[r][s]
                 assert a.feasible == b.feasible
                 np.testing.assert_allclose(
                     a.misalignment_samples, b.misalignment_samples, rtol=1e-9
@@ -170,6 +227,90 @@ class TestJointBatchFrames:
         assert a.result.detected == b.result.detected
         assert a.result.start_index == b.result.start_index
         assert a.result.payload == b.result.payload
+
+
+class TestJointBatchMemory:
+    """Working sets bounded by the wave, not by the ensemble."""
+
+    @staticmethod
+    def _fig12_loop_peak(repetitions):
+        from repro.experiments.fig12_sync_error import (
+            _make_cell_session,
+            _measure_residual_batch,
+        )
+        from repro.phy.params import DEFAULT_PARAMS
+
+        children = np.random.SeedSequence(12).spawn(4)
+        sessions = [
+            _make_cell_session(snr_db, np.random.default_rng(child), DEFAULT_PARAMS)
+            for snr_db, child in zip((6.0, 12.0, 20.0, 25.0), children)
+        ]
+        ens.measure_delays_batch(sessions)
+        _measure_residual_batch(sessions, 1, 1, DEFAULT_PARAMS)  # warm caches untraced
+        tracemalloc.start()
+        try:
+            _measure_residual_batch(sessions, 1, repetitions, DEFAULT_PARAMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_joint_batch_fig12_peak_independent_of_repetitions(self):
+        """Each repetition is measured as it arrives, so repeating the header
+        more often does not hold more received rows at once."""
+        assert self._fig12_loop_peak(8) <= 1.25 * self._fig12_loop_peak(2)
+
+    @staticmethod
+    def _cp_sweep(monkeypatch, spy_advance=None):
+        sessions = _make_sessions([401, 402], snr_db=20.0, lead_cosender_snr_db=25.0)
+        ens.measure_delays_batch(sessions)
+        payloads = [bitutils.random_payload(40, np.random.default_rng(seed)) for seed in (9, 10)]
+        cps = [0, 8, 32]
+        jobs = [
+            [
+                ens.JointFrameJob(payload, data_cp_samples=cp, genie_timing=True)
+                for cp in cps
+                for _ in range(2)
+            ]
+            for payload in payloads
+        ]
+        if spy_advance is not None:
+            advance = ens._JointFrameLane.advance_lanes
+            monkeypatch.setattr(
+                ens._JointFrameLane,
+                "advance_lanes",
+                classmethod(lambda cls, lanes: spy_advance(advance, lanes)),
+            )
+        ens.run_joint_frames_batch(sessions, jobs)
+        return sessions, payloads, cps
+
+    def test_joint_batch_data_sections_hold_only_the_wave_layouts(self, monkeypatch):
+        waves = []
+
+        def spy(advance, lanes):
+            ctx = lanes[0].ctx
+            first = len(ctx.lane_meta)
+            advance(lanes)
+            used = {meta[2] for meta in ctx.lane_meta[first:]}
+            waves.append((set(ctx.data_sections), used))
+
+        self._cp_sweep(monkeypatch, spy)
+        assert len(waves) == 6
+        for held, used in waves:
+            assert held == used
+
+    def test_joint_batch_cp_sweep_builds_each_section_once(self, monkeypatch):
+        encodes = []
+        encode = sender.encode_payload_to_symbols
+        monkeypatch.setattr(
+            sender,
+            "encode_payload_to_symbols",
+            lambda *args, **kwargs: encodes.append(args) or encode(*args, **kwargs),
+        )
+        sessions, payloads, cps = self._cp_sweep(monkeypatch)
+        n_senders = 1 + sessions[0].topology.n_cosenders
+        # Two frames per CP and session, but one build per (payload, CP, sender).
+        assert len(encodes) == len(payloads) * len(cps) * n_senders
 
 
 @pytest.mark.parametrize("name", ["fig12", "fig13", "fig15", "fig18"])
