@@ -18,18 +18,20 @@ data flow.
 Determinism contract
 --------------------
 Every RNG draw is made from the owning session's generator in exactly the
-order the sequential code would make it: stages that consume randomness are
+order a lone session would make it: stages that consume randomness are
 looped per session (draws are cheap), stages that only compute are batched
-(compute is where the time goes).  A lockstep run over sessions
-``[s1, ..., sn]`` therefore produces the same results as running each
-session's sequential loop to completion.  Both run the same stacked
-receiver kernels (the sequential path on stacks of one), and every receive
-stage gives a frame the same floats whichever frames share its stack, so
-detection and CRC decisions, decoded bits and misalignment reports are
-identical, as ``tests/engine/test_joint_batch.py`` asserts.  Floats can
-still differ in the last ulp where the sequential path's per-session
-propagation (``combine_at_receiver``) rounds a co-sender's received
-samples differently from ``combine_ensemble_at_receiver``.
+(compute is where the time goes).  Each exchange draws, per session, its
+packet id, then each co-sender's header-probe noise and detection latency,
+then the receiver's noise, so no stage needs to draw ahead or rewind.  The
+per-frame :class:`~repro.core.session.SourceSyncSession` methods are these
+functions called with a stack of one session.  Detection and CRC decisions,
+decoded bits and generator states do not depend on how sessions are
+grouped; floats can still differ in the last ulp between an ensemble of N
+and N ensembles of one, because the phase-slope fit of the probe stage
+(``phase_slope_windowed_batch``) rounds differently on different stack
+shapes.  ``tests/engine/test_joint_batch.py`` checks both properties and
+compares every entry point with the per-frame reference orchestration in
+``tests/core/reference_session.py``.
 
 Entry points
 ------------
@@ -51,7 +53,7 @@ Entry points
 
 Usage
 -----
-Sessions are prepared exactly as for the sequential API — each with its own
+Sessions are built as for the per-frame API — each with its own
 generator — and handed to the batch entry points as a list; results come
 back per session, in order::
 
@@ -60,15 +62,11 @@ back per session, in order::
     measure_delays_batch(sessions)                  # probe phase, all at once
     converge_tracking_batch(sessions, rounds=4)     # §4.5 warm-up in lockstep
     headers = run_header_exchanges_batch(sessions)  # one exchange per session
-    # headers[s] matches sessions[s].run_header_exchange(
-    # apply_tracking_feedback=False); call again for another repetition
+    # call again for another repetition
     jobs = [[JointFrameJob(payload, rate_mbps=6.0, data_cp_samples=cp)
              for cp in cp_sweep] for _ in sessions]
     outcomes = run_joint_frames_batch(sessions, jobs)
-    # outcomes[s][r] matches sessions[s].run_joint_frame(...,
-    # apply_tracking_feedback=False) for job r: the same decisions,
-    # misalignment report and equalized symbols; floats may differ in the
-    # last ulp where sequential propagation rounds differently
+    # outcomes[s][r]: frame r of session s, without tracking feedback
 
 Heterogeneous ensembles are fine: ``jobs_per_session`` rows may have
 different lengths (sessions simply drop out of later waves), which is how
@@ -77,7 +75,7 @@ Fig. 13 decodes several topologies per measurement chain in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +86,6 @@ from repro.channel.composite import (
     combine_ensemble_at_receiver,
     propagate_rows,
 )
-from repro.core.channel_est.cfo import CfoEstimate
 from repro.core.frame import HEADER_SYMBOLS, JointFrameLayout, make_joint_frame_config
 from repro.engine import Lane, LockstepScheduler
 from repro.core.receiver import JointReceiver
@@ -101,14 +98,16 @@ from repro.core.session import (
 )
 from repro.core.sync.compensation import DelayBudget, compute_wait_time
 from repro.core.sync.detection_delay import phase_slope_windowed_batch
-from repro.core.sync.probe import ProbeLegResult, PropagationDelayEstimate, _acquisition_backoff
-from repro.core.sync.tracking import WaitTimeTracker
+from repro.core.sync.probe import ProbeLegResult, _acquisition_backoff, probe_waveform
+from repro.core.sync.tracking import MisalignmentReport, WaitTimeTracker
 from repro.phy.detection import (
     detect_packet_autocorrelation_batch,
     estimate_coarse_cfo_rows,
 )
 from repro.phy.equalizer import estimate_channel_ltf
 from repro.phy.params import OFDMParams
+from repro.phy.preamble import preamble
+from repro.phy.transmitter import FrameConfig
 
 __all__ = [
     "measure_delays_batch",
@@ -139,22 +138,17 @@ class _LegJob:
     frontend: object | None = None  #: RadioFrontend, or None to skip the latency draw
     leading_silence: int = 80
     tail: int = 40
-    # filled by the lockstep executor
-    received: np.ndarray | None = field(default=None, repr=False)
-    length: int = 0
+    length: int = 0  #: received-stream length, filled by _propagate_and_noise
 
 
-def _propagate_and_noise(
-    jobs: list[_LegJob], noises: list[np.ndarray] | None = None
-) -> np.ndarray:
+def _propagate_and_noise(jobs: list[_LegJob]) -> np.ndarray:
     """Propagate every job's waveform and add its noise, padded to one array.
 
-    Without ``noises``, the draws happen job-by-job in input order from each
-    job's own generator — identical to the sequential probe loops.  With
-    ``noises``, pre-drawn vectors (the optimistic draw-ahead path) are added
-    instead.  The padded ``(n_jobs, max_len)`` array is what the batched
-    detection and estimation stages consume; zero padding carries no energy
-    and cannot change a row's detection outcome.
+    The noise draws happen job by job in input order, each from the job's
+    own generator, as a lone probe reception would draw them.  The padded
+    ``(n_jobs, max_len)`` array is what the batched detection and
+    estimation stages consume; zero padding carries no energy and cannot
+    change a row's detection outcome.
     """
     propagated = propagate_rows(
         [job.link for job in jobs], np.stack([job.waveform for job in jobs])
@@ -168,11 +162,7 @@ def _propagate_and_noise(
     rows = np.zeros((len(jobs), max_len), dtype=np.complex128)
     for row, (job, (offset, contribution)) in enumerate(zip(jobs, contributions)):
         rows[row, offset : offset + contribution.size] += contribution
-        noise = (
-            noises[row] if noises is not None else awgn(job.length, job.noise_power, job.rng)
-        )
-        rows[row, : job.length] += noise
-        job.received = rows[row]
+        rows[row, : job.length] += awgn(job.length, job.noise_power, job.rng)
     return rows
 
 
@@ -197,15 +187,26 @@ def _ltf_windows(
     return np.fft.fft(reps, axis=-1) / np.sqrt(params.n_fft)
 
 
-def _probe_legs_estimate(
-    jobs: list[_LegJob],
-    rows: np.ndarray,
-    detections: list,
-    detect_instants: np.ndarray,
-) -> list[ProbeLegResult]:
-    """Batched probe estimation given detection outcomes and latency draws."""
+def _probe_legs_lockstep(jobs: list[_LegJob]) -> list[ProbeLegResult]:
+    """Execute one sub-wave of probe receptions with batched computation.
+
+    The RNG contract of the module docstring holds: per job, the noise draw
+    precedes the (conditional) front-end latency draw, and jobs never share
+    a generator within one call.
+    """
+    if not jobs:
+        return []
     params = jobs[0].params
+    rows = _propagate_and_noise(jobs)
+    detections = detect_packet_autocorrelation_batch(rows, params)
+
     snr_db = np.array([job.link.snr_db(job.noise_power) for job in jobs])
+    detect_instants = np.zeros(len(jobs))
+    for row, (job, detection) in enumerate(zip(jobs, detections)):
+        if detection.detected and job.frontend is not None:
+            extra = job.frontend.detection_delay_samples(snr_db[row], job.rng)
+            detect_instants[row] = detection.detect_index + extra
+
     lengths = np.array([job.length for job in jobs], dtype=np.int64)
     detected = np.array([d.detected for d in detections])
     start_indices = np.array([d.start_index for d in detections], dtype=np.int64)
@@ -217,7 +218,6 @@ def _probe_legs_estimate(
     ltf_starts = assumed_starts + stf_len + 2 * params.cp_samples - backoff
     fits = detected & (ltf_starts + 2 * params.n_fft <= lengths) & (ltf_starts >= 0)
 
-    results: list[ProbeLegResult | None] = [None] * len(jobs)
     true_delays = np.array(
         [
             detect_instants[row] - (job.leading_silence + job.link.delay_samples)
@@ -238,38 +238,19 @@ def _probe_legs_estimate(
             + backoff
             + (detect_instants[rows_idx] - assumed_starts[rows_idx])
         )
-    for row, job in enumerate(jobs):
+    results = []
+    for row in range(len(jobs)):
         if not detected[row]:
-            results[row] = ProbeLegResult(False, 0.0, 0.0, float(snr_db[row]))
+            results.append(ProbeLegResult(False, 0.0, 0.0, float(snr_db[row])))
         elif not fits[row]:
-            results[row] = ProbeLegResult(False, float(true_delays[row]), 0.0, float(snr_db[row]))
+            results.append(ProbeLegResult(False, float(true_delays[row]), 0.0, float(snr_db[row])))
         else:
-            results[row] = ProbeLegResult(
-                True, float(true_delays[row]), float(estimated[row]), float(snr_db[row])
+            results.append(
+                ProbeLegResult(
+                    True, float(true_delays[row]), float(estimated[row]), float(snr_db[row])
+                )
             )
-    return results  # type: ignore[return-value]
-
-
-def _probe_legs_lockstep(jobs: list[_LegJob]) -> list[ProbeLegResult]:
-    """Execute one sub-wave of probe receptions with batched computation.
-
-    The RNG contract of the module docstring holds: per job, the noise draw
-    precedes the (conditional) front-end latency draw, and jobs never share
-    a generator within one call.
-    """
-    if not jobs:
-        return []
-    params = jobs[0].params
-    rows = _propagate_and_noise(jobs)
-    detections = detect_packet_autocorrelation_batch(rows, params)
-
-    snr_db = np.array([job.link.snr_db(job.noise_power) for job in jobs])
-    detect_instants = np.zeros(len(jobs))
-    for row, (job, detection) in enumerate(zip(jobs, detections)):
-        if detection.detected and job.frontend is not None:
-            extra = job.frontend.detection_delay_samples(snr_db[row], job.rng)
-            detect_instants[row] = detection.detect_index + extra
-    return _probe_legs_estimate(jobs, rows, detections, detect_instants)
+    return results
 
 
 def _cfo_probes_lockstep(jobs: list[_LegJob]) -> list[float | None]:
@@ -318,15 +299,30 @@ def measure_delays_batch(
 ) -> None:
     """Run the probe/response measurement phase for an ensemble of sessions.
 
-    Lockstep counterpart of :meth:`SourceSyncSession.measure_delays`: probe
-    legs at the same position of every session's measurement sequence are
-    detected and estimated as one batch, while each session's generator is
-    consumed in exactly its sequential order.
+    Probe legs at the same position of every session's measurement
+    sequence are detected and estimated as one batch, while each session's
+    generator is consumed in exactly its own order.  ``use_true_delays``
+    bypasses the waveform-level probes and loads the true delays and CFOs
+    instead; tests and baselines use it where measurement noise is not the
+    quantity under study.
     """
     _check_common_structure(sessions)
     if use_true_delays:
         for session in sessions:
-            session.measure_delays(use_true_delays=True)
+            topo = session.topology
+            for i in range(topo.n_cosenders):
+                # The link's cfo_hz is f_lead - f_co (what the co-sender
+                # observes when listening to the lead); the pre-correction
+                # value is the co-sender's offset relative to the lead.
+                _load_measurements(
+                    session,
+                    i,
+                    topo.links_lead_cosender[i].delay_samples,
+                    topo.link_lead_rx.delay_samples,
+                    topo.links_cosender_rx[i].delay_samples,
+                    -topo.links_lead_cosender[i].cfo_hz,
+                )
+            session._delays_measured = True
         return
 
     n_probes = {session.config.probe_count for session in sessions}
@@ -334,8 +330,6 @@ def measure_delays_batch(
         raise ValueError("lockstep sessions must share probe_count")
     n_probes = n_probes.pop()
     n_cosenders = sessions[0].topology.n_cosenders
-
-    from repro.core.sync.probe import probe_waveform
 
     for i in range(n_cosenders):
         pair_specs = [
@@ -359,12 +353,11 @@ def measure_delays_batch(
                 topo.cosenders[i].frontend,
             ),
         ]
-        measurements: list[list[PropagationDelayEstimate]] = []
+        # Per pair, each session's one-way delay: the mean over its probe
+        # exchanges where both legs were detected, else None (Eq. 2).
+        measurements: list[list[float | None]] = []
         for spec in pair_specs:
             estimates_per_session: list[list[float]] = [[] for _ in sessions]
-            last_legs: list[tuple[ProbeLegResult | None, ProbeLegResult | None]] = [
-                (None, None) for _ in sessions
-            ]
             for _ in range(n_probes):
                 fwd_jobs = []
                 for session in sessions:
@@ -396,7 +389,6 @@ def measure_delays_batch(
                 rev = _probe_legs_lockstep(rev_jobs)
                 for s, session in enumerate(sessions):
                     forward, reverse, _, _ = spec(session.topology)
-                    last_legs[s] = (fwd[s], rev[s])
                     if not (fwd[s].detected and rev[s].detected):
                         continue
                     round_trip_minus_known = (
@@ -411,32 +403,12 @@ def measure_delays_batch(
                         - rev[s].estimated_detection_delay
                     )
                     estimates_per_session[s].append(two_way / 2.0)
-            per_session: list[PropagationDelayEstimate] = []
-            for s, session in enumerate(sessions):
-                forward, reverse, _, _ = spec(session.topology)
-                true_one_way = 0.5 * (forward.delay_samples + reverse.delay_samples)
-                if estimates_per_session[s]:
-                    per_session.append(
-                        PropagationDelayEstimate(
-                            True,
-                            float(np.mean(estimates_per_session[s])),
-                            float(true_one_way),
-                            last_legs[s][0],
-                            last_legs[s][1],
-                        )
-                    )
-                else:
-                    per_session.append(
-                        PropagationDelayEstimate(
-                            False, 0.0, true_one_way, last_legs[s][0], last_legs[s][1]
-                        )
-                    )
-            measurements.append(per_session)
+            measurements.append(
+                [float(np.mean(estimates)) if estimates else None for estimates in estimates_per_session]
+            )
 
         # CFO probes: n_probes=4 waves (the measure_cfo default), averaged.
         cfo_estimates: list[list[float]] = [[] for _ in sessions]
-        from repro.phy.preamble import preamble
-
         for _ in range(4):
             jobs = [
                 _LegJob(
@@ -457,42 +429,93 @@ def measure_delays_batch(
 
         lead_co, lead_rx, co_rx = measurements
         for s, session in enumerate(sessions):
+            # A pair whose probes all failed falls back to its true delay.
             topo = session.topology
-            state = session._states[i]
-            cfo = (
-                CfoEstimate(True, float(np.mean(cfo_estimates[s])), topo.links_lead_cosender[i].cfo_hz)
-                if cfo_estimates[s]
-                else CfoEstimate(False, 0.0, topo.links_lead_cosender[i].cfo_hz)
-            )
-            state.lead_to_cosender_samples = (
-                lead_co[s].one_way_delay_samples
-                if lead_co[s].valid
-                else topo.links_lead_cosender[i].delay_samples
-            )
-            state.lead_to_receiver_samples = (
-                lead_rx[s].one_way_delay_samples
-                if lead_rx[s].valid
-                else topo.link_lead_rx.delay_samples
-            )
-            state.cosender_to_receiver_samples = (
-                co_rx[s].one_way_delay_samples
-                if co_rx[s].valid
-                else topo.links_cosender_rx[i].delay_samples
-            )
-            state.cfo_to_lead_hz = -cfo.cfo_hz if cfo.valid else 0.0
-            state.tracker = WaitTimeTracker(
-                wait_time_samples=state.lead_to_receiver_samples
-                - state.cosender_to_receiver_samples,
-                gain=session.config.tracking_gain,
+            _load_measurements(
+                session,
+                i,
+                topo.links_lead_cosender[i].delay_samples if lead_co[s] is None else lead_co[s],
+                topo.link_lead_rx.delay_samples if lead_rx[s] is None else lead_rx[s],
+                topo.links_cosender_rx[i].delay_samples if co_rx[s] is None else co_rx[s],
+                -float(np.mean(cfo_estimates[s])) if cfo_estimates[s] else 0.0,
             )
     for session in sessions:
         session._delays_measured = True
 
 
-def _ensure_measured_batch(sessions: list[SourceSyncSession]) -> None:
+def _load_measurements(
+    session: SourceSyncSession,
+    i: int,
+    lead_to_cosender: float,
+    lead_to_receiver: float,
+    cosender_to_receiver: float,
+    cfo_to_lead_hz: float,
+) -> None:
+    """Store co-sender ``i``'s measured delays and CFO and reset its tracker."""
+    state = session._states[i]
+    state.lead_to_cosender_samples = lead_to_cosender
+    state.lead_to_receiver_samples = lead_to_receiver
+    state.cosender_to_receiver_samples = cosender_to_receiver
+    state.cfo_to_lead_hz = cfo_to_lead_hz
+    state.tracker = WaitTimeTracker(
+        wait_time_samples=lead_to_receiver - cosender_to_receiver,
+        gain=session.config.tracking_gain,
+    )
+
+
+def _ensure_measured(sessions: list[SourceSyncSession]) -> None:
+    """Run the probe phase for every session that has not measured yet."""
     pending = [session for session in sessions if not session._delays_measured]
     if pending:
         measure_delays_batch(pending)
+
+
+def _padded_symbol_count(session: SourceSyncSession, frame_config: FrameConfig) -> int:
+    """Data-symbol count rounded up to the space-time block size."""
+    block = session.combiner.block_symbols
+    n = frame_config.n_data_symbols
+    return int(np.ceil(n / block) * block)
+
+
+def _true_misalignments(
+    session: SourceSyncSession, layout: JointFrameLayout, starts: list[float]
+) -> tuple[float, ...]:
+    """True data-section misalignment of each co-sender vs the lead sender.
+
+    ``nan`` marks a co-sender that missed the header and stayed silent.
+    """
+    topo = session.topology
+    lead_data_arrival = layout.data_offset + topo.link_lead_rx.delay_samples
+    out = []
+    for i, start in enumerate(starts):
+        if not np.isfinite(start):
+            out.append(float("nan"))
+            continue
+        data_offset_in_waveform = (layout.n_cosenders - i) * layout.ltf_samples
+        arrival = start + data_offset_in_waveform + topo.links_cosender_rx[i].delay_samples
+        out.append(float(arrival - lead_data_arrival))
+    return tuple(out)
+
+
+def _apply_tracking_feedback(
+    session: SourceSyncSession,
+    report: MisalignmentReport,
+    true_misalignment: tuple[float, ...],
+    active: tuple[int, ...] | None = None,
+) -> None:
+    """Feed a receiver's misalignment report back into the wait-time trackers (§4.5).
+
+    The report lists one misalignment per co-sender the receiver heard, in
+    slot order; they are matched, in order, to the ``active`` co-senders
+    (default: all) that heard the header and transmitted.
+    """
+    sent = [
+        i
+        for i, misalignment in enumerate(true_misalignment)
+        if np.isfinite(misalignment) and (active is None or i in active)
+    ]
+    for i, value in zip(sent, report.misalignments_samples):
+        session._states[i].tracker.update(value)
 
 
 # ----------------------------------------------------------------------
@@ -502,13 +525,14 @@ def _schedule_lockstep(
     lanes: list[tuple[SourceSyncSession, JointFrameLayout, np.ndarray]],
     compensate: bool | list[bool],
 ) -> tuple[list[list[float]], list[list[bool]]]:
-    """Batched :meth:`SourceSyncSession._schedule_cosenders` over lanes.
+    """Each co-sender's header reception and transmit start (§4.3), over lanes.
 
-    ``lanes`` holds ``(session, layout, header_waveform)`` triples; each
-    session must appear at most once (distinct generators per sub-wave).
-    Probe legs are processed one co-sender index at a time so that, within
-    every lane, the noise draw of co-sender ``i+1`` follows the front-end
-    draw of co-sender ``i`` exactly as in the sequential loop.
+    Returns (absolute transmit start per co-sender in samples, feasibility
+    flags) per lane.  ``lanes`` holds ``(session, layout, header_waveform)``
+    triples; each session must appear at most once (distinct generators per
+    sub-wave).  Probe legs are processed one co-sender index at a time so
+    that, within every lane, the noise draw of co-sender ``i+1`` follows the
+    front-end draw of co-sender ``i``.
     """
     n_cosenders = lanes[0][0].topology.n_cosenders
     compensate_flags = (
@@ -561,6 +585,9 @@ def _schedule_from_leg(
         else 0.0
     )
     if compensate:
+        # The tracker's wait time equals T0_hat - t_i_hat plus any
+        # ACK-feedback corrections (§4.5), so it plays the role of w_i in
+        # the §4.3 schedule.
         budget = DelayBudget(
             lead_to_cosender=state.lead_to_cosender_samples,
             detection_delay=est_detect_delay,
@@ -579,6 +606,8 @@ def _schedule_from_leg(
             + max(local_wait, 0.0)
         )
     else:
+        # Baseline: the co-sender starts its slot SIFS after it finished
+        # receiving the header, with no compensation at all.
         target_offset = sifs + slot_offset
         schedule_feasible = True
         actual_start = (
@@ -642,8 +671,8 @@ def _cosender_transmissions(
             config=session.config,
             node_id=topo.cosenders[i].node_id,
             # CFO pre-correction is applied even in the unsynchronized
-            # baseline (the timing comparison isolates timing, not
-            # frequency handling) — same as the sequential path.
+            # baseline: the Fig. 13 comparison isolates timing
+            # compensation, not frequency handling.
             cfo_precorrection_hz=session._states[i].cfo_to_lead_hz,
         )
         if training_only:
@@ -665,11 +694,12 @@ def run_sync_trials_batch(
 ) -> list[SyncTrialResult]:
     """One schedule-only synchronization trial per session, in lockstep.
 
-    Returns ``results[session]`` matching one sequential
-    :meth:`SourceSyncSession.run_sync_trial` call per session.
+    Each session synchronizes once and reports the true residual
+    misalignment of its co-senders, without building or receiving a joint
+    frame; ``results[s]`` belongs to ``sessions[s]``.
     """
     _check_common_structure(sessions)
-    _ensure_measured_batch(sessions)
+    _ensure_measured(sessions)
     layouts = [_header_layout(session) for session in sessions]
     bits = [_draw_header(session, layout) for session, layout in zip(sessions, layouts)]
     waveforms = header_waveforms_from_bits(np.stack(bits), layouts[0].params)
@@ -677,7 +707,7 @@ def run_sync_trials_batch(
     starts, feasible = _schedule_lockstep(lanes, compensate)
     results = []
     for s, (session, layout, _) in enumerate(lanes):
-        misalignment = session._true_misalignments(layout, starts[s])
+        misalignment = _true_misalignments(session, layout, starts[s])
         snr_db = session.topology.link_lead_rx.snr_db(session.topology.noise_power)
         results.append(SyncTrialResult(misalignment, tuple(feasible[s]), snr_db))
     return results
@@ -691,238 +721,65 @@ def run_header_exchanges_batch(
 ) -> list[HeaderExchangeOutcome]:
     """One header-only joint exchange per session, in lockstep.
 
-    Returns ``outcomes[session]`` matching one sequential
-    :meth:`SourceSyncSession.run_header_exchange` call per session.  The
-    receiver-side measurement (detection, CFO, per-sender channels,
-    misalignment) runs as one stack over the sessions' received rows, so a
-    caller that repeats the exchange, as Fig. 12's ground-truth estimator
-    does, holds one received row per session at a time.  With
-    ``apply_tracking_feedback`` each session's co-senders apply the
-    measured misalignment before the call returns.
+    The lead sends only its synchronization header, the co-senders
+    synchronize to it and send their training slots, and the receiver
+    measures every sender's channel and the co-senders' misalignment from
+    the phase slopes (§4.5).  The receiver-side measurement runs as one
+    stack over the sessions' received rows, so a caller that repeats the
+    exchange, as Fig. 12's ground-truth estimator does, holds one received
+    row per session at a time.  With ``apply_tracking_feedback`` each
+    session's co-senders apply the measured misalignment before the call
+    returns.  ``outcomes[s]`` belongs to ``sessions[s]``.
     """
     _check_common_structure(sessions)
-    _ensure_measured_batch(sessions)
+    _ensure_measured(sessions)
     leading_silence = 60
-    n_cosenders = sessions[0].topology.n_cosenders
-
-    # ------------------------------------------------------------------
-    # Optimistic draw-ahead: every RNG draw of the exchange happens now,
-    # per session in exact sequential order, *assuming* (a) every header
-    # probe is detected and (b) the combined waveform fits the standard
-    # total length.  Both assumptions are verified after the batched
-    # computation; a session that violates either is rolled back to its
-    # generator snapshot and replayed through run_header_exchange, so its
-    # draws are always those of the sequential loop.
-    # ------------------------------------------------------------------
     layouts = [_header_layout(session) for session in sessions]
-    snapshots = [
-        {**session.rng.bit_generator.state} for session in sessions
-    ]
-    pids: list[int] = []
-    probe_noises: list[list[np.ndarray]] = []
-    extras: list[list[float]] = []
-    combine_noises: list[np.ndarray | None] = []
-    totals: list[int] = []
-    for s, session in enumerate(sessions):
+    bits = [_draw_header(session, layout) for session, layout in zip(sessions, layouts)]
+    # Lockstep sessions share one header layout (_check_common_structure),
+    # so every session's header is synthesised in one batch.
+    waveforms = header_waveforms_from_bits(np.stack(bits), layouts[0].params)
+    starts, feasible = _schedule_lockstep(list(zip(sessions, layouts, waveforms)), compensate)
+    trials = []
+    for session, layout, waveform, lane_starts in zip(sessions, layouts, waveforms, starts):
         topo = session.topology
-        layout = layouts[s]
-        header_len = layout.sync_header_samples
+        transmissions = [Transmission(link=topo.link_lead_rx, samples=waveform, start_sample=0.0)]
+        transmissions.extend(_cosender_transmissions(session, layout, lane_starts))
         total_needed = (
             leading_silence
             + int(np.ceil(topo.link_lead_rx.delay_samples))
             + layout.data_offset
             + 40
         )
-        totals.append(total_needed)
-        pids.append(int(session.rng.integers(0, 1 << 16)))
-        session_noises: list[np.ndarray] = []
-        session_extras: list[float] = []
-        for i in range(n_cosenders):
-            link = topo.links_lead_cosender[i]
-            length = _probe_received_length(link, header_len)
-            session_noises.append(awgn(length, topo.noise_power, session.rng))
-            snr_db = link.snr_db(topo.noise_power)
-            session_extras.append(
-                topo.cosenders[i].frontend.detection_delay_samples(snr_db, session.rng)
-            )
-        probe_noises.append(session_noises)
-        extras.append(session_extras)
-        combine_noises.append(
-            awgn(total_needed, topo.noise_power, session.rng)
-            if topo.noise_power > 0
-            else None
-        )
-
-    # ------------------------------------------------------------------
-    # Batched computation over every (session, cosender) probe row.
-    # ------------------------------------------------------------------
-    # Lockstep sessions share one header layout (_check_common_structure),
-    # so every session's header is synthesised in one batch.
-    header_waveforms = sessions[0].lead.header_waveforms(
-        [
-            session.lead.make_header(
-                packet_id=pid,
-                rate_mbps=6.0,
-                data_cp_samples=layout.effective_data_cp,
-                n_cosenders=layout.n_cosenders,
-            )
-            for session, layout, pid in zip(sessions, layouts, pids)
-        ],
-        layouts[0],
+        trials.append((transmissions, total_needed))
+    rows, lengths = combine_ensemble_at_receiver(
+        trials,
+        [session.topology.noise_power for session in sessions],
+        [session.rng for session in sessions],
+        leading_silence=leading_silence,
     )
-    jobs: list[_LegJob] = []
-    job_key: list[tuple[int, int]] = []
-    noises_flat: list[np.ndarray] = []
-    for s, session in enumerate(sessions):
-        topo = session.topology
-        for i in range(n_cosenders):
-            jobs.append(
-                _LegJob(
-                    link=topo.links_lead_cosender[i],
-                    rng=session.rng,
-                    noise_power=topo.noise_power,
-                    params=topo.params,
-                    waveform=header_waveforms[s],
-                    frontend=topo.cosenders[i].frontend,
-                )
-            )
-            job_key.append((s, i))
-            noises_flat.append(probe_noises[s][i])
-    bad: set[int] = set()
-    legs: list[list[ProbeLegResult]] = [[] for _ in sessions]
-    if jobs:
-        rows = _propagate_and_noise(jobs, noises_flat)
-        for job, noise in zip(jobs, noises_flat):
-            if job.length != noise.size:
-                raise AssertionError("draw-ahead noise length desynchronised")
-        detections = detect_packet_autocorrelation_batch(rows, jobs[0].params)
-        for (s, _), detection in zip(job_key, detections):
-            if not detection.detected:
-                bad.add(s)
-        detect_instants = np.array(
-            [
-                detections[k].detect_index + extras[s][i] if detections[k].detected else 0.0
-                for k, (s, i) in enumerate(job_key)
-            ]
-        )
-        for (s, _), leg in zip(job_key, _probe_legs_estimate(jobs, rows, detections, detect_instants)):
-            legs[s].append(leg)
-
-    # Schedules, transmissions and combined waveforms for intact sessions.
-    lane_order = [s for s in range(len(sessions)) if s not in bad]
-    lane_starts: dict[int, list[float]] = {}
-    lane_feasible: dict[int, list[bool]] = {}
-    for s in lane_order:
-        scheduled = [
-            _schedule_from_leg(sessions[s], layouts[s], i, legs[s][i], compensate)
-            for i in range(n_cosenders)
-        ]
-        lane_starts[s] = [start for start, _ in scheduled]
-        lane_feasible[s] = [ok for _, ok in scheduled]
-
-    # Propagate lead + co-sender contributions (grouped, batched) and check
-    # the combined waveform fits the pre-drawn noise length.
-    lane_contributions: dict[int, list[tuple[int, np.ndarray]]] = {}
-    grouped: dict[int, list[tuple[int, Transmission]]] = {}
-    for s in lane_order:
-        session = sessions[s]
-        transmissions = [
-            Transmission(
-                link=session.topology.link_lead_rx, samples=header_waveforms[s], start_sample=0.0
-            )
-        ]
-        transmissions.extend(_cosender_transmissions(session, layouts[s], lane_starts[s]))
-        for tx in transmissions:
-            grouped.setdefault(np.asarray(tx.samples).shape[-1], []).append((s, tx))
-    for _, members in grouped.items():
-        links = [tx.link for _, tx in members]
-        waveforms = np.stack([tx.samples for _, tx in members])
-        starts_rows = [tx.start_sample for _, tx in members]
-        for (s, _), (waveform, start) in zip(members, propagate_rows(links, waveforms, starts_rows)):
-            lane_contributions.setdefault(s, []).append((int(start) + leading_silence, waveform))
-    for s in lane_order:
-        end = max(
-            (start_idx + waveform.size for start_idx, waveform in lane_contributions[s]),
-            default=0,
-        )
-        if end > totals[s]:
-            bad.add(s)
-
-    # ------------------------------------------------------------------
-    # Roll back violated sessions and replay them through run_header_exchange.
-    # ------------------------------------------------------------------
-    results: list[HeaderExchangeOutcome | None] = [None] * len(sessions)
-    for s in bad:
-        sessions[s].rng.bit_generator.state = snapshots[s]
-        results[s] = sessions[s].run_header_exchange(
-            compensate=compensate,
-            apply_tracking_feedback=apply_tracking_feedback,
-            genie_timing=genie_timing,
-        )
-
-    ok_lanes = [s for s in lane_order if s not in bad]
-    if ok_lanes:
-        max_len = max(totals[s] for s in ok_lanes)
-        padded = np.zeros((len(ok_lanes), max_len), dtype=np.complex128)
-        lengths = np.zeros(len(ok_lanes), dtype=np.int64)
-        start_hints: list[int | None] = []
-        for row, s in enumerate(ok_lanes):
-            for start_idx, waveform in lane_contributions[s]:
-                padded[row, start_idx : start_idx + waveform.size] += waveform
-            noise = combine_noises[s]
-            if noise is not None:
-                padded[row, : totals[s]] += noise
-            lengths[row] = totals[s]
-            start_hints.append(
-                leading_silence
-                + int(round(sessions[s].topology.link_lead_rx.delay_samples))
-                if genie_timing
-                else None
-            )
-        measured = sessions[0].receiver.measure_header_batch(
-            padded, lengths, layouts[ok_lanes[0]], start_hints
-        )
-        for s, (channels, misalignment, _) in zip(ok_lanes, measured):
-            session = sessions[s]
-            starts = lane_starts[s]
-            true_misalignment = session._true_misalignments(layouts[s], starts)
-            if apply_tracking_feedback and misalignment is not None:
-                reported = iter(misalignment.misalignments_samples)
-                for i in range(session.topology.n_cosenders):
-                    if not np.isfinite(starts[i]):
-                        continue
-                    state = session._states[i]
-                    if state.tracker is None:
-                        continue
-                    try:
-                        state.tracker.update(next(reported))
-                    except StopIteration:
-                        break
-            snr_db = session.topology.link_lead_rx.snr_db(session.topology.noise_power)
-            results[s] = HeaderExchangeOutcome(
+    start_hints = [
+        leading_silence + int(round(session.topology.link_lead_rx.delay_samples))
+        if genie_timing
+        else None
+        for session in sessions
+    ]
+    measured = sessions[0].receiver.measure_header_batch(rows, lengths, layouts[0], start_hints)
+    outcomes = []
+    for s, (session, (channels, misalignment, _)) in enumerate(zip(sessions, measured)):
+        true_misalignment = _true_misalignments(session, layouts[s], starts[s])
+        if apply_tracking_feedback and misalignment is not None:
+            _apply_tracking_feedback(session, misalignment, true_misalignment)
+        outcomes.append(
+            HeaderExchangeOutcome(
                 measured_misalignment=misalignment,
                 true_misalignment_samples=true_misalignment,
-                schedules_feasible=tuple(lane_feasible[s]),
-                snr_db=snr_db,
+                schedules_feasible=tuple(feasible[s]),
+                snr_db=session.topology.link_lead_rx.snr_db(session.topology.noise_power),
                 channels=channels,
             )
-    return results  # type: ignore[return-value]
-
-
-def _probe_received_length(link: Link, waveform_len: int, leading_silence: int = 80, tail: int = 40) -> int:
-    """Length of a probe's received stream, computed without propagating.
-
-    Mirrors :meth:`Link.propagate` geometry: full channel convolution plus
-    one sample when the total delay has a fractional part — so the
-    draw-ahead path can pre-draw the exact noise vector the sequential
-    path would.
-    """
-    total_delay = float(link.delay_samples)
-    fractional = total_delay - int(np.floor(total_delay))
-    size = waveform_len + link.channel.taps.size - 1
-    if fractional > 1e-9:
-        size += int(np.ceil(fractional))
-    return leading_silence + int(np.floor(total_delay)) + size + tail
+        )
+    return outcomes
 
 
 def converge_tracking_batch(
@@ -1014,7 +871,7 @@ class _JointFrameLane(Lane):
             layout = JointFrameLayout(
                 params=session.topology.params,
                 n_cosenders=session.topology.n_cosenders,
-                n_data_symbols=session._padded_symbol_count(frame_config),
+                n_data_symbols=_padded_symbol_count(session, frame_config),
                 data_cp_samples=job.data_cp_samples,
                 sifs_us=session.config.sifs_us,
             )
@@ -1108,8 +965,9 @@ def run_joint_frames_batch(
 
     ``jobs_per_session[s]`` lists the frames session ``s`` transmits, in
     order; frame ``r`` of every session forms wave ``r``.  Frames are
-    independent (no per-frame tracking feedback — the batched counterpart
-    of ``run_joint_frame(..., apply_tracking_feedback=False)``).  Each
+    independent: no tracking feedback is applied between them
+    (:meth:`SourceSyncSession.run_joint_frame` applies it after its one
+    frame).  Each
     wave's receive front end (acquisition through depunctured LLRs) runs as
     one stack as soon as the wave is combined, so received samples never
     outlive their wave; only the Viterbi is deferred, and equal coded
@@ -1123,7 +981,7 @@ def run_joint_frames_batch(
     if len(jobs_per_session) != len(sessions):
         raise ValueError("need one job list per session")
     _check_common_structure(sessions)
-    _ensure_measured_batch(sessions)
+    _ensure_measured(sessions)
 
     ctx = _JointFrameContext(sessions[0].receiver)
     LockstepScheduler().run(
@@ -1143,7 +1001,7 @@ def run_joint_frames_batch(
         ctx.lane_meta, received_results
     ):
         session = sessions[s]
-        misalignment = session._true_misalignments(layout, starts)
+        misalignment = _true_misalignments(session, layout, starts)
         results[s][wave] = JointFrameOutcome(
             result=result,
             true_misalignment_samples=misalignment,

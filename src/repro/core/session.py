@@ -18,31 +18,29 @@ for one lead sender, a set of co-senders and one receiver:
 The session exposes both full-frame runs (header + training + data,
 returning a :class:`~repro.core.receiver.JointReceiveResult`) and cheap
 "sync trials" that only evaluate the achieved synchronization error —
-the quantity of Fig. 12 — without building the data section.
+the quantity of Fig. 12 — without building the data section.  It holds
+the per-session state; the exchanges themselves are orchestrated by
+:mod:`repro.core.ensemble`, which the per-frame methods call with a stack
+of one session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.awgn import db_to_linear
 from repro.channel.composite import Link, Transmission, combine_at_receiver, link_for_snr
 from repro.channel.multipath import DEFAULT_PROFILE, MultipathProfile
 from repro.channel.oscillator import Oscillator
 from repro.channel.propagation import propagation_delay_samples
-from repro.core.channel_est.cfo import measure_cfo
 from repro.core.channel_est.joint_estimator import JointChannelEstimate
 from repro.core.config import SourceSyncConfig
 from repro.core.combining.stbc import SmartCombiner
-from repro.core.frame import JointFrameLayout, SyncHeader, make_joint_frame_config
+from repro.core.frame import JointFrameLayout, make_joint_frame_config
 from repro.core.receiver import JointReceiveResult, JointReceiver
-from repro.core.sender import CoSender, LeadSender
-from repro.core.sync.tracking import MisalignmentReport
-from repro.core.sync.compensation import DelayBudget, compute_wait_time, sifs_samples
-from repro.core.sync.probe import measure_propagation_delay, probe_leg
-from repro.core.sync.tracking import WaitTimeTracker
+from repro.core.sender import LeadSender
+from repro.core.sync.tracking import MisalignmentReport, WaitTimeTracker
 from repro.hardware.frontend import RadioFrontend
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.phy.transmitter import FrameConfig
@@ -280,223 +278,29 @@ class SourceSyncSession:
         self._states: list[_CoSenderState] = [_CoSenderState() for _ in topology.cosenders]
         self._delays_measured = False
 
-    def _padded_symbol_count(self, frame_config: FrameConfig) -> int:
-        """Data-symbol count rounded up to the space-time block size."""
-        block = self.combiner.block_symbols
-        n = frame_config.n_data_symbols
-        return int(np.ceil(n / block) * block)
-
     # ------------------------------------------------------------------
-    # Measurement phase (§4.2c, §5)
+    # Per-frame entry points: each is one lockstep call on a stack of one
+    # session (repro.core.ensemble), imported here because the ensemble
+    # module imports this one.
     # ------------------------------------------------------------------
     def measure_delays(self, use_true_delays: bool = False) -> None:
-        """Run the pair-wise probe exchanges that seed the synchronizer.
+        """Run the pair-wise probe exchanges that seed the synchronizer (§4.2c, §5).
 
         ``use_true_delays`` bypasses the waveform-level probe simulation and
         loads the true delays instead; it is used by tests and by the
         unsynchronized baseline ablation where measurement noise is not the
         quantity under study.
         """
-        topo = self.topology
-        cfg = self.config
-        for i, state in enumerate(self._states):
-            if use_true_delays:
-                state.lead_to_cosender_samples = topo.links_lead_cosender[i].delay_samples
-                state.lead_to_receiver_samples = topo.link_lead_rx.delay_samples
-                state.cosender_to_receiver_samples = topo.links_cosender_rx[i].delay_samples
-                # The link's cfo_hz is f_lead - f_co (what the co-sender
-                # observes when listening to the lead); the pre-correction
-                # value is the co-sender's offset relative to the lead.
-                state.cfo_to_lead_hz = -topo.links_lead_cosender[i].cfo_hz
-            else:
-                lead_co = measure_propagation_delay(
-                    topo.links_lead_cosender[i],
-                    topo.links_cosender_lead[i],
-                    topo.lead.frontend,
-                    topo.cosenders[i].frontend,
-                    self.rng,
-                    topo.noise_power,
-                    topo.params,
-                    n_probes=cfg.probe_count,
-                )
-                lead_rx = measure_propagation_delay(
-                    topo.link_lead_rx,
-                    topo.link_rx_lead,
-                    topo.lead.frontend,
-                    topo.receiver.frontend,
-                    self.rng,
-                    topo.noise_power,
-                    topo.params,
-                    n_probes=cfg.probe_count,
-                )
-                co_rx = measure_propagation_delay(
-                    topo.links_cosender_rx[i],
-                    topo.links_rx_cosender[i],
-                    topo.cosenders[i].frontend,
-                    topo.receiver.frontend,
-                    self.rng,
-                    topo.noise_power,
-                    topo.params,
-                    n_probes=cfg.probe_count,
-                )
-                cfo = measure_cfo(
-                    topo.links_lead_cosender[i], self.rng, topo.noise_power, topo.params
-                )
-                state.lead_to_cosender_samples = (
-                    lead_co.one_way_delay_samples if lead_co.valid
-                    else topo.links_lead_cosender[i].delay_samples
-                )
-                state.lead_to_receiver_samples = (
-                    lead_rx.one_way_delay_samples if lead_rx.valid
-                    else topo.link_lead_rx.delay_samples
-                )
-                state.cosender_to_receiver_samples = (
-                    co_rx.one_way_delay_samples if co_rx.valid
-                    else topo.links_cosender_rx[i].delay_samples
-                )
-                state.cfo_to_lead_hz = -cfo.cfo_hz if cfo.valid else 0.0
-            state.tracker = WaitTimeTracker(
-                wait_time_samples=state.lead_to_receiver_samples - state.cosender_to_receiver_samples,
-                gain=cfg.tracking_gain,
-            )
-        self._delays_measured = True
+        from repro.core.ensemble import measure_delays_batch
 
-    # ------------------------------------------------------------------
-    # Scheduling helpers
-    # ------------------------------------------------------------------
-    def _ensure_measured(self) -> None:
-        if not self._delays_measured:
-            self.measure_delays()
+        measure_delays_batch([self], use_true_delays=use_true_delays)
 
-    def _schedule_cosenders(
-        self,
-        layout: JointFrameLayout,
-        header_waveform: np.ndarray,
-        compensate: bool = True,
-    ) -> tuple[list[float], list[bool]]:
-        """Simulate header reception at each co-sender and compute actual start times.
-
-        Returns (absolute transmit start per co-sender in samples, feasibility
-        flags).  With ``compensate=False`` the co-senders behave like the
-        unsynchronized baseline of §8.1.2: they join as soon as the SIFS and
-        their slot arrive according to their *local* perception of time,
-        without correcting for detection or propagation delays.
-        """
-        topo = self.topology
-        cfg = self.config
-        sifs = float(layout.sifs_samples)
-        header_len = float(layout.sync_header_samples)
-        starts: list[float] = []
-        feasible: list[bool] = []
-        for i, state in enumerate(self._states):
-            link = topo.links_lead_cosender[i]
-            frontend = topo.cosenders[i].frontend
-            leg = probe_leg(
-                link,
-                frontend,
-                self.rng,
-                topo.noise_power,
-                topo.params,
-                waveform=header_waveform,
-            )
-            slot_offset = float(i * layout.ltf_samples)
-            if not leg.detected:
-                starts.append(float("nan"))
-                feasible.append(False)
-                continue
-            true_detect_delay = leg.true_detection_delay
-            est_detect_delay = leg.estimated_detection_delay if compensate else 0.0
-            wait_time = (
-                state.tracker.wait_time_samples
-                if (state.tracker is not None and compensate)
-                else 0.0
-            )
-            if compensate:
-                # The tracker's wait time equals T0_hat - t_i_hat plus any
-                # ACK-feedback corrections (§4.5), so it plays the role of
-                # w_i in the §4.3 schedule.
-                budget = DelayBudget(
-                    lead_to_cosender=state.lead_to_cosender_samples,
-                    detection_delay=est_detect_delay,
-                    turnaround=frontend.measure_turnaround_samples(),
-                    lead_to_receiver=state.cosender_to_receiver_samples + wait_time,
-                    cosender_to_receiver=state.cosender_to_receiver_samples,
-                )
-                schedule = compute_wait_time(budget, sifs, extra_slot_offset=slot_offset)
-                local_wait = schedule.local_wait_after_detection
-                schedule_feasible = schedule.feasible
-            else:
-                # Baseline: the co-sender starts its slot SIFS after it
-                # *finished receiving* the header, with no compensation at all.
-                target_offset = sifs + slot_offset
-                local_wait = 0.0
-                schedule_feasible = True
-
-            if compensate:
-                actual_start = (
-                    link.delay_samples
-                    + true_detect_delay
-                    + header_len
-                    + frontend.turnaround_samples
-                    + max(local_wait, 0.0)
-                )
-            else:
-                actual_start = (
-                    link.delay_samples
-                    + true_detect_delay
-                    + header_len
-                    + frontend.turnaround_samples
-                    + max(target_offset - frontend.turnaround_samples, 0.0)
-                )
-            starts.append(float(actual_start))
-            feasible.append(bool(schedule_feasible))
-        return starts, feasible
-
-    def _true_misalignments(
-        self,
-        layout: JointFrameLayout,
-        starts: list[float],
-    ) -> tuple[float, ...]:
-        """True data-section misalignment of each co-sender vs the lead sender."""
-        topo = self.topology
-        lead_data_arrival = layout.data_offset + topo.link_lead_rx.delay_samples
-        out = []
-        for i, start in enumerate(starts):
-            if not np.isfinite(start):
-                out.append(float("nan"))
-                continue
-            data_offset_in_waveform = (layout.n_cosenders - i) * layout.ltf_samples
-            arrival = start + data_offset_in_waveform + topo.links_cosender_rx[i].delay_samples
-            out.append(float(arrival - lead_data_arrival))
-        return tuple(out)
-
-    # ------------------------------------------------------------------
-    # Sync-only trials (Fig. 12)
-    # ------------------------------------------------------------------
     def run_sync_trial(self, compensate: bool = True) -> SyncTrialResult:
-        """Synchronize once and report the true residual misalignment."""
-        self._ensure_measured()
-        layout = JointFrameLayout(
-            params=self.topology.params,
-            n_cosenders=self.topology.n_cosenders,
-            n_data_symbols=1,
-            sifs_us=self.config.sifs_us,
-        )
-        header = self.lead.make_header(
-            packet_id=int(self.rng.integers(0, 1 << 16)),
-            rate_mbps=6.0,
-            data_cp_samples=layout.effective_data_cp,
-            n_cosenders=layout.n_cosenders,
-        )
-        header_waveform = self.lead.header_waveform(header, layout)
-        starts, feasible = self._schedule_cosenders(layout, header_waveform, compensate)
-        misalignment = self._true_misalignments(layout, starts)
-        snr_db = self.topology.link_lead_rx.snr_db(self.topology.noise_power)
-        return SyncTrialResult(misalignment, tuple(feasible), snr_db)
+        """Synchronize once and report the true residual misalignment (Fig. 12)."""
+        from repro.core.ensemble import run_sync_trials_batch
 
-    # ------------------------------------------------------------------
-    # Header-only joint exchanges (Fig. 12 and the §4.5 tracking loop)
-    # ------------------------------------------------------------------
+        return run_sync_trials_batch([self], compensate=compensate)[0]
+
     def run_header_exchange(
         self,
         compensate: bool = True,
@@ -510,90 +314,26 @@ class SourceSyncSession:
         receiver estimates both channels and measures their misalignment
         from the phase slopes, and (optionally) the co-senders apply the
         feedback to their wait times — exactly the §4.5 tracking loop.
+        With ``compensate=False`` the co-senders behave like the
+        unsynchronized baseline of §8.1.2: they join SIFS after the header
+        by their *local* perception of time, without correcting for
+        detection or propagation delays.
         """
-        self._ensure_measured()
-        topo = self.topology
-        layout = JointFrameLayout(
-            params=topo.params,
-            n_cosenders=topo.n_cosenders,
-            n_data_symbols=1,
-            sifs_us=self.config.sifs_us,
-        )
-        header = self.lead.make_header(
-            packet_id=int(self.rng.integers(0, 1 << 16)),
-            rate_mbps=6.0,
-            data_cp_samples=layout.effective_data_cp,
-            n_cosenders=layout.n_cosenders,
-        )
-        header_waveform = self.lead.header_waveform(header, layout)
-        starts, feasible = self._schedule_cosenders(layout, header_waveform, compensate)
+        from repro.core.ensemble import run_header_exchanges_batch
 
-        leading_silence = 60
-        transmissions = [
-            Transmission(link=topo.link_lead_rx, samples=header_waveform, start_sample=0.0)
-        ]
-        for i in range(topo.n_cosenders):
-            if not np.isfinite(starts[i]):
-                continue
-            cosender = CoSender(
-                cosender_index=i,
-                config=self.config,
-                node_id=topo.cosenders[i].node_id,
-                # CFO pre-correction is applied even in the unsynchronized
-                # baseline: the Fig. 13 comparison isolates *timing*
-                # compensation, not frequency handling.
-                cfo_precorrection_hz=self._states[i].cfo_to_lead_hz,
-            )
-            transmissions.append(
-                Transmission(
-                    link=topo.links_cosender_rx[i],
-                    samples=cosender.training_waveform(layout),
-                    start_sample=starts[i],
-                )
-            )
-        total_needed = leading_silence + int(np.ceil(topo.link_lead_rx.delay_samples)) + layout.data_offset + 40
-        received = combine_at_receiver(
-            transmissions,
-            noise_power=topo.noise_power,
-            rng=self.rng,
-            leading_silence=leading_silence,
-            total_length=total_needed,
-        )
-        start_index = (
-            leading_silence + int(round(topo.link_lead_rx.delay_samples)) if genie_timing else None
-        )
-        channels, misalignment, _ = self.receiver.measure_header(received, layout, start_index=start_index)
-
-        true_misalignment = self._true_misalignments(layout, starts)
-        if apply_tracking_feedback and misalignment is not None:
-            reported = iter(misalignment.misalignments_samples)
-            for i in range(topo.n_cosenders):
-                if not np.isfinite(starts[i]):
-                    continue
-                state = self._states[i]
-                if state.tracker is None:
-                    continue
-                try:
-                    state.tracker.update(next(reported))
-                except StopIteration:
-                    break
-        snr_db = topo.link_lead_rx.snr_db(topo.noise_power)
-        return HeaderExchangeOutcome(
-            measured_misalignment=misalignment,
-            true_misalignment_samples=true_misalignment,
-            schedules_feasible=tuple(feasible),
-            snr_db=snr_db,
-            channels=channels,
-        )
+        return run_header_exchanges_batch(
+            [self],
+            compensate=compensate,
+            apply_tracking_feedback=apply_tracking_feedback,
+            genie_timing=genie_timing,
+        )[0]
 
     def converge_tracking(self, rounds: int = 4, compensate: bool = True) -> None:
         """Run a few header exchanges with feedback to settle the wait times (§4.5)."""
-        for _ in range(max(rounds, 0)):
-            self.run_header_exchange(compensate=compensate, apply_tracking_feedback=True)
+        from repro.core.ensemble import converge_tracking_batch
 
-    # ------------------------------------------------------------------
-    # Full joint frames
-    # ------------------------------------------------------------------
+        converge_tracking_batch([self], rounds=rounds, compensate=compensate)
+
     def run_joint_frame(
         self,
         payload: bytes,
@@ -628,86 +368,26 @@ class SourceSyncSession:
             Hand the receiver the exact frame start (used to isolate
             synchronization effects from receiver timing acquisition).
         """
-        self._ensure_measured()
-        topo = self.topology
-        active = list(range(topo.n_cosenders)) if active_cosenders is None else sorted(active_cosenders)
+        from repro.core.ensemble import (
+            JointFrameJob,
+            _apply_tracking_feedback,
+            run_joint_frames_batch,
+        )
 
-        frame_config = make_joint_frame_config(
-            len(payload), rate_mbps, topo.params, data_cp_samples
-        )
-        layout = JointFrameLayout(
-            params=topo.params,
-            n_cosenders=topo.n_cosenders,
-            n_data_symbols=self._padded_symbol_count(frame_config),
-            data_cp_samples=data_cp_samples,
-            sifs_us=self.config.sifs_us,
-        )
-        header = self.lead.make_header(
-            packet_id=int(self.rng.integers(0, 1 << 16)),
+        active = None if active_cosenders is None else tuple(sorted(active_cosenders))
+        job = JointFrameJob(
+            payload,
             rate_mbps=rate_mbps,
-            data_cp_samples=layout.effective_data_cp,
-            n_cosenders=layout.n_cosenders,
+            data_cp_samples=data_cp_samples,
+            compensate=compensate,
+            genie_timing=genie_timing,
+            active_cosenders=active,
         )
-        header_waveform = self.lead.header_waveform(header, layout)
-        lead_waveform = self.lead.build_waveform(payload, header_waveform, layout, frame_config)
-
-        starts, feasible = self._schedule_cosenders(layout, header_waveform, compensate)
-
-        leading_silence = 60
-        transmissions = [
-            Transmission(link=topo.link_lead_rx, samples=lead_waveform, start_sample=0.0)
-        ]
-        for i in active:
-            if not np.isfinite(starts[i]):
-                continue
-            cosender = CoSender(
-                cosender_index=i,
-                config=self.config,
-                node_id=topo.cosenders[i].node_id,
-                # CFO pre-correction is applied even in the unsynchronized
-                # baseline: the Fig. 13 comparison isolates *timing*
-                # compensation, not frequency handling.
-                cfo_precorrection_hz=self._states[i].cfo_to_lead_hz,
-            )
-            waveform = cosender.build_waveform(payload, layout, frame_config)
-            transmissions.append(
-                Transmission(
-                    link=topo.links_cosender_rx[i],
-                    samples=waveform,
-                    start_sample=starts[i],
-                )
-            )
-
-        received = combine_at_receiver(
-            transmissions,
-            noise_power=topo.noise_power,
-            rng=self.rng,
-            leading_silence=leading_silence,
-        )
-        start_index = leading_silence + int(round(topo.link_lead_rx.delay_samples)) if genie_timing else None
-        result = self.receiver.receive(
-            received, layout, frame_config, start_index=start_index
-        )
-
-        misalignment = self._true_misalignments(layout, starts)
-        if apply_tracking_feedback and result.misalignment is not None:
-            reported = result.misalignment.misalignments_samples
-            active_iter = iter(reported)
-            for i in active:
-                state = self._states[i]
-                if state.tracker is None:
-                    continue
-                try:
-                    state.tracker.update(next(active_iter))
-                except StopIteration:
-                    break
-        return JointFrameOutcome(
-            result=result,
-            true_misalignment_samples=misalignment,
-            schedules_feasible=tuple(feasible),
-            layout=layout,
-            frame_config=frame_config,
-        )
+        ((outcome,),) = run_joint_frames_batch([self], [[job]])
+        report = outcome.result.misalignment
+        if apply_tracking_feedback and report is not None:
+            _apply_tracking_feedback(self, report, outcome.true_misalignment_samples, active)
+        return outcome
 
     # ------------------------------------------------------------------
     # Single-sender reference transmission (for gain comparisons)
@@ -725,13 +405,15 @@ class SourceSyncSession:
         ``examples/quickstart.py`` and the session tests call it, and no
         experiment does.
         """
-        self._ensure_measured()
+        from repro.core.ensemble import _ensure_measured, _padded_symbol_count
+
+        _ensure_measured([self])
         topo = self.topology
         frame_config = make_joint_frame_config(len(payload), rate_mbps, topo.params, None)
         layout = JointFrameLayout(
             params=topo.params,
             n_cosenders=0,
-            n_data_symbols=self._padded_symbol_count(frame_config),
+            n_data_symbols=_padded_symbol_count(self, frame_config),
             sifs_us=self.config.sifs_us,
         )
         header = self.lead.make_header(

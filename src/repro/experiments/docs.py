@@ -211,9 +211,7 @@ def render_experiment_page(spec: ExperimentSpec) -> str:
         + (
             " The Monte-Carlo core runs through the lockstep ensemble engines"
             " (`batched=False` switches to the sequential oracle path, whose"
-            " seeded results are byte-identical except in fig12 and fig15:"
-            " their stacked joint-frame receive kernels round in the last ulp,"
-            " so they agree to `rel=1e-9`)."
+            " seeded results are byte-identical)."
             if spec.batched
             else ""
         ),

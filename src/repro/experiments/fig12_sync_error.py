@@ -30,18 +30,16 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "measure_residual_sync_error"]
+__all__ = ["Config", "SPEC"]
 
 
 @dataclass(frozen=True)
 class Config:
     """Parameters of the Fig. 12 reproduction.
 
-    ``batched`` selects the lockstep ensemble path
-    (:mod:`repro.core.ensemble`): every (SNR point, topology) cell draws
-    from its own spawned generator, so the batched and sequential paths
-    produce the same seeded results while the batched one advances all
-    cells together with stacked array operations.
+    Every (SNR point, topology) cell draws from its own spawned generator,
+    and all cells advance together through the lockstep ensemble path
+    (:mod:`repro.core.ensemble`).
     """
 
     snr_points_db: tuple[float, ...] = (3.0, 6.0, 9.0, 12.0, 15.0, 20.0, 25.0)
@@ -50,7 +48,6 @@ class Config:
     repetitions_per_measurement: int = 4
     warmup_rounds: int = 5
     seed: int = 12
-    batched: bool = True
     params: OFDMParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
@@ -62,39 +59,6 @@ class Config:
             raise ValueError("repetitions_per_measurement must be >= 1")
         if self.warmup_rounds < 0:
             raise ValueError("warmup_rounds must be >= 0")
-
-
-def measure_residual_sync_error(
-    session: SourceSyncSession,
-    n_measurements: int = 10,
-    repetitions_per_measurement: int = 5,
-    params: OFDMParams = DEFAULT_PARAMS,
-) -> list[float]:
-    """Residual synchronization error (ns) of converged SourceSync senders.
-
-    Each measurement mimics the paper's ground-truth estimator: the
-    misalignment of one scheduled joint transmission is estimated
-    ``repetitions_per_measurement`` times (the paper repeats the header 200
-    times inside one packet; here each repetition is an independent header
-    reception over the same static channel) and the estimates are averaged
-    to suppress estimator noise.
-    """
-    errors_ns: list[float] = []
-    for _ in range(n_measurements):
-        estimates = []
-        for _ in range(repetitions_per_measurement):
-            outcome = session.run_header_exchange(apply_tracking_feedback=False)
-            if outcome.measured_misalignment is None:
-                continue
-            values = outcome.measured_misalignment.misalignments_samples
-            if values:
-                estimates.append(values[0])
-        if estimates:
-            errors_ns.append(abs(float(np.mean(estimates))) * params.sample_period_ns)
-        # One tracking update per measurement keeps the loop converged, as a
-        # real deployment would via ACK feedback on data packets.
-        session.run_header_exchange(apply_tracking_feedback=True)
-    return errors_ns
 
 
 def _make_cell_session(
@@ -117,14 +81,18 @@ def _measure_residual_batch(
     repetitions_per_measurement: int,
     params: OFDMParams,
 ) -> list[list[float]]:
-    """Lockstep counterpart of :func:`measure_residual_sync_error`.
+    """Residual synchronization error (ns) of converged SourceSync senders.
 
-    All sessions advance measurement-by-measurement together.  Each
-    repetition of a measurement is one lockstep header exchange across the
-    sessions, measured as it arrives as a receiver would, so only one
-    received row per session is alive at a time; the per-measurement
-    tracking update runs as one more lockstep exchange — the same
-    per-session sequence as the sequential loop.
+    Each measurement mimics the paper's ground-truth estimator: the
+    misalignment of one scheduled joint transmission is estimated
+    ``repetitions_per_measurement`` times (the paper repeats the header 200
+    times inside one packet; here each repetition is an independent header
+    reception over the same static channel) and the estimates are averaged
+    to suppress estimator noise.  All sessions advance measurement by
+    measurement together: each repetition is one lockstep header exchange
+    across the sessions, measured as it arrives as a receiver would, so
+    only one received row per session is alive at a time, and the
+    per-measurement tracking update is one more lockstep exchange.
     """
     errors: list[list[float]] = [[] for _ in sessions]
     for _ in range(n_measurements):
@@ -174,8 +142,8 @@ def _run(config: Config) -> ExperimentResult:
     with both sender-receiver links at that SNR; the reported value is the
     95th percentile of the residual synchronization error across topologies
     and measurements.  Every (SNR, topology) cell has its own spawned
-    generator; ``config.batched`` runs all cells in lockstep through the
-    batched joint-frame core path with identical seeded results.
+    generator, and all cells run in lockstep through the batched
+    joint-frame core path.
     """
     params = config.params
     cells = [
@@ -187,28 +155,14 @@ def _run(config: Config) -> ExperimentResult:
         np.random.default_rng(child)
         for child in np.random.SeedSequence(config.seed).spawn(len(cells))
     ]
-    errors_per_cell: list[list[float]]
-    if config.batched:
-        sessions = [
-            _make_cell_session(snr_db, rng, params)
-            for (snr_db, _), rng in zip(cells, cell_rngs)
-        ]
-        measure_delays_batch(sessions)
-        converge_tracking_batch(sessions, rounds=config.warmup_rounds)
-        errors_per_cell = _measure_residual_batch(
-            sessions, config.n_measurements, config.repetitions_per_measurement, params
-        )
-    else:
-        errors_per_cell = []
-        for (snr_db, _), rng in zip(cells, cell_rngs):
-            session = _make_cell_session(snr_db, rng, params)
-            session.measure_delays()
-            session.converge_tracking(rounds=config.warmup_rounds)
-            errors_per_cell.append(
-                measure_residual_sync_error(
-                    session, config.n_measurements, config.repetitions_per_measurement, params
-                )
-            )
+    sessions = [
+        _make_cell_session(snr_db, rng, params) for (snr_db, _), rng in zip(cells, cell_rngs)
+    ]
+    measure_delays_batch(sessions)
+    converge_tracking_batch(sessions, rounds=config.warmup_rounds)
+    errors_per_cell = _measure_residual_batch(
+        sessions, config.n_measurements, config.repetitions_per_measurement, params
+    )
 
     percentile_95_ns: list[float] = []
     median_ns: list[float] = []

@@ -36,12 +36,11 @@ __all__ = ["Config", "SPEC"]
 class Config:
     """Parameters of the Fig. 13 reproduction.
 
-    ``batched`` decodes the whole cyclic-prefix sweep as one joint-frame
-    ensemble (single block-parallel Viterbi pass).  Frames are measured
-    with the tracking loop *converged and frozen* — feedback is applied
-    during the warm-up exchanges, not per measured frame — so the frames
-    are independent and the batched and sequential paths produce identical
-    seeded results.  ``n_topologies`` measures each chain over that many
+    The whole cyclic-prefix sweep decodes as one joint-frame ensemble
+    (single block-parallel Viterbi pass).  Frames are measured with the
+    tracking loop *converged and frozen* — feedback is applied during the
+    warm-up exchanges, not per measured frame — so the frames are
+    independent.  ``n_topologies`` measures each chain over that many
     independent joint topologies and averages the per-CP SNR across them;
     every topology of both chains joins the same lockstep ensemble, so
     widening the sweep costs one wider Viterbi pass, not more Python loops.
@@ -52,7 +51,6 @@ class Config:
     n_frames: int = 2
     n_topologies: int = 1
     seed: int = 5
-    batched: bool = True
     params: OFDMParams = DEFAULT_PARAMS
     snr_fraction: float = 0.95
 
@@ -98,25 +96,6 @@ def _chain_seeds(seed: int, n_topologies: int) -> list:
     return list(np.random.SeedSequence(seed).spawn(n_topologies))
 
 
-def _measure_folds(
-    cp_values_samples: tuple[int, ...],
-    compensate: bool,
-    snr_db: float,
-    payload_bytes: int,
-    n_frames: int,
-    seed: int,
-    params: OFDMParams,
-    n_topologies: int,
-) -> list[list[float]]:
-    """Per-topology SNR-vs-CP folds for one measurement chain, run sequentially."""
-    folds = []
-    for chain_seed in _chain_seeds(seed, n_topologies):
-        session, payload = _prepare_chain(compensate, snr_db, payload_bytes, chain_seed, params)
-        outcomes = _run_sweep_sequential(session, payload, cp_values_samples, n_frames, compensate)
-        folds.append(_fold_sweep(outcomes, payload, cp_values_samples, n_frames))
-    return folds
-
-
 def _mean_over_topologies(folds: list[list[float]]) -> list[float]:
     """Per-CP mean over topology folds, ignoring NaN entries.
 
@@ -154,27 +133,6 @@ def _sweep_jobs(
             rate_mbps=6.0,
             data_cp_samples=cp,
             compensate=compensate,
-            genie_timing=True,
-        )
-        for cp in cp_values_samples
-        for _ in range(n_frames)
-    ]
-
-
-def _run_sweep_sequential(
-    session: SourceSyncSession,
-    payload: bytes,
-    cp_values_samples: tuple[int, ...],
-    n_frames: int,
-    compensate: bool,
-) -> list:
-    return [
-        session.run_joint_frame(
-            payload,
-            rate_mbps=6.0,
-            data_cp_samples=cp,
-            compensate=compensate,
-            apply_tracking_feedback=False,
             genie_timing=True,
         )
         for cp in cp_values_samples
@@ -229,53 +187,37 @@ def _fold_sweep(
 def _run(config: Config) -> ExperimentResult:
     """Regenerate Fig. 13: SNR vs CP for SourceSync and the unsynchronized baseline.
 
-    In batched mode both chains' sweeps form *one* joint-frame ensemble, so
-    the whole figure decodes with a single block-parallel Viterbi pass; the
-    chains use independent generators, so the numbers match the per-chain
-    sequential sweeps exactly.
+    Both chains (compensated and baseline), each over ``n_topologies``
+    sessions, form *one* joint-frame ensemble of ``2 * n_topologies``
+    lockstep lanes, so the whole figure decodes with a single
+    block-parallel Viterbi pass; every session draws from its own
+    generator.
     """
     cp_values_samples, params, snr_fraction = config.cp_values_samples, config.params, config.snr_fraction
-    if config.batched:
-        # Both chains (compensated and baseline), each over n_topologies
-        # sessions, decode as ONE joint-frame ensemble: 2 * n_topologies
-        # lockstep lanes and a single block-parallel Viterbi pass.
-        chains = [
-            (
-                compensate,
-                [
-                    _prepare_chain(compensate, config.snr_db, 60, chain_seed, params)
-                    for chain_seed in _chain_seeds(config.seed, config.n_topologies)
-                ],
-            )
-            for compensate in (True, False)
-        ]
-        sessions = [session for _, prepared in chains for session, _ in prepared]
-        jobs = [
-            _sweep_jobs(payload, cp_values_samples, config.n_frames, compensate)
-            for compensate, prepared in chains
+    chains = [
+        (
+            compensate,
+            [
+                _prepare_chain(compensate, config.snr_db, 60, chain_seed, params)
+                for chain_seed in _chain_seeds(config.seed, config.n_topologies)
+            ],
+        )
+        for compensate in (True, False)
+    ]
+    sessions = [session for _, prepared in chains for session, _ in prepared]
+    jobs = [
+        _sweep_jobs(payload, cp_values_samples, config.n_frames, compensate)
+        for compensate, prepared in chains
+        for _, payload in prepared
+    ]
+    outcome_lists = iter(run_joint_frames_batch(sessions, jobs))
+    sourcesync_folds, baseline_folds = [
+        [
+            _fold_sweep(next(outcome_lists), payload, cp_values_samples, config.n_frames)
             for _, payload in prepared
         ]
-        outcome_lists = run_joint_frames_batch(sessions, jobs)
-        per_chain_folds = []
-        position = 0
-        for _, prepared in chains:
-            folds = []
-            for _, payload in prepared:
-                folds.append(
-                    _fold_sweep(outcome_lists[position], payload, cp_values_samples, config.n_frames)
-                )
-                position += 1
-            per_chain_folds.append(folds)
-        sourcesync_folds, baseline_folds = per_chain_folds
-    else:
-        sourcesync_folds = _measure_folds(
-            cp_values_samples, True, config.snr_db, 60, config.n_frames,
-            config.seed, params, config.n_topologies,
-        )
-        baseline_folds = _measure_folds(
-            cp_values_samples, False, config.snr_db, 60, config.n_frames,
-            config.seed, params, config.n_topologies,
-        )
+        for _, prepared in chains
+    ]
     sourcesync = _mean_over_topologies(sourcesync_folds)
     baseline = _mean_over_topologies(baseline_folds)
     cp_ns = [cp * params.sample_period_ns for cp in cp_values_samples]

@@ -31,22 +31,20 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 
-__all__ = ["Config", "SPEC", "measure_regime", "REGIME_TARGET_SNR_DB"]
+__all__ = ["Config", "SPEC", "REGIME_TARGET_SNR_DB"]
 
 
 @dataclass(frozen=True)
 class Config:
     """Parameters of the Fig. 15 reproduction.
 
-    ``batched`` advances every placement of every regime in lockstep
-    through the batched joint-frame core path; per-placement spawned
-    generators make the batched and sequential paths produce identical
-    seeded results.
+    Every placement of every regime draws from its own spawned generator,
+    and all placements advance in lockstep through the batched joint-frame
+    core path.
     """
 
     n_placements: int = 4
     seed: int = 15
-    batched: bool = True
     params: OFDMParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
@@ -111,30 +109,6 @@ def _placement_rngs(
     return [np.random.default_rng(child) for child in root.spawn(n_placements)]
 
 
-def measure_regime(
-    target_snr_db: float,
-    n_placements: int = 4,
-    seed: int = 15,
-    params: OFDMParams = DEFAULT_PARAMS,
-) -> tuple[list[float], list[float], list[np.ndarray]]:
-    """Single-sender and joint average SNRs for placements in one regime.
-
-    Returns ``(single_sender_snrs, joint_snrs, per_subcarrier_joint_profiles)``;
-    the single-sender list contains both senders of every placement.  Each
-    placement draws from its own spawned generator, so this sequential
-    path and the experiment's lockstep path produce the same seeded results.
-    """
-    channels_list = []
-    for rng in _placement_rngs(target_snr_db, n_placements, seed):
-        session = _placement_session(target_snr_db, rng, params)
-        session.measure_delays()
-        session.converge_tracking(rounds=3)
-        channels_list.append(
-            session.run_header_exchange(apply_tracking_feedback=False).channels
-        )
-    return _regime_values(channels_list, params)
-
-
 @experiment(
     name="fig15",
     description="Average SNR of single sender vs SourceSync joint transmission per SNR regime",
@@ -153,36 +127,28 @@ def measure_regime(
 def _run(config: Config) -> ExperimentResult:
     """Regenerate Fig. 15: average SNR, single sender vs SourceSync, per regime.
 
-    In batched mode every placement of *every* regime advances in one
-    lockstep group (the per-regime spawned generators are identical either
-    way, so both paths report the same seeded numbers).
+    Every placement of *every* regime advances in one lockstep group; each
+    placement's session measures its delays, converges its tracking loop
+    and reads the per-sender channels of one header exchange.
     """
     regimes = list(SNR_REGIMES.keys())
+    cells = [
+        (regime, _placement_session(REGIME_TARGET_SNR_DB[regime], rng, config.params))
+        for regime in regimes
+        for rng in _placement_rngs(REGIME_TARGET_SNR_DB[regime], config.n_placements, config.seed)
+    ]
+    sessions = [session for _, session in cells]
+    measure_delays_batch(sessions)
+    converge_tracking_batch(sessions, rounds=3)
+    outcomes = run_header_exchanges_batch(sessions, apply_tracking_feedback=False)
     per_regime: dict[str, tuple[list[float], list[float], list[np.ndarray]]] = {}
-    if config.batched:
-        cells = [
-            (regime, _placement_session(REGIME_TARGET_SNR_DB[regime], rng, config.params))
-            for regime in regimes
-            for rng in _placement_rngs(
-                REGIME_TARGET_SNR_DB[regime], config.n_placements, config.seed
-            )
+    for regime in regimes:
+        channels_list = [
+            outcome.channels
+            for (cell_regime, _), outcome in zip(cells, outcomes)
+            if cell_regime == regime
         ]
-        sessions = [session for _, session in cells]
-        measure_delays_batch(sessions)
-        converge_tracking_batch(sessions, rounds=3)
-        outcomes = run_header_exchanges_batch(sessions, apply_tracking_feedback=False)
-        for regime in regimes:
-            channels_list = [
-                outcome.channels
-                for (cell_regime, _), outcome in zip(cells, outcomes)
-                if cell_regime == regime
-            ]
-            per_regime[regime] = _regime_values(channels_list, config.params)
-    else:
-        for regime in regimes:
-            per_regime[regime] = measure_regime(
-                REGIME_TARGET_SNR_DB[regime], config.n_placements, config.seed, config.params
-            )
+        per_regime[regime] = _regime_values(channels_list, config.params)
     single_means: list[float] = []
     joint_means: list[float] = []
     gains: list[float] = []

@@ -242,14 +242,12 @@ class ExperimentSpec:
         """Whether the config has a ``batched`` field.
 
         Such experiments run their Monte-Carlo core as lockstep lanes on
-        :mod:`repro.engine` (the joint-frame lanes of
-        :mod:`repro.core.ensemble`, the routing and downlink lanes of
+        :mod:`repro.engine` (the routing and downlink lanes of
         :mod:`repro.routing.ensemble`, or the flow lanes of
-        :mod:`repro.traffic.service`); the config's
-        ``batched=False`` switches to the sequential oracle path.  Its seeded
-        results are byte-identical except in fig12 and fig15, whose stacked
-        joint-frame receive kernels round in the last ulp, so they agree to
-        ``rel=1e-9``.
+        :mod:`repro.traffic.service`); the config's ``batched=False``
+        switches to the sequential oracle path, whose seeded results are
+        byte-identical.  The joint-frame experiments (fig12, fig13, fig15)
+        have one path only, :mod:`repro.core.ensemble`, and no such field.
         """
         return any(f.name == "batched" for f in dataclasses.fields(self.config_cls))
 

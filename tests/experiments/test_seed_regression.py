@@ -17,11 +17,13 @@ tracking loop during the measured CP sweep, and fig17/fig18 thread
 independent per-trial seeds through ``run_trials`` — all deliberate,
 order-independence-enabling changes (see CHANGES.md).
 
-For experiments with a ``batched`` field, the sequential oracle
-(``batched=False``) reproduces the default lockstep output at ``smoke``
-byte for byte.  Both paths run the joint receiver's stacked stages, the
-sequential one on stacks of one, and every receive stage gives a row the
-same floats however many rows share its stack.
+For experiments with a ``batched`` field (the routing, last-hop and
+traffic experiments), the sequential oracle (``batched=False``)
+reproduces the default lockstep output at ``smoke`` byte for byte.  The
+joint-frame experiments (fig12, fig13, fig15) have no such field: they
+run only the lockstep core path, whose per-frame oracle is
+``tests/core/reference_session.py`` (checked in
+``tests/engine/test_joint_batch.py``).
 """
 
 import json
