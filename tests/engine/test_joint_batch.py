@@ -25,15 +25,15 @@ from repro.phy import bits as bitutils
 from tests.core import reference_session as ref
 
 
-def _make_sessions(seeds, snr_db=14.0, lead_cosender_snr_db=18.0):
+def _make_sessions(seeds, snr_db=14.0, lead_cosender_snr_db=18.0, n_cosenders=1):
     sessions = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         topo = JointTopology.from_snrs(
             rng,
             lead_rx_snr_db=snr_db,
-            cosender_rx_snr_db=[snr_db],
-            lead_cosender_snr_db=[lead_cosender_snr_db],
+            cosender_rx_snr_db=[snr_db] * n_cosenders,
+            lead_cosender_snr_db=[lead_cosender_snr_db] * n_cosenders,
         )
         sessions.append(SourceSyncSession(topo, SourceSyncConfig(), rng=rng))
     return sessions
@@ -302,13 +302,14 @@ class TestJointBatchFrames:
         _assert_frames_close(a, b)
         assert _rng_states_match(seq, bat)
 
-    @pytest.mark.parametrize("active", [None, [0]])
+    @pytest.mark.parametrize("active", [None, [1]])
     def test_joint_batch_session_frames_with_feedback_match_sequential(self, active):
         """``run_joint_frame`` (a stack of one plus tracking feedback) against
-        the per-frame reference over three frames: the feedback of each
-        frame moves the schedule of the next."""
-        seq = _make_sessions([401, 402], snr_db=20.0, lead_cosender_snr_db=25.0)
-        bat = _make_sessions([401, 402], snr_db=20.0, lead_cosender_snr_db=25.0)
+        the per-frame reference over three frames with two co-senders: the
+        feedback of each frame moves the schedule of the next, and with only
+        co-sender 1 active its report entry must reach co-sender 1."""
+        seq = _make_sessions([401, 402], snr_db=20.0, lead_cosender_snr_db=25.0, n_cosenders=2)
+        bat = _make_sessions([401, 402], snr_db=20.0, lead_cosender_snr_db=25.0, n_cosenders=2)
         payload = bitutils.random_payload(40, np.random.default_rng(9))
         for a_session, b_session in zip(seq, bat):
             for cp in (16, 0, 8):
@@ -317,9 +318,10 @@ class TestJointBatchFrames:
                 )
                 b = b_session.run_joint_frame(payload, data_cp_samples=cp, active_cosenders=active)
                 _assert_frames_close(a, b)
-                assert a_session._states[0].tracker.wait_time_samples == pytest.approx(
-                    b_session._states[0].tracker.wait_time_samples, rel=1e-9, abs=1e-12
-                )
+                for state_a, state_b in zip(a_session._states, b_session._states):
+                    assert state_a.tracker.wait_time_samples == pytest.approx(
+                        state_b.tracker.wait_time_samples, rel=1e-9, abs=1e-12
+                    )
         assert _rng_states_match(seq, bat)
 
 
