@@ -635,10 +635,10 @@ def _draw_header(
     """Draw a header's packet id and return its keyed header bits.
 
     The keyed expansion uses a generator of its own, which the draw ledger
-    records too, so it stays right after the packet-id draw as in the
-    per-frame path; only the waveform synthesis is left to a batch, and
-    the lead waveform reuses that batch's row instead of expanding the
-    header again.
+    records too, so it stays right after the packet-id draw, as in a lone
+    :meth:`LeadSender.header_waveform` build; only the waveform synthesis
+    is left to a batch, and the lead waveform reuses that batch's row
+    instead of expanding the header again.
     """
     header = session.lead.make_header(
         packet_id=int(session.rng.integers(0, 1 << 16)),
