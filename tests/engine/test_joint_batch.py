@@ -451,15 +451,100 @@ class TestJointBatchMemory:
         assert len(encodes) == len(payloads) * len(cps) * n_senders
 
 
-@pytest.mark.parametrize("name", ["fig18"])
-def test_joint_batch_smoke_preset_equivalence(name):
-    """Experiments with a ``batched`` switch: lockstep == sequential at smoke scale."""
+def _run_per_frame(monkeypatch, name, overrides=None):
+    """Run experiment ``name`` at ``smoke`` with every lockstep entry point
+    that fig12, fig13 and fig15 call swapped for the per-frame reference:
+    each session runs its exchanges and frames one at a time."""
+    from repro.experiments import fig12_sync_error, fig13_cp_reduction, fig15_power_gains
+    from repro.experiments import registry
+
+    def measure_delays_batch(sessions, use_true_delays=False):
+        for session in sessions:
+            ref.measure_delays(session, use_true_delays)
+
+    def converge_tracking_batch(sessions, rounds=4, compensate=True):
+        for session in sessions:
+            ref.converge_tracking(session, rounds, compensate)
+
+    def run_header_exchanges_batch(
+        sessions, compensate=True, apply_tracking_feedback=False, genie_timing=False
+    ):
+        return [
+            ref.run_header_exchange(session, compensate, apply_tracking_feedback, genie_timing)
+            for session in sessions
+        ]
+
+    def run_joint_frames_batch(sessions, jobs_per_session):
+        return [
+            [
+                ref.run_joint_frame(
+                    session,
+                    job.payload,
+                    rate_mbps=job.rate_mbps,
+                    data_cp_samples=job.data_cp_samples,
+                    compensate=job.compensate,
+                    active_cosenders=(
+                        None if job.active_cosenders is None else list(job.active_cosenders)
+                    ),
+                    apply_tracking_feedback=False,
+                    genie_timing=job.genie_timing,
+                )
+                for job in jobs
+            ]
+            for session, jobs in zip(sessions, jobs_per_session)
+        ]
+
+    for module in (fig12_sync_error, fig15_power_gains):
+        monkeypatch.setattr(module, "measure_delays_batch", measure_delays_batch)
+        monkeypatch.setattr(module, "converge_tracking_batch", converge_tracking_batch)
+        monkeypatch.setattr(module, "run_header_exchanges_batch", run_header_exchanges_batch)
+    monkeypatch.setattr(fig13_cp_reduction, "run_joint_frames_batch", run_joint_frames_batch)
+    monkeypatch.setattr(
+        SourceSyncSession,
+        "measure_delays",
+        lambda self, use_true_delays=False: ref.measure_delays(self, use_true_delays),
+    )
+    monkeypatch.setattr(
+        SourceSyncSession,
+        "converge_tracking",
+        lambda self, rounds=4, compensate=True: ref.converge_tracking(self, rounds, compensate),
+    )
+    spec = registry.get(name)
+    return spec.run(spec.make_config("smoke", overrides))
+
+
+@pytest.mark.parametrize("name", ["fig12", "fig13", "fig15", "fig18"])
+def test_joint_batch_smoke_preset_equivalence(name, monkeypatch):
+    """Lockstep == per-frame at smoke scale.  fig12, fig13 and fig15 run only
+    the lockstep core path, so their per-frame side swaps in the reference
+    session; fig18 keeps its own ``batched`` switch."""
     from repro.experiments import registry
 
     spec = registry.get(name)
     batched = spec.run(spec.make_config("smoke"))
-    sequential = spec.run(spec.make_config("smoke", {"batched": False}))
+    if name == "fig18":
+        sequential = spec.run(spec.make_config("smoke", {"batched": False}))
+    else:
+        sequential = _run_per_frame(monkeypatch, name)
     _assert_series_equal(batched, sequential)
+
+
+def test_joint_batch_fig13_multi_topology_equivalence(monkeypatch):
+    """fig13's widened chains (n_topologies > 1): both chains' sessions fold
+    into one joint-frame ensemble and must still match the per-frame
+    reference sweeps of each session, summary included."""
+    from repro.experiments import registry
+
+    spec = registry.get("fig13")
+    overrides = {"n_topologies": 3}
+    batched = spec.run(spec.make_config("smoke", overrides))
+    sequential = _run_per_frame(monkeypatch, "fig13", overrides)
+    _assert_series_equal(batched, sequential)
+    assert batched.summary.keys() == sequential.summary.keys()
+    for key in batched.summary:
+        np.testing.assert_allclose(
+            batched.summary[key], sequential.summary[key], rtol=1e-9, equal_nan=True
+        )
 
 
 def _assert_series_equal(batched, sequential):
