@@ -96,7 +96,12 @@ class LockstepScheduler:
     """
 
     def run(self, lanes: list[Lane]) -> list:
-        """Run every lane to completion; results come back in input order."""
+        """Run every lane to completion; results come back in input order.
+
+        The run keeps no reference to the lanes once it returns or raises:
+        it leaves no cyclic garbage, so an ensemble is freed as soon as the
+        caller drops its lane list.
+        """
         if not lanes:
             return []
         enforce = all(lane.enforce_generator_chains for lane in lanes)
@@ -121,53 +126,61 @@ class LockstepScheduler:
             else:
                 live.append(index)
 
-        # Root lanes prime first — batched per class, groups in
-        # first-appearance order — then set up in input order; a root that
-        # completes during setup finishes (and starts its successors)
-        # before the next root sets up, as the sequential code would.
-        roots = [i for i in range(len(lanes)) if after[i] is None]
-        prime_groups: dict[type, list[Lane]] = {}
-        for i in roots:
-            prime_groups.setdefault(type(lanes[i]), []).append(lanes[i])
-        for cls, group in prime_groups.items():
-            cls.prime_lanes(group)
-        for i in roots:
-            start(i)
+        try:
+            # Root lanes prime first — batched per class, groups in
+            # first-appearance order — then set up in input order; a root that
+            # completes during setup finishes (and starts its successors)
+            # before the next root sets up, as the sequential code would.
+            roots = [i for i in range(len(lanes)) if after[i] is None]
+            prime_groups: dict[type, list[Lane]] = {}
+            for i in roots:
+                prime_groups.setdefault(type(lanes[i]), []).append(lanes[i])
+            for cls, group in prime_groups.items():
+                cls.prime_lanes(group)
+            for i in roots:
+                start(i)
 
-        while live:
-            wave = list(live)
-            live.clear()
-            order: list[type] = []
-            members: dict[type, list[int]] = {}
-            for index in wave:
-                cls = type(lanes[index])
-                if cls not in members:
-                    members[cls] = []
-                    order.append(cls)
-                members[cls].append(index)
-            for cls in order:
-                if cls.stacked:
-                    # Stacked classes advance the whole group at once and
-                    # finish in ascending lane order — the order their
-                    # internal stacked arrays impose on the wave.
-                    group = sorted(members[cls])
-                    cls.advance_lanes([lanes[i] for i in group])
-                    for index in group:
-                        if lanes[index].finished:
-                            finish(index)
-                        else:
-                            live.append(index)
-                else:
-                    # Per-lane classes interleave finish processing with
-                    # the wave: a lane that completes runs its (possibly
-                    # drawing) cleanup and starts its successors before
-                    # the next lane of the wave advances.
-                    for index in members[cls]:
-                        lanes[index].advance()
-                        if lanes[index].finished:
-                            finish(index)
-                        else:
-                            live.append(index)
+            while live:
+                wave = list(live)
+                live.clear()
+                order: list[type] = []
+                members: dict[type, list[int]] = {}
+                for index in wave:
+                    cls = type(lanes[index])
+                    if cls not in members:
+                        members[cls] = []
+                        order.append(cls)
+                    members[cls].append(index)
+                for cls in order:
+                    if cls.stacked:
+                        # Stacked classes advance the whole group at once and
+                        # finish in ascending lane order — the order their
+                        # internal stacked arrays impose on the wave.
+                        group = sorted(members[cls])
+                        cls.advance_lanes([lanes[i] for i in group])
+                        for index in group:
+                            if lanes[index].finished:
+                                finish(index)
+                            else:
+                                live.append(index)
+                    else:
+                        # Per-lane classes interleave finish processing with
+                        # the wave: a lane that completes runs its (possibly
+                        # drawing) cleanup and starts its successors before
+                        # the next lane of the wave advances.
+                        for index in members[cls]:
+                            lanes[index].advance()
+                            if lanes[index].finished:
+                                finish(index)
+                            else:
+                                live.append(index)
+        finally:
+            # ``start`` and ``finish`` reach each other through closure
+            # cells; emptying both cells breaks that cycle, so the lanes
+            # (and every testbed, cache and state they hold) are freed by
+            # reference counting once the caller drops them, not at the
+            # next cyclic collection, also when a lane raised.
+            del start, finish
         return results
 
 

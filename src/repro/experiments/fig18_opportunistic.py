@@ -161,8 +161,8 @@ def _topology_ensemble_chunk(
     config = ExorConfig(batch_size=batch_size)
     prime_testbeds_lockstep(testbeds, config.probe_rate_mbps, config.payload_bytes)
     # Probe priming above materialised every pair's fading profile, so the
-    # data-rate pass below consumes no generator draws — it is one stacked
-    # EESM pass over all topologies instead of a scalar pass per testbed
+    # data-rate pass below consumes no generator draws — it is stacked EESM
+    # passes across all topologies instead of a scalar pass per testbed
     # inside the single-path loop.
     prime_testbeds_lockstep(testbeds, rate_mbps, config.payload_bytes)
     relays = [

@@ -41,6 +41,12 @@ __all__ = ["Testbed", "prime_delivery_caches"]
 
 _T = TypeVar("_T")
 
+#: Links one stacked compute pass of :func:`prime_delivery_caches` covers:
+#: 256 rows are 256 KiB of complex FFT output at 64 bins.  Larger
+#: ensembles are primed block by block, which changes nothing numerically
+#: (every link's compute is row-wise) but bounds the primer's working set.
+_PRIME_BLOCK_ROWS = 256
+
 
 @dataclass
 class Testbed:
@@ -416,6 +422,36 @@ class Testbed:
         return bool(rng.random() < prob)
 
 
+def _profile_block(group: tuple, rows: list) -> np.ndarray:
+    """Per-subcarrier SNR profiles (dB) of one block of drawn links.
+
+    ``group`` is the draw group's compute shape and ``rows`` its
+    ``(testbed, pair, taps, average_snr_db)`` entries.  Mirrors
+    MultipathChannel.normalized + subcarrier_snr_profile, row-stacked:
+    unit-power taps, frequency response on the occupied bins,
+    mean-normalised gains scaled to the target average SNR.  Every step is
+    row-wise, so a row's profile does not depend on the block it is in.
+    """
+    rayleigh, _, multipath_profile, params = group
+    if rayleigh:
+        draws = np.stack([row[2] for row in rows])
+        scattered = (draws[:, 0, :] + 1j * draws[:, 1, :]) / np.sqrt(2.0)
+        taps = scattered * np.sqrt(multipath_profile.tap_powers())
+    else:
+        taps = np.stack([row[2] for row in rows])
+    power = np.sum(np.abs(taps) ** 2, axis=1)
+    response = np.fft.fft(taps / np.sqrt(power)[:, None], params.n_fft, axis=-1)
+    # ascontiguousarray: the fancy-indexed bin selection is strided, and
+    # the row means' pairwise-summation blocking (and hence the last
+    # ulp) matches the scalar path only on contiguous rows.
+    gains = np.abs(np.ascontiguousarray(response[:, params.occupied_bins()])) ** 2
+    gains = gains / np.mean(gains, axis=1)[:, None]
+    # The SNR scale must go through the scalar power path: numpy's
+    # vectorised 10**x can differ from the 0-d case by one ulp.
+    scale = np.array([db_to_linear(row[3]) for row in rows])
+    return np.asarray(linear_to_db(gains * scale[:, None]))
+
+
 def prime_delivery_caches(
     testbeds: list[Testbed], rate: Rate | float, payload_bytes: int = 1460
 ) -> None:
@@ -425,11 +461,14 @@ def prime_delivery_caches(
     canonical all-pairs order (shadowing, then tap gains, per directed
     link), exactly as a lazy walk of :meth:`Testbed.link_profile` and
     :meth:`Testbed.delivery_probability` over the same pairs would.  The
-    pure compute is stacked across the whole list: one
-    tap-normalisation/FFT pass and one EESM/waterfall pass over all
-    outstanding links of all testbeds.  The cached profiles and
-    probabilities are bit-identical to the lazy walk's (row-wise FFTs and
-    reductions match their 1-D counterparts).
+    pure compute is stacked across testbeds in blocks of
+    ``_PRIME_BLOCK_ROWS`` links: as soon as a compute group holds a block,
+    its tap-normalisation/FFT pass (and, for the profiles it yields, its
+    EESM/waterfall pass) runs during the walk, and the remainders run
+    after it, so the transient working set is a few blocks whatever the
+    ensemble width.  The compute draws nothing and is row-wise, so the
+    cached profiles and probabilities are bit-identical to the lazy
+    walk's for any block size.
 
     Memoised per testbed and (rate, payload length): a testbed primed by an
     earlier call, or listed twice, is skipped.
@@ -443,17 +482,38 @@ def prime_delivery_caches(
         {id(tb): tb for tb in testbeds if done_key not in tb._routing_cache}.values()
     )
 
-    # (testbed, (a, b)) rows needing a fresh fading realisation, grouped by
-    # compute shape so heterogeneous ensembles stack safely.
+    # (testbed, (a, b), ...) rows awaiting compute, grouped by compute
+    # shape so heterogeneous ensembles stack safely.
     draw_groups: dict[tuple, list[tuple[Testbed, tuple[int, int], np.ndarray, float]]] = {}
     eesm_groups: dict[int, list[tuple[Testbed, tuple[int, int], np.ndarray]]] = {}
+
+    def store_probabilities(rows: list) -> None:
+        """EESM/waterfall pass over one block of profiles."""
+        probs = delivery_probabilities(np.stack([row[2] for row in rows]), rate_obj, payload_bytes)
+        for (testbed, (a, b), _), prob in zip(rows, probs):
+            testbed._delivery_cache[(a, b, rate_obj.mbps, payload_bytes)] = float(prob)
+
+    def queue_eesm(testbed: Testbed, pair: tuple[int, int], profile: np.ndarray) -> None:
+        """Queue one profile for EESM, running its group once it fills a block."""
+        rows = eesm_groups.setdefault(profile.size, [])
+        rows.append((testbed, pair, profile))
+        if len(rows) == _PRIME_BLOCK_ROWS:
+            store_probabilities(eesm_groups.pop(profile.size))
+
+    def store_profiles(group: tuple, rows: list) -> None:
+        """Profile pass over one block of draws; its profiles queue for EESM."""
+        for (testbed, pair, _, _), profile in zip(rows, _profile_block(group, rows)):
+            testbed._profile_cache[pair] = profile
+            queue_eesm(testbed, pair, profile)
+
     for testbed in fresh:
         rayleigh = not np.isfinite(testbed.multipath_profile.k_factor_db)
         n_taps = testbed.multipath_profile.n_taps
+        group = (rayleigh, n_taps, testbed.multipath_profile, testbed.params)
         for a, b in testbed._unprimed_pairs(rate_obj, payload_bytes):
             profile = testbed._profile_cache.get((a, b))
             if profile is not None:
-                eesm_groups.setdefault(profile.size, []).append((testbed, (a, b), profile))
+                queue_eesm(testbed, (a, b), profile)
                 continue
             average_snr = testbed.link_average_snr_db(a, b)  # shadowing draw, cached
             if rayleigh:
@@ -463,39 +523,15 @@ def prime_delivery_caches(
                 taps = testbed.rng.normal(size=(2, n_taps))
             else:
                 taps = rayleigh_taps_batch(testbed.multipath_profile, 1, testbed.rng)[0]
-            group = (rayleigh, n_taps, testbed.multipath_profile, testbed.params)
-            draw_groups.setdefault(group, []).append((testbed, (a, b), taps, average_snr))
+            rows = draw_groups.setdefault(group, [])
+            rows.append((testbed, (a, b), taps, average_snr))
+            if len(rows) == _PRIME_BLOCK_ROWS:
+                store_profiles(group, draw_groups.pop(group))
 
-    for (rayleigh, n_taps, multipath_profile, params), rows in draw_groups.items():
-        if rayleigh:
-            draws = np.stack([row[2] for row in rows])
-            scattered = (draws[:, 0, :] + 1j * draws[:, 1, :]) / np.sqrt(2.0)
-            taps = scattered * np.sqrt(multipath_profile.tap_powers())
-        else:
-            taps = np.stack([row[2] for row in rows])
-        average = np.array([row[3] for row in rows], dtype=np.float64)
-        # Mirrors MultipathChannel.normalized + subcarrier_snr_profile,
-        # row-stacked: unit-power taps, frequency response on the occupied
-        # bins, mean-normalised gains scaled to the target average SNR.
-        power = np.sum(np.abs(taps) ** 2, axis=1)
-        response = np.fft.fft(taps / np.sqrt(power)[:, None], params.n_fft, axis=-1)
-        # ascontiguousarray: the fancy-indexed bin selection is strided, and
-        # the row means' pairwise-summation blocking (and hence the last
-        # ulp) matches the scalar path only on contiguous rows.
-        gains = np.abs(np.ascontiguousarray(response[:, params.occupied_bins()])) ** 2
-        gains = gains / np.mean(gains, axis=1)[:, None]
-        # The SNR scale must go through the scalar power path: numpy's
-        # vectorised 10**x can differ from the 0-d case by one ulp.
-        scale = np.array([db_to_linear(snr_db) for snr_db in average.tolist()])
-        profiles = np.asarray(linear_to_db(gains * scale[:, None]))
-        for (testbed, pair, _, _), profile in zip(rows, profiles):
-            testbed._profile_cache[pair] = profile
-            eesm_groups.setdefault(profile.size, []).append((testbed, pair, profile))
-
+    for group, rows in draw_groups.items():
+        store_profiles(group, rows)
     for rows in eesm_groups.values():
-        probs = delivery_probabilities(np.stack([row[2] for row in rows]), rate_obj, payload_bytes)
-        for (testbed, (a, b), _), prob in zip(rows, probs):
-            testbed._delivery_cache[(a, b, rate_obj.mbps, payload_bytes)] = float(prob)
+        store_probabilities(rows)
     # Flagged only once every cache entry exists, so a pass that raises
     # part-way leaves no testbed marked primed.
     for testbed in fresh:

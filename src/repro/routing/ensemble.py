@@ -10,8 +10,8 @@ following the same pattern as :mod:`repro.core.ensemble`:
 
 * link realisations of every testbed are materialised with per-testbed
   draws in the canonical all-pairs order, while the surrounding pure
-  compute (tap normalisation, FFTs, the EESM/waterfall mapping) runs once
-  over the stacked rows of the whole ensemble
+  compute (tap normalisation, FFTs, the EESM/waterfall mapping) runs
+  over rows stacked across the whole ensemble, a bounded block at a time
   (:func:`prime_testbeds_lockstep`, which runs
   :func:`repro.net.topology.prime_delivery_caches`);
 * each ExOR phase becomes masked Bernoulli matrix draws against the dense

@@ -5,6 +5,7 @@
 guarantee that every experiment stays runnable.
 """
 
+import gc
 import math
 
 import pytest
@@ -44,3 +45,23 @@ def test_smoke_preset_end_to_end(name, tmp_path):
     assert spec.summary_keys, f"{name} declares no summary_keys documentation"
     undocumented = [k for k in result.summary if not spec.documents_summary_key(k)]
     assert not undocumented, f"{name} summary keys missing from spec.summary_keys: {undocumented}"
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_smoke_run_leaves_no_cyclic_garbage(name):
+    """An experiment run frees its ensembles by reference counting alone.
+
+    Garbage that only the cyclic collector can free (a lockstep run's
+    lanes, testbeds and caches held by a reference cycle) outlives the
+    run and piles up under the next one.
+    """
+    spec = registry.get(name)
+    config = spec.make_config("smoke")
+    spec.run(config)  # warm module-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        spec.run(config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,7 @@
 """Tests for the network substrate: topology, ETX, MAC timing, event scheduler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,24 +285,108 @@ class TestDeliveryTables:
                 a, b, 12.0, 1460
             )
 
-    def test_prime_delivery_caches_failed_pass_is_not_marked_primed(self, monkeypatch):
-        """A pass that raises part-way is redone in full by the next call."""
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_prime_delivery_caches_block_size_changes_nothing(self, monkeypatch, block):
+        """Priming in blocks of any size equals a default-block pass and the lazy walk."""
         import repro.net.topology as topology
 
-        tb, lazy = self._mesh(40), self._mesh(40)
+        seeds = (60, 61, 62)
+        profiles = _PROFILES
 
-        def fail(*args, **kwargs):
-            raise RuntimeError("EESM failed")
+        def ensemble():
+            return [self._mesh(seed, profile) for seed, profile in zip(seeds, profiles)]
+
+        def prime(testbeds):
+            # The first testbed is listed twice; the second rate's pass
+            # reuses the stored profiles, so it queues EESM rows only.
+            for rate in (6.0, 12.0):
+                prime_delivery_caches([testbeds[0], *testbeds], rate, 1460)
+
+        default = ensemble()
+        prime(default)
+        blocked = ensemble()
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "_PRIME_BLOCK_ROWS", block)
+            prime(blocked)
+        for seed, profile, ref, tb in zip(seeds, profiles, default, blocked):
+            lazy = self._mesh(seed, profile)
+            pairs = _canonical_pairs(lazy)
+            for a, b in pairs:
+                lazy.link_profile(a, b)
+                for rate in (6.0, 12.0):
+                    lazy.delivery_probability(a, b, rate, 1460)
+            states = [t.rng.bit_generator.state for t in (ref, tb, lazy)]
+            assert states[0] == states[1] == states[2]
+            for a, b in pairs:
+                np.testing.assert_array_equal(tb.link_profile(a, b), ref.link_profile(a, b))
+                np.testing.assert_array_equal(tb.link_profile(a, b), lazy.link_profile(a, b))
+            for rate in (6.0, 12.0):
+                matrix = tb.delivery_prob_matrix(rate, 1460)
+                np.testing.assert_array_equal(matrix, ref.delivery_prob_matrix(rate, 1460))
+                np.testing.assert_array_equal(matrix, lazy.delivery_prob_matrix(rate, 1460))
+            assert tb.rng.bit_generator.state == states[2]
+
+    def test_prime_delivery_caches_failed_pass_is_not_marked_primed(self, monkeypatch):
+        """A pass that raises part-way is redone in full by the next call."""
+        self._fail_then_resume(monkeypatch, block=None, failing_call=1)
+
+    def test_prime_delivery_caches_failed_streamed_pass_resumes(self, monkeypatch):
+        """With blocks of one link, EESM raises on the second block while the
+        walk is still drawing: no testbed may be flagged primed, and the next
+        call must draw only what the failed pass did not store."""
+        self._fail_then_resume(monkeypatch, block=1, failing_call=2)
+
+    def _fail_then_resume(self, monkeypatch, block, failing_call):
+        """Prime two testbeds with EESM call ``failing_call`` raising, then resume.
+
+        Checks that the resumed call evaluates every link the failed pass
+        left without a probability, and that caches and generator states
+        end equal to the lazy walk's.
+        """
+        import repro.net.topology as topology
+
+        seeds = (40, 41)
+        testbeds = [self._mesh(seed) for seed in seeds]
+        n_links = sum(len(_canonical_pairs(tb)) for tb in testbeds)
+        eesm = topology.delivery_probabilities
+        rows: list[int] = []
+
+        def failing(profiles, *args, **kwargs):
+            if len(rows) + 1 == failing_call:
+                raise RuntimeError("EESM failed")
+            rows.append(len(profiles))
+            return eesm(profiles, *args, **kwargs)
+
+        def counting(profiles, *args, **kwargs):
+            rows.append(len(profiles))
+            return eesm(profiles, *args, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(topology, "delivery_probabilities", fail)
+            if block is not None:
+                patch.setattr(topology, "_PRIME_BLOCK_ROWS", block)
+            patch.setattr(topology, "delivery_probabilities", failing)
             with pytest.raises(RuntimeError, match="EESM failed"):
-                prime_delivery_caches([tb], 6.0, 1460)
-        matrix = tb.delivery_prob_matrix(6.0, 1460)
-        index = {node: k for k, node in enumerate(tb.node_ids)}
-        for a, b in _canonical_pairs(lazy):
-            assert matrix[index[a], index[b]] == lazy.delivery_probability(a, b, 6.0, 1460)
-        assert tb.rng.bit_generator.state == lazy.rng.bit_generator.state
+                prime_delivery_caches(testbeds, 6.0, 1460)
+            stored = sum(rows)
+            rows.clear()
+            patch.setattr(topology, "delivery_probabilities", counting)
+            prime_delivery_caches(testbeds, 6.0, 1460)
+        # Every link the failed pass left without a probability is evaluated
+        # now, on both testbeds: neither was flagged primed.
+        assert sum(rows) == n_links - stored
+        for seed, tb in zip(seeds, testbeds):
+            lazy = self._mesh(seed)
+            pairs = _canonical_pairs(lazy)
+            for a, b in pairs:
+                lazy.link_profile(a, b)
+                lazy.delivery_probability(a, b, 6.0, 1460)
+            assert tb.rng.bit_generator.state == lazy.rng.bit_generator.state
+            matrix = tb.delivery_prob_matrix(6.0, 1460)
+            index = {node: k for k, node in enumerate(tb.node_ids)}
+            for a, b in pairs:
+                np.testing.assert_array_equal(tb.link_profile(a, b), lazy.link_profile(a, b))
+                assert matrix[index[a], index[b]] == lazy.delivery_probability(a, b, 6.0, 1460)
+            assert tb.rng.bit_generator.state == lazy.rng.bit_generator.state
 
     def test_priming_entry_points_run_the_primer(self):
         """``Testbed.prime_delivery_cache`` and ``prime_testbeds_lockstep`` prime identically."""
@@ -365,6 +451,30 @@ class TestDeliveryTables:
         key = ("exor_priority", config.probe_rate_mbps, config.payload_bytes, (2, 3), 0, 1)
         assert tb.memo(key, lambda: pytest.fail("priority was not memoised")) == tuple(first)
         assert exor_priority(tb, [2, 3], 0, 1, config) == first
+
+
+class TestPrimingMemory:
+    """The primer's working set is bounded by its block, not by the ensemble."""
+
+    @staticmethod
+    def _prime_transient(n_topologies):
+        from repro.experiments.fig18_opportunistic import random_relay_topology
+
+        children = np.random.SeedSequence(18).spawn(n_topologies)
+        testbeds = [random_relay_topology(np.random.default_rng(child)) for child in children]
+        tracemalloc.start()
+        try:
+            prime_delivery_caches(testbeds, 6.0, 1460)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # What the caches keep is the primer's output; the rest of the peak
+        # is its transient.
+        return peak - retained
+
+    def test_prime_delivery_caches_transient_independent_of_width(self):
+        """Priming 200 fig18 topologies takes no more scratch memory than 25."""
+        assert self._prime_transient(200) <= 1.25 * self._prime_transient(25)
 
 
 class TestMacTiming:

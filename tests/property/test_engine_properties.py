@@ -13,8 +13,12 @@ engine's determinism contract directly:
 * no lane is advanced after it reports ``finished``;
 * stacked classes receive their whole live group per wave, in ascending
   input order;
-* results come back in input order, and an empty ensemble is ``[]``.
+* results come back in input order, and an empty ensemble is ``[]``;
+* a run keeps no lane alive once it returns or raises.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -217,3 +221,40 @@ def test_scheduler_rejects_unchained_generator_sharing():
     lanes = [ProbeLane(i, rng, 1, 1, 0, log) for i in range(2)]
     with pytest.raises(ValueError, match="share a generator"):
         LockstepScheduler().run(lanes)
+
+
+class FailingLane(ProbeLane):
+    """Probe lane whose first advance raises."""
+
+    def advance(self):
+        """Fail mid-run, after the scheduler has activated this lane."""
+        raise RuntimeError("lane failed")
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_scheduler_frees_lanes_when_run_ends(fail):
+    """A run leaves no reference cycle holding its lanes.
+
+    With the cyclic collector off, the lanes must die the moment the
+    caller drops its list, whether ``run`` returned or a chained lane
+    raised.
+    """
+    log: list = []
+    rng = np.random.default_rng(0)
+    root = ProbeLane(0, rng, 2, 1, 0, log)
+    chained = (FailingLane if fail else ProbeLane)(1, rng, 2, 1, 0, log, after=root)
+    lanes = [root, chained]
+    refs = [weakref.ref(root), weakref.ref(chained)]
+    del root, chained
+    gc.disable()
+    try:
+        try:
+            LockstepScheduler().run(lanes)
+        except RuntimeError:
+            assert fail
+        else:
+            assert not fail
+        del lanes
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
