@@ -48,8 +48,8 @@ Entry points
   per session;
 * :func:`run_joint_frames_batch` — full joint frames; each wave's receive
   front end (acquisition through depunctured LLRs) runs as the wave lands,
-  and only the Viterbi waits, one block-parallel pass per coded length
-  across the whole ensemble (the Fig. 13 core).
+  and the Viterbi decodes the LLR rows of each coded length one chunk at a
+  time as the waves fill it (the Fig. 13 core).
 
 Usage
 -----
@@ -70,7 +70,7 @@ back per session, in order::
 
 Heterogeneous ensembles are fine: ``jobs_per_session`` rows may have
 different lengths (sessions simply drop out of later waves), which is how
-Fig. 13 decodes several topologies per measurement chain in one pass.
+Fig. 13 decodes several topologies per measurement chain in one ensemble.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from repro.channel.composite import (
 )
 from repro.core.frame import HEADER_SYMBOLS, JointFrameLayout, make_joint_frame_config
 from repro.engine import Lane, LockstepScheduler
-from repro.core.receiver import JointReceiver
+from repro.core.receiver import JointFrameDecoder
 from repro.core.sender import CoSender, header_symbol_bits, header_waveforms_from_bits
 from repro.core.session import (
     HeaderExchangeOutcome,
@@ -803,19 +803,19 @@ class JointFrameJob:
 
 
 class _JointFrameContext:
-    """Receive front-end records accumulated across waves for one Viterbi pass.
+    """The streaming decoder and lane metadata shared by every wave.
 
-    Every wave runs ``receiver``'s front end (acquisition, CFO, channel
-    estimation, data FFTs, tracking, combining, demapping) on its combined
-    rows as soon as they land and appends the record here, so the received
-    samples die with their wave.  Only the Viterbi, descrambling and CRC
-    wait for the single back-end pass over all records; the receiver
-    performs no draws, so neither stage can perturb any lane's stream.
+    Every wave adds its combined rows to ``decoder`` as soon as they land:
+    the front end (acquisition, CFO, channel estimation, data FFTs,
+    tracking, combining, demapping) runs at once, so the received samples
+    die with their wave, and the Viterbi decodes each chunk of LLR rows as
+    the waves fill it.  Only the remainder, the CRC checks and result
+    assembly wait for ``decoder.finish``; the receiver performs no draws,
+    so no stage can perturb any lane's stream.
     """
 
-    def __init__(self, receiver: JointReceiver) -> None:
-        self.receiver = receiver
-        self.records: list = []
+    def __init__(self, decoder: JointFrameDecoder) -> None:
+        self.decoder = decoder
         self.lane_meta: list[tuple] = []
         # Data-section memos (read-only, see build_data_section), one per
         # frame layout that the latest wave used.  A CP sweep sends each
@@ -954,7 +954,7 @@ class _JointFrameLane(Lane):
                 (wrapper.s, wrapper.wave_index, layout, frame_config, starts, feasible)
             )
             wrapper.wave_index += 1
-        ctx.records.append(ctx.receiver._receive_front(receive_jobs))
+        ctx.decoder.add(receive_jobs)
 
 
 def run_joint_frames_batch(
@@ -968,22 +968,23 @@ def run_joint_frames_batch(
     independent: no tracking feedback is applied between them
     (:meth:`SourceSyncSession.run_joint_frame` applies it after its one
     frame).  Each
-    wave's receive front end (acquisition through depunctured LLRs) runs as
-    one stack as soon as the wave is combined, so received samples never
-    outlive their wave; only the Viterbi is deferred, and equal coded
-    lengths across the whole ensemble share one block-parallel call.  The
-    receive stages are grouping-invariant, so the results equal one
-    ``receive_many`` over every frame.  Each distinct sender data section
-    is built once and shared read-only by the frames that repeat it in
-    consecutive waves; a wave drops the sections of layouts it no longer
-    uses.
+    wave is added to one :class:`~repro.core.receiver.JointFrameDecoder`
+    as soon as it is combined: its receive front end (acquisition through
+    depunctured LLRs) runs as one stack, so received samples never outlive
+    their wave, and the Viterbi decodes each coded length's rows one chunk
+    at a time as the waves fill it, so at most a chunk and a wave of LLR
+    rows are pending.  The receive stages are grouping-invariant, so the
+    results equal one ``receive_many`` over every frame.  Each distinct
+    sender data section is built once and shared read-only by the frames
+    that repeat it in consecutive waves; a wave drops the sections of
+    layouts it no longer uses.
     """
     if len(jobs_per_session) != len(sessions):
         raise ValueError("need one job list per session")
     _check_common_structure(sessions)
     _ensure_measured(sessions)
 
-    ctx = _JointFrameContext(sessions[0].receiver)
+    ctx = _JointFrameContext(JointFrameDecoder(sessions[0].receiver))
     LockstepScheduler().run(
         [
             _JointFrameLane(session, s, jobs_per_session[s], ctx)
@@ -992,7 +993,7 @@ def run_joint_frames_batch(
     )
 
     ctx.data_sections.clear()  # only transmission needs them; free before decoding
-    received_results = ctx.receiver._receive_back(ctx.records)
+    received_results = ctx.decoder.finish()
 
     results: list[list[JointFrameOutcome | None]] = [
         [None] * len(jobs) for jobs in jobs_per_session

@@ -20,9 +20,12 @@ Every stage runs on a stack of frames: :meth:`JointReceiver.measure_header_batch
 and :meth:`JointReceiver.receive_many` share one start, acquisition and CFO
 prologue and one header stage, and the per-frame
 :meth:`JointReceiver.measure_header` and :meth:`JointReceiver.receive` are
-stacks of one.  ``receive_many`` splits at the LLRs: a front end that keeps
-no received samples, and a back end (the Viterbi) that may run once over
-the front-end records of many stacks.
+stacks of one.  ``receive_many`` is the degenerate case of the streaming
+:class:`JointFrameDecoder`, which splits the receive path at the LLRs: a
+front end that runs on each added stack at once and keeps no received
+samples, and a Viterbi that decodes the queued LLR rows one chunk at a
+time as they fill it, so a lockstep caller never holds more than a chunk
+and a wave of them.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf, estimate_
 from repro.phy.modulation import get_modulation
 from repro.phy.transmitter import FrameConfig
 
-__all__ = ["JointReceiveResult", "JointReceiver"]
+__all__ = ["JointFrameDecoder", "JointReceiveResult", "JointReceiver"]
 
 _CODE = get_code()
 
@@ -84,9 +87,8 @@ class _FrontRecord:
     ``detected``, ``starts`` and ``cfo`` have one entry per job; ``fits``
     lists the jobs whose whole frame fits their row.  For those jobs,
     ``estimates`` and ``reports`` follow ``fits`` order, ``symbols`` maps a
-    job to its equalized data symbols, and ``llr_blocks`` maps a coded
-    length to ``(members, llrs, frame_config)`` blocks whose ``llrs`` rows
-    are the depunctured LLRs of jobs ``members``.
+    job to its equalized data symbols, and ``frame_bytes`` maps a job to
+    its decoded frame bytes once :class:`JointFrameDecoder` has decoded it.
     """
 
     detected: np.ndarray
@@ -96,9 +98,14 @@ class _FrontRecord:
     estimates: list[JointChannelEstimate] = field(default_factory=list)
     reports: list[MisalignmentReport] = field(default_factory=list)
     symbols: dict[int, np.ndarray] = field(default_factory=dict)
-    llr_blocks: dict[int, list[tuple[np.ndarray, np.ndarray, FrameConfig]]] = field(
-        default_factory=dict
-    )
+    frame_bytes: dict[int, bytes] = field(default_factory=dict)
+
+
+#: A front-end LLR block: ``(members, llrs, frame_config)``, whose ``llrs``
+#: rows are the depunctured LLRs of jobs ``members`` of one record.
+_LlrBlock = tuple[np.ndarray, np.ndarray, FrameConfig]
+#: An LLR block queued for the Viterbi with its record.
+_QueuedBlock = tuple[_FrontRecord, np.ndarray, np.ndarray, FrameConfig]
 
 
 def _frame_samples(
@@ -496,15 +503,16 @@ class JointReceiver:
         Each job is ``(samples, length, layout, frame_config, start_index)``.
         Layouts must share the header geometry (same numerology and
         co-sender count); the data sections may differ per job (e.g. a
-        cyclic-prefix sweep).  The front end (:meth:`_receive_front`) runs
-        timing acquisition, CFO, channel estimation and misalignment
-        batched across jobs, as :meth:`measure_header_batch` does, then the
-        data stage once per stack of jobs sharing ``(layout,
-        frame_config)``, up to depunctured LLRs.  The back end
-        (:meth:`_receive_back`) runs one block-parallel Viterbi call per
-        coded length, then descrambling, bit packing, the CRC check and
-        result assembly.  A lockstep caller may run the front end per batch
-        of frames as they arrive and the back end once over all of them;
+        cyclic-prefix sweep).  This is one :meth:`JointFrameDecoder.add`
+        of the whole stack, then :meth:`JointFrameDecoder.finish`: the front
+        end runs timing acquisition, CFO, channel estimation and
+        misalignment batched across jobs, as :meth:`measure_header_batch`
+        does, then the data stage once per stack of jobs sharing
+        ``(layout, frame_config)``, up to depunctured LLRs; the Viterbi,
+        descrambling and bit packing run per coded length in chunks of
+        :meth:`~repro.phy.coding.convolutional.ConvolutionalCode.chunk_rows`
+        rows, and the CRC check and result assembly per job.  A lockstep
+        caller adds each batch of frames to one decoder as it arrives;
         :meth:`receive` is a stack of one.
 
         Grouping invariance: every stage computes a job's floats with
@@ -512,22 +520,22 @@ class JointReceiver:
         along C-contiguous per-row axes, a row-independent Viterbi), so a
         job decodes to the same bytes whichever jobs share its stack.
         """
-        if not jobs:
-            return []
-        return self._receive_back([self._receive_front(jobs, correct_cfo)])
+        decoder = JointFrameDecoder(self)
+        decoder.add(jobs, correct_cfo)
+        return decoder.finish()
 
     def _receive_front(
         self,
         jobs: list[tuple[np.ndarray, int, JointFrameLayout, FrameConfig, int | None]],
         correct_cfo: bool = True,
-    ) -> _FrontRecord:
+    ) -> tuple[_FrontRecord, list[_LlrBlock]]:
         """Everything of :meth:`receive_many` up to the LLRs, for a non-empty job stack.
 
         Locates each frame, estimates its channels and misalignment, and
         runs the data stage (:meth:`_data_llrs_batch`) once per stack of
-        jobs sharing ``(layout, frame_config)``.  The returned record holds
-        no received samples, so the caller may drop them before the
-        Viterbi pass.
+        jobs sharing ``(layout, frame_config)``.  Returns the record and
+        one LLR block per such stack; neither holds received samples, so
+        the caller may drop them before the Viterbi.
         """
         layout0 = jobs[0][2]
         params = layout0.params
@@ -548,9 +556,10 @@ class JointReceiver:
             rows, lengths, layout0, [job[4] for job in jobs], total, correct_cfo
         )
         record = _FrontRecord(detected, starts, cfo, np.nonzero(fits)[0])
+        blocks: list[_LlrBlock] = []
         idx = record.fits
         if idx.size == 0:
-            return record
+            return record, blocks
 
         sample_period = params.sample_period_s if correct_cfo else None
         header_frames = _frame_samples(
@@ -578,47 +587,76 @@ class JointReceiver:
             )
             for i, symbols in zip(members, decoded_symbols):
                 record.symbols[i] = symbols
-            record.llr_blocks.setdefault(llrs.shape[1], []).append((members, llrs, frame_config))
-        return record
+            blocks.append((members, llrs, frame_config))
+        return record, blocks
 
-    def _receive_back(self, records: list[_FrontRecord]) -> list[JointReceiveResult]:
-        """Decode front-end records: the results of their jobs, concatenated in order.
 
-        LLR blocks of equal coded length share one block-parallel Viterbi
-        call across all records; each block is then descrambled and packed
-        as one stack, and the CRC check, per-subcarrier SNR and result
-        assembly run per job.
+class JointFrameDecoder:
+    """Streaming form of :meth:`JointReceiver.receive_many`: add job stacks, then finish.
+
+    :meth:`add` runs ``receiver``'s front end on a job stack at once and
+    queues its LLR rows by coded length.  As soon as one Viterbi chunk of
+    rows (:meth:`~repro.phy.coding.convolutional.ConvolutionalCode.chunk_rows`)
+    is pending for a coded length, exactly that many rows are decoded,
+    descrambled and packed into their jobs' frame bytes, and dropped; a
+    chunk may take part of a stack's block.  :meth:`finish` decodes what
+    is left, one call per coded length, and returns the results of every
+    added job in order.  The pending rows of a coded length never exceed
+    one chunk plus one added stack, and a coded length with ``N`` rows
+    costs ``ceil(N / chunk)`` Viterbi calls, as one ``decode_batch`` over
+    all of them would.  The Viterbi, descrambling and packing are
+    row-independent, so the results do not depend on how the jobs are
+    split into stacks.
+    """
+
+    def __init__(self, receiver: JointReceiver) -> None:
+        self.receiver = receiver
+        self._records: list[_FrontRecord] = []
+        # Per coded length, the queued (record, members, llrs, frame_config)
+        # blocks whose rows are still to be decoded, oldest first.
+        self._pending: dict[int, list[_QueuedBlock]] = {}
+
+    def add(
+        self,
+        jobs: list[tuple[np.ndarray, int, JointFrameLayout, FrameConfig, int | None]],
+        correct_cfo: bool = True,
+    ) -> None:
+        """Run the front end on ``jobs`` and queue their LLR rows.
+
+        ``jobs`` and ``correct_cfo`` are as in
+        :meth:`JointReceiver.receive_many`.  Decodes every full chunk of
+        rows that is then pending.  The decoder keeps no received samples,
+        so the caller may drop ``jobs`` on return.
         """
-        blocks: dict[int, list[tuple[int, np.ndarray, np.ndarray, FrameConfig]]] = {}
-        for r, record in enumerate(records):
-            for coded_length, entries in record.llr_blocks.items():
-                blocks.setdefault(coded_length, []).extend(
-                    (r, members, llrs, frame_config) for members, llrs, frame_config in entries
-                )
-        frame_bytes_by_job: dict[tuple[int, int], np.ndarray] = {}
-        for block in blocks.values():
-            decoded = _CODE.decode_batch(np.concatenate([llrs for _, _, llrs, _ in block]))
-            lo = 0
-            for r, members, _, frame_config in block:
-                descrambled = bitutils.descramble(
-                    decoded[lo : lo + members.size], frame_config.scrambler_seed
-                )
-                info = np.packbits(
-                    descrambled[:, : frame_config.n_info_bits], axis=-1, bitorder="little"
-                )
-                for i, frame_bytes in zip(members, info):
-                    frame_bytes_by_job[r, i] = frame_bytes
-                lo += members.size
+        if not jobs:
+            return
+        record, blocks = self.receiver._receive_front(jobs, correct_cfo)
+        self._records.append(record)
+        for members, llrs, frame_config in blocks:
+            self._pending.setdefault(llrs.shape[1], []).append(
+                (record, members, llrs, frame_config)
+            )
+        for coded_length, queue in self._pending.items():
+            chunk = _CODE.chunk_rows(coded_length)
+            while sum(entry[1].size for entry in queue) >= chunk:
+                self._decode(queue, chunk)
 
+    def finish(self) -> list[JointReceiveResult]:
+        """Decode the pending rows and return every added job's result, in order.
+
+        The CRC check, per-subcarrier SNR and result assembly run per job.
+        """
+        for queue in self._pending.values():
+            self._decode(queue, sum(entry[1].size for entry in queue))
         results: list[JointReceiveResult] = []
-        for r, record in enumerate(records):
+        for record in self._records:
             stack = [
                 JointReceiveResult(False, False, b"", start_index=int(start) if found else -1)
                 for found, start in zip(record.detected, record.starts)
             ]
             for pos, i in enumerate(record.fits):
                 joint_estimate = record.estimates[pos]
-                frame_bytes = frame_bytes_by_job[r, i].tobytes()
+                frame_bytes = record.frame_bytes[i]
                 payload, crc_ok = bitutils.check_crc(frame_bytes)
                 per_sc_snr = joint_estimate.per_subcarrier_snr_db()
                 snr_db = float(
@@ -638,3 +676,41 @@ class JointReceiver:
                 )
             results.extend(stack)
         return results
+
+    @staticmethod
+    def _decode(queue: list[_QueuedBlock], n_rows: int) -> None:
+        """Decode the first ``n_rows`` rows of ``queue`` in one Viterbi call and drop them.
+
+        Each taken block (or head of a block) is then descrambled and
+        packed as one stack into its record's ``frame_bytes``.
+        """
+        if n_rows == 0:
+            return
+        taken = []
+        rows = []
+        while n_rows:
+            record, members, llrs, frame_config = queue[0]
+            take = min(n_rows, members.size)
+            taken.append((record, members[:take], frame_config))
+            rows.append(llrs[:take])
+            if take == members.size:
+                del queue[0]
+            else:
+                queue[0] = (record, members[take:], llrs[take:], frame_config)
+            n_rows -= take
+        llrs = np.concatenate(rows)
+        # The queued rows of fully taken blocks die here, before the
+        # Viterbi allocates its decisions.
+        del rows
+        decoded = _CODE.decode_batch(llrs)
+        lo = 0
+        for record, members, frame_config in taken:
+            descrambled = bitutils.descramble(
+                decoded[lo : lo + members.size], frame_config.scrambler_seed
+            )
+            info = np.packbits(
+                descrambled[:, : frame_config.n_info_bits], axis=-1, bitorder="little"
+            )
+            for i, frame_bytes in zip(members, info):
+                record.frame_bytes[i] = frame_bytes.tobytes()
+            lo += members.size

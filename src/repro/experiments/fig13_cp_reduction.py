@@ -36,14 +36,16 @@ __all__ = ["Config", "SPEC"]
 class Config:
     """Parameters of the Fig. 13 reproduction.
 
-    The whole cyclic-prefix sweep decodes as one joint-frame ensemble
-    (single block-parallel Viterbi pass).  Frames are measured with the
+    The whole cyclic-prefix sweep decodes as one joint-frame ensemble,
+    whose Viterbi decodes the frames in fixed-size chunks as the waves
+    arrive.  Frames are measured with the
     tracking loop *converged and frozen* — feedback is applied during the
     warm-up exchanges, not per measured frame — so the frames are
     independent.  ``n_topologies`` measures each chain over that many
     independent joint topologies and averages the per-CP SNR across them;
     every topology of both chains joins the same lockstep ensemble, so
-    widening the sweep costs one wider Viterbi pass, not more Python loops.
+    widening the sweep costs wider waves and more Viterbi chunks, not more
+    Python loops, and no more decoder memory.
     """
 
     cp_values_samples: tuple[int, ...] = (0, 2, 4, 6, 8, 12, 16, 20, 26, 32)
@@ -189,9 +191,9 @@ def _run(config: Config) -> ExperimentResult:
 
     Both chains (compensated and baseline), each over ``n_topologies``
     sessions, form *one* joint-frame ensemble of ``2 * n_topologies``
-    lockstep lanes, so the whole figure decodes with a single
-    block-parallel Viterbi pass; every session draws from its own
-    generator.
+    lockstep lanes, so the whole figure decodes in one streaming pass
+    whose Viterbi takes the frames a fixed-size chunk at a time; every
+    session draws from its own generator.
     """
     cp_values_samples, params, snr_fraction = config.cp_values_samples, config.params, config.snr_fraction
     chains = [

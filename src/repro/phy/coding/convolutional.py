@@ -36,11 +36,14 @@ import numpy as np
 __all__ = ["ConvolutionalCode", "get_code"]
 
 #: Cap on decisions-array elements (steps x packets x states) held live per
-#: decode_batch call.  Decisions are one byte each, so the array stays under
-#: 4 MiB; larger ensembles are split into packet chunks, which changes
-#: nothing numerically (every packet's recursion is independent) but bounds
-#: memory the same way the receiver chunks its soft demapper.  Fig. 13's 320
-#: frames of 528 trellis steps decode in three chunks.
+#: Viterbi pass.  Decisions are one byte each, so the array stays under
+#: 4 MiB; ConvolutionalCode.chunk_rows turns the cap into a packet count.
+#: decode_batch splits larger batches into chunks of that many packets,
+#: which changes nothing numerically (every packet's recursion is
+#: independent) but bounds memory the same way the receiver chunks its soft
+#: demapper.  The joint receiver's streaming decoder decodes its LLR rows a
+#: chunk at a time as they arrive: Fig. 13's 320 frames of 528 trellis
+#: steps fill two chunks of 124 mid-run and leave a remainder of 72.
 _DECODE_CHUNK_ELEMS = 1 << 22
 
 #: Trellis steps whose branch-metric table decode_batch builds at a time.
@@ -178,6 +181,16 @@ class ConvolutionalCode:
             table += llr_steps[:, None, o, :] * signs[None, :, o, None]
         return table
 
+    def chunk_rows(self, n_llrs: int) -> int:
+        """Packets one Viterbi pass decodes at a time for rows of ``n_llrs`` LLRs.
+
+        :meth:`decode_batch` splits larger batches into chunks of this
+        many packets, so a caller that hands it exactly this many rows at a
+        time makes one pass per call.
+        """
+        n_steps = n_llrs // self.n_outputs
+        return max(_DECODE_CHUNK_ELEMS // max(n_steps * self.n_states, 1), 1)
+
     def decode(
         self,
         llrs: np.ndarray,
@@ -262,7 +275,7 @@ class ConvolutionalCode:
             if terminated and strip_tail:
                 n_info = max(n_steps - self.tail_bits, 0)
             return np.zeros((n_packets, n_info), dtype=np.uint8)
-        chunk = max(_DECODE_CHUNK_ELEMS // max(n_steps * self.n_states, 1), 1)
+        chunk = self.chunk_rows(llrs.shape[1])
         if n_packets > chunk:
             return np.concatenate(
                 [

@@ -13,11 +13,14 @@ header stage that ``measure_header_batch`` and ``receive_many`` share must
 reproduce its decisions exactly and its floats to ``rtol=1e-9``.
 
 ``run_joint_frames_batch`` runs the receive front end once per wave and
-the Viterbi once per coded length over all waves; the streaming tests
-hold it to one ``receive_many`` over the same jobs, byte for byte.
+the Viterbi one chunk of LLR rows at a time as the waves fill it; the
+streaming tests hold it to one ``receive_many`` over the same jobs, byte
+for byte, at any chunk size, and bound what it keeps alive.
 """
 
 import gc
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -39,11 +42,13 @@ from repro.core.channel_est.phase_tracking import (
 from repro.core.combining.alamouti import alamouti_decode
 from repro.core.combining.stbc import SmartCombiner
 from repro.core.frame import JointFrameLayout, make_joint_frame_config
-from repro.core.receiver import JointReceiveResult, JointReceiver, _CODE
+from repro.core.receiver import JointFrameDecoder, JointReceiveResult, JointReceiver, _CODE
 from repro.core.sender import LeadSender, build_data_section
 from repro.core.sync.detection_delay import estimate_detection_delay
 from repro.core.sync.tracking import measure_misalignment
+from repro.experiments import registry
 from repro.phy import bits as bitutils
+from repro.phy.coding import convolutional
 from repro.phy.coding.interleaver import interleaver_permutation
 from repro.phy.coding.puncturing import depuncture
 from repro.phy.detection import detect_packet_autocorrelation, estimate_coarse_cfo
@@ -473,9 +478,15 @@ class TestJointBatchStreaming:
         _assert_same_results(streamed, sessions[0].receiver.receive_many(jobs))
 
     def test_joint_batch_wave_samples_die_with_their_wave(self, monkeypatch):
-        # Before the Viterbi pass runs, no wave's received rows are alive:
-        # the context keeps only front-end records.
+        # At every Viterbi flush, no finished wave's received rows are
+        # alive: the decoder keeps only front-end records and LLR rows.  A
+        # two-row chunk of the long payload makes flushes run while a wave
+        # is being added (that wave alone may still hold its rows) and at
+        # the end, when every wave has finished.
+        monkeypatch.setattr(convolutional, "_DECODE_CHUNK_ELEMS", _chunk_elems(2, 60))
         rows_alive = []
+        adding = []
+        flushes = []
         original_combine = ens.combine_ensemble_at_receiver
 
         def tracking_combine(*args, **kwargs):
@@ -483,19 +494,214 @@ class TestJointBatchStreaming:
             rows_alive.append(weakref.ref(rows))
             return rows, lengths
 
-        original_back = JointReceiver._receive_back
+        original_add = JointFrameDecoder.add
 
-        def checking_back(self, records):
+        def tracking_add(self, jobs, correct_cfo=True):
+            adding.append(jobs)
+            try:
+                original_add(self, jobs, correct_cfo)
+            finally:
+                adding.pop()
+
+        original_decode = type(_CODE).decode_batch
+
+        def checking_decode(code, llrs, *args, **kwargs):
             gc.collect()
-            assert len(rows_alive) == 3
-            assert all(ref() is None for ref in rows_alive)
-            return original_back(self, records)
+            finished = rows_alive[:-1] if adding else rows_alive
+            assert all(ref() is None for ref in finished)
+            flushes.append((len(rows_alive), bool(adding)))
+            return original_decode(code, llrs, *args, **kwargs)
 
         monkeypatch.setattr(ens, "combine_ensemble_at_receiver", tracking_combine)
-        monkeypatch.setattr(JointReceiver, "_receive_back", checking_back)
+        monkeypatch.setattr(JointFrameDecoder, "add", tracking_add)
+        monkeypatch.setattr(type(_CODE), "decode_batch", checking_decode)
         sessions = _sessions([531, 532, 533], SourceSyncConfig())
         outcomes = ens.run_joint_frames_batch(sessions, _uneven_jobs())
         assert all(outcome.result.crc_ok for session in outcomes for outcome in session)
+        assert len(rows_alive) == 3
+        assert any(mid_wave and n_waves >= 2 for n_waves, mid_wave in flushes)
+        assert flushes[-1] == (3, False)
+
+
+def _coded_length(payload_bytes, rate_mbps=6.0):
+    """Depunctured LLRs per joint frame of ``payload_bytes`` at ``rate_mbps``."""
+    frame_config = make_joint_frame_config(payload_bytes, rate_mbps, DEFAULT_PARAMS, 8)
+    return _CODE.coded_length(frame_config.n_info_bits + frame_config.n_pad_bits)
+
+
+def _chunk_elems(rows, payload_bytes):
+    """A ``_DECODE_CHUNK_ELEMS`` whose Viterbi chunk is ``rows`` frames of ``payload_bytes``.
+
+    Shorter frames get chunks of at least ``rows`` frames.
+    """
+    return rows * (_coded_length(payload_bytes) // _CODE.n_outputs) * _CODE.n_states
+
+
+def _split_block_jobs():
+    """Job lists of 3, 2, 3 and 1 frames whose first wave holds a block of three.
+
+    Wave 0 sends the 60-byte payload at CP 8 from three sessions (one
+    ``(layout, frame_config)`` block of three frames) and the 36-byte one
+    from the fourth; wave 1 sends three 36-byte frames at two CPs and
+    wave 2 two 60-byte frames at CP 32: five frames of the long coded
+    length and four of the short one.  Every frame carries its own
+    payload, so decoding a row into the wrong job changes its bytes.
+    """
+    rng = np.random.default_rng(9)
+
+    def job(n_bytes, cp, genie=False):
+        return ens.JointFrameJob(
+            bitutils.random_payload(n_bytes, rng), data_cp_samples=cp, genie_timing=genie
+        )
+
+    return [
+        [job(60, 8, genie=True), job(36, 0), job(60, 32)],
+        [job(60, 8), job(36, 8, genie=True)],
+        [job(60, 8, genie=True), job(36, 0), job(60, 32)],
+        [job(36, 8)],
+    ]
+
+
+def _counting_decode(monkeypatch):
+    """Spy on ``decode_batch``: rows of each top-level call, per coded length."""
+    calls: dict[int, list[int]] = {}
+    depth = []
+    original = type(_CODE).decode_batch
+
+    def counting(code, llrs, *args, **kwargs):
+        if not depth:
+            calls.setdefault(llrs.shape[1], []).append(llrs.shape[0])
+        depth.append(None)
+        try:
+            return original(code, llrs, *args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(type(_CODE), "decode_batch", counting)
+    return calls
+
+
+class TestJointBatchChunkedViterbi:
+    """The Viterbi decodes each chunk of LLR rows as soon as the waves fill it."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 2], ids=["one_row", "three_rows", "splits_block"])
+    def test_joint_batch_chunked_viterbi_matches_one_receive_many(self, monkeypatch, rows):
+        jobs_per_session = _split_block_jobs()
+        sessions = _sessions([541, 542, 543, 544], SourceSyncConfig())
+        monkeypatch.setattr(convolutional, "_DECODE_CHUNK_ELEMS", _chunk_elems(rows, 60))
+        assert _CODE.chunk_rows(_coded_length(60)) == rows
+        assert _CODE.chunk_rows(_coded_length(36)) >= rows
+        outcomes, waves = _captured_waves(monkeypatch, sessions, jobs_per_session)
+        assert [len(wave) for wave in waves] == [4, 3, 2]
+        jobs = [job for wave in waves for job in wave]
+        streamed = [
+            outcomes[s][r].result
+            for r in range(len(waves))
+            for s, session_jobs in enumerate(jobs_per_session)
+            if r < len(session_jobs)
+        ]
+        assert all(result.crc_ok for result in streamed)
+        # The reference decodes every frame in one Viterbi call.
+        want = sessions[0].receiver.receive_many(jobs)
+        _assert_same_results(streamed, want)
+        for got, reference in zip(streamed, want):
+            assert got.misalignment == reference.misalignment
+            assert np.array_equal(got.channels.lead.response, reference.channels.lead.response)
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_joint_batch_viterbi_calls_per_coded_length(self, monkeypatch, rows):
+        # A coded length with N rows costs ceil(N / chunk) top-level
+        # decode_batch calls, as one call over all of them would: each
+        # call decodes a full chunk, and only the last one a remainder.
+        monkeypatch.setattr(convolutional, "_DECODE_CHUNK_ELEMS", _chunk_elems(rows, 60))
+        calls = _counting_decode(monkeypatch)
+        sessions = _sessions([541, 542, 543, 544], SourceSyncConfig())
+        outcomes = ens.run_joint_frames_batch(sessions, _split_block_jobs())
+        assert all(outcome.result.crc_ok for session in outcomes for outcome in session)
+        n_rows = {_coded_length(60): 5, _coded_length(36): 4}
+        assert sorted(calls) == sorted(n_rows)
+        for coded_length, sizes in calls.items():
+            chunk = _CODE.chunk_rows(coded_length)
+            assert sum(sizes) == n_rows[coded_length]
+            assert len(sizes) == math.ceil(n_rows[coded_length] / chunk)
+            assert all(size == chunk for size in sizes[:-1])
+
+
+def _run_fig13_smoke(n_topologies):
+    spec = registry.get("fig13")
+    return spec.run(spec.make_config("smoke", {"n_topologies": n_topologies}))
+
+
+class TestJointBatchDecodeWorkingSet:
+    """fig13's decode working set is bounded by a chunk and a wave, not by the ensemble."""
+
+    def test_joint_batch_pending_llr_rows_within_a_chunk_and_a_wave(self, monkeypatch):
+        # fig13 smoke with two topologies per chain: three waves of four
+        # frames, twelve LLR rows of one coded length, decoded a row at a
+        # time.  Deferring the Viterbi would keep all twelve alive.
+        monkeypatch.setattr(convolutional, "_DECODE_CHUNK_ELEMS", 1)
+        blocks = []
+        original_front = JointReceiver._receive_front
+
+        def tracking_front(self, jobs, correct_cfo=True):
+            record, llr_blocks = original_front(self, jobs, correct_cfo)
+            for _, llrs, _ in llr_blocks:
+                owner = llrs if llrs.base is None else llrs.base
+                blocks.append((llrs.shape[1], weakref.ref(owner), owner.size // llrs.shape[1]))
+            return record, llr_blocks
+
+        original_add = JointFrameDecoder.add
+        wave_sizes = []
+
+        def checking_add(self, jobs, correct_cfo=True):
+            original_add(self, jobs, correct_cfo)
+            wave_sizes.append(len(jobs))
+            gc.collect()
+            for coded_length in {length for length, _, _ in blocks}:
+                alive = sum(
+                    n for length, ref, n in blocks if length == coded_length and ref() is not None
+                )
+                assert alive <= _CODE.chunk_rows(coded_length) + max(wave_sizes)
+
+        monkeypatch.setattr(JointReceiver, "_receive_front", tracking_front)
+        monkeypatch.setattr(JointFrameDecoder, "add", checking_add)
+        _run_fig13_smoke(2)
+        assert wave_sizes == [4, 4, 4]
+        assert sum(n for _, _, n in blocks) == 12
+        gc.collect()
+        assert all(ref() is None for _, ref, _ in blocks)
+
+    @staticmethod
+    def _decode_transient(monkeypatch, n_topologies):
+        """Largest allocation peak of a top-level decode_batch call plus its input rows."""
+        peaks = []
+        depth = []
+        original = type(_CODE).decode_batch
+
+        def measuring(code, llrs, *args, **kwargs):
+            if depth:
+                return original(code, llrs, *args, **kwargs)
+            depth.append(None)
+            tracemalloc.start()
+            try:
+                decoded = original(code, llrs, *args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1] + llrs.nbytes)
+            finally:
+                tracemalloc.stop()
+                depth.pop()
+            return decoded
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(_CODE), "decode_batch", measuring)
+            _run_fig13_smoke(n_topologies)
+        return max(peaks)
+
+    def test_joint_batch_decode_transient_independent_of_topologies(self, monkeypatch):
+        """Doubling fig13's topologies takes no more Viterbi scratch memory."""
+        monkeypatch.setattr(convolutional, "_DECODE_CHUNK_ELEMS", 1)
+        narrow = self._decode_transient(monkeypatch, 1)
+        wide = self._decode_transient(monkeypatch, 2)
+        assert wide <= 1.25 * narrow
 
 
 def _assert_same_header(got, want):
