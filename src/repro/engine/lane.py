@@ -26,7 +26,10 @@ The contract every subclass must honour:
   :meth:`setup` builds execution state and runs the lane's opening phase,
   :meth:`advance` runs one lockstep round, :attr:`finished` reports
   completion, and :meth:`result` — which may still draw (e.g. a cleanup
-  phase) — produces the lane's output.
+  phase) — produces the lane's output.  :meth:`result` is terminal: the
+  scheduler calls it exactly once and then reads nothing more on the lane
+  (not even :attr:`finished`), so a lane may release its execution state
+  there while chained lanes of the same call still run.
 * **Stacked classes** — classes that advance all live lanes as one
   stacked array operation set ``stacked = True`` and override
   :meth:`advance_lanes`; the scheduler then calls that once per wave (in
@@ -117,7 +120,10 @@ class Lane:
         raise NotImplementedError
 
     def result(self):
-        """Produce the lane's output (may draw, e.g. a cleanup phase)."""
+        """Produce the lane's output (may draw, e.g. a cleanup phase).
+
+        Called once, last; the lane may drop its execution state here.
+        """
         return None
 
     def draw(self, n: int) -> np.ndarray:

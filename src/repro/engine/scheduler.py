@@ -187,18 +187,31 @@ class LockstepScheduler:
 # ----------------------------------------------------------------------
 # Chunked sharding and process-pool jobs
 # ----------------------------------------------------------------------
-def chunk_bounds(n_items: int, jobs: int, chunk_size: int | None) -> np.ndarray:
+#: Widest lockstep call :func:`run_seed_chunks` makes when the caller sets
+#: no ``chunk_size``.  Every trial owns its topology and generator, so a
+#: shard boundary shares nothing; a bounded width keeps only one block of
+#: trials' testbeds, caches and lane state resident at a time.
+SEED_BLOCK = 64
+
+
+def chunk_bounds(
+    n_items: int, jobs: int, chunk_size: int | None, max_width: int | None = None
+) -> np.ndarray:
     """Shard boundaries over ``n_items`` work items.
 
     With ``chunk_size=None`` the items split into ``min(jobs, n_items)``
-    near-equal shards (the widest — fastest — lockstep ensembles); an
-    explicit ``chunk_size`` caps every shard's width instead, with the
-    final shard absorbing the remainder.  Either way the concatenation of
-    the shards is exactly the item list, so sharding can never change a
-    chunked computation's output.
+    near-equal shards (the widest — fastest — lockstep ensembles), or into
+    more near-equal shards when that is needed to keep every shard at most
+    ``max_width`` wide; an explicit ``chunk_size`` caps every shard's width
+    instead, with the final shard absorbing the remainder.  Either way the
+    concatenation of the shards is exactly the item list, so sharding can
+    never change a chunked computation's output.
     """
     if chunk_size is None:
-        return np.linspace(0, n_items, min(jobs, n_items) + 1).astype(int)
+        n_shards = min(jobs, n_items)
+        if max_width is not None:
+            n_shards = max(n_shards, -(-n_items // max_width))
+        return np.linspace(0, n_items, n_shards + 1).astype(int)
     bounds = np.arange(0, n_items + chunk_size, chunk_size)
     bounds[-1] = n_items
     return bounds
@@ -222,10 +235,13 @@ def run_chunks(chunk_fn, items: list, jobs: int = 1, *args, chunk_size: int | No
         raise ValueError("chunk_size must be >= 1")
     if not items:
         return []
-    n_items = len(items)
-    if chunk_size is None and (jobs <= 1 or n_items <= 1):
+    if chunk_size is None and (jobs <= 1 or len(items) <= 1):
         return list(chunk_fn(items, *args))
-    bounds = chunk_bounds(n_items, jobs, chunk_size)
+    return _run_shards(chunk_fn, items, jobs, args, chunk_bounds(len(items), jobs, chunk_size))
+
+
+def _run_shards(chunk_fn, items: list, jobs: int, args: tuple, bounds: np.ndarray) -> list:
+    """Run ``chunk_fn`` over ``items`` cut at ``bounds``, in process or pooled."""
     chunks = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if jobs <= 1 or len(chunks) == 1:
         return [result for chunk in chunks for result in chunk_fn(chunk, *args)]
@@ -250,11 +266,12 @@ def run_seed_chunks(
     chunked results are concatenated back into trial order.
 
     ``chunk_size`` caps how many trials one lockstep call sees.  By default
-    the shard width is ``n_trials / jobs`` — the widest (fastest) ensembles
-    — but callers driving very large sweeps (hundreds to thousands of
-    lanes) can bound per-chunk memory by passing an explicit cap; the
-    chunks then run back-to-back in process (``jobs == 1``) or across the
-    pool, with identical results for every setting.
+    the trials split into near-equal shards of at most :data:`SEED_BLOCK`
+    trials, and into at least one shard per job: a call's resident state
+    (testbeds, delivery caches, lane state) is then bounded by the block,
+    not by the ensemble.  The shards run back-to-back in process
+    (``jobs == 1``) or across the pool, with identical results for every
+    setting.
     """
     if n_trials < 0:
         raise ValueError("n_trials must be non-negative")
@@ -266,7 +283,8 @@ def run_seed_chunks(
     if n_trials == 0:
         return []
     children = np.random.SeedSequence(seed).spawn(n_trials)
-    return run_chunks(chunk_fn, children, jobs, *args, chunk_size=chunk_size)
+    bounds = chunk_bounds(n_trials, jobs, chunk_size, max_width=SEED_BLOCK)
+    return _run_shards(chunk_fn, children, jobs, args, bounds)
 
 
 def _run_seeded_trial(job: tuple) -> object:

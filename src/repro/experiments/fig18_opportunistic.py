@@ -56,8 +56,9 @@ class Config:
     match the per-topology path (``batched=False``) bit-for-bit.  Both
     ExOR schemes of a topology run as one chained lane pair inside a
     single ensemble call.  ``chunk_topologies`` caps how many topologies
-    one lockstep call carries (0 = one shard per job), bounding memory on
-    hundreds-of-topologies sweeps without changing any output.
+    one lockstep call carries; 0 keeps the engine's bounded default
+    (near-equal shards of at most :data:`repro.engine.scheduler.SEED_BLOCK`
+    topologies, and at least one per job).  No setting changes any output.
     """
 
     rates_mbps: tuple[float, ...] = (6.0, 12.0)
@@ -81,7 +82,9 @@ class Config:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.chunk_topologies < 0:
-            raise ValueError("chunk_topologies must be >= 0 (0 = one shard per job)")
+            raise ValueError(
+                "chunk_topologies must be >= 0 (0 = the engine's bounded default)"
+            )
 
 #: Distance between source and destination; chosen so the direct link is
 #: lossy and relays in between have intermediate loss rates, like the lossy
@@ -207,10 +210,10 @@ def _run_topology_ensemble(
     """Lockstep counterpart of the ``run_trials`` topology loop.
 
     Per-trial seeding is shared with the sequential path through
-    :func:`repro.engine.run_seed_chunks`, which also shards the
-    lanes across a process pool (``jobs > 1``) and — for hundreds-of-
-    topologies sweeps — caps the per-ensemble lane width at
-    ``chunk_topologies`` without changing any output.
+    :func:`repro.engine.run_seed_chunks`, which also shards the lanes
+    into bounded blocks, across a process pool when ``jobs > 1``; a
+    nonzero ``chunk_topologies`` caps the per-ensemble lane width
+    instead.  No sharding changes any output.
     """
     return run_seed_chunks(
         _topology_ensemble_chunk,

@@ -31,7 +31,7 @@ import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.experiments import registry
 from repro.experiments.cache import CACHE_DIR_NAME, ArtifactCache, cache_key
@@ -47,7 +47,6 @@ from repro.experiments.supervisor import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "run_all",
     "run_experiment",
     "sweep",
@@ -57,21 +56,6 @@ __all__ = [
     "slugify_label",
     "sweep_definition_from_manifest",
 ]
-
-
-def _quick_factory(name: str) -> Callable[[], ExperimentResult]:
-    def factory() -> ExperimentResult:
-        return run_experiment(name)
-
-    return factory
-
-
-#: Backward-compatible registry view: name -> zero-argument callable running
-#: the experiment's ``quick`` preset.  New code should use
-#: :mod:`repro.experiments.registry` directly.
-EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
-    name: _quick_factory(name) for name in registry.names()
-}
 
 
 def run_experiment(

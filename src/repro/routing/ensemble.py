@@ -557,8 +557,14 @@ class _ExorEngineLane(Lane):
         return not self._state.active
 
     def result(self) -> ExorResult:
-        """Run the (drawing) last-hop cleanup and build the lane's result."""
+        """Run the (drawing) last-hop cleanup and build the lane's result.
+
+        ``result`` is terminal (see :class:`~repro.engine.lane.Lane`), so the
+        lane drops its state and trajectory here: a finished lane holds
+        nothing while the rest of its ensemble call runs.
+        """
         state = self._state
+        self._state = self._trajectory = None
         _cleanup(state)
         config = state.lane.config
         delivered = state.delivered

@@ -6,13 +6,17 @@ Concretely, relative to plain ExOR:
 
 * co-forwarders synchronize to the lead forwarder's synchronization header
   using the Symbol Level Synchronizer, so their signals combine at the
-  receivers (the wait times and the CP increase come from the §4.6 linear
-  program over the set of potential receivers);
+  receivers;
 * the delivery probability of a joint transmission uses the combined
   per-subcarrier SNR of all participating senders (power + diversity gain);
-* every joint transmission is charged the §4.4 synchronization overhead
-  (SIFS plus two channel-estimation symbols per co-sender) plus the CP
-  increase chosen by the wait-time optimiser.
+* every joint transmission is charged only the §4.4 synchronization
+  overhead (SIFS plus two channel-estimation symbols per co-sender,
+  :meth:`repro.net.mac.MacTiming.joint_transaction_us`).
+
+The §4.6 cyclic-prefix increase that a forwarder set needs to stay aligned
+at all its receivers is *not* charged: no mesh path calls
+:func:`cp_increase_for_forwarders`, so the mesh gains are computed as if
+that cost were zero (ROADMAP, "Reach §4.6 from the mesh, or delete it").
 
 The implementation wraps :func:`repro.routing.exor.simulate_exor` with
 ``sender_diversity=True`` and adds the helper that computes the CP increase

@@ -21,7 +21,11 @@ modules keep no lanes of their own.  The contract:
 * **empty ensemble** — a zero-lane call returns ``[]`` (or preserves the
   engine's documented empty-input behaviour) without consuming entropy;
 * **chunking/jobs invariance** — sharded execution converges bit-exactly
-  for every chunk width and job count, including non-dividing widths.
+  for every chunk width and job count, including non-dividing widths;
+* **terminal result** — the scheduler calls every lane's ``result``
+  exactly once and reads nothing on the lane (``finished`` included)
+  afterwards (:func:`terminal_result_guard`), so lanes may free their
+  state there.
 
 A case's optional probes (``chained``, ``empty``, ``chunked``) are
 self-asserting callables so engines with different entry-point shapes can
@@ -31,8 +35,10 @@ express the checks naturally; ``None`` skips that probe.
 from __future__ import annotations
 
 import dataclasses
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,6 +51,7 @@ __all__ = [
     "assert_results_equal",
     "assert_results_close",
     "assert_value_streams_identical",
+    "terminal_result_guard",
 ]
 
 
@@ -154,3 +161,52 @@ def assert_value_streams_identical(run_a: Callable[[], object], run_b: Callable[
     assert diff.value_divergence is None, (
         f"draw streams diverge at {diff.value_divergence}"
     )
+
+
+@contextmanager
+def terminal_result_guard() -> Iterator[set]:
+    """Enforce the terminal-``result`` contract on every scheduled lane.
+
+    While active, any attribute read on a lane whose ``result`` has
+    returned raises (a second ``result`` call is such a read), and every
+    :meth:`~repro.engine.LockstepScheduler.run` asserts on return that
+    each of its lanes had ``result`` called exactly once.  Yields the set
+    of lane classes the scheduler ran, for coverage checks.
+    """
+    from repro.engine import Lane, LockstepScheduler
+
+    results: "weakref.WeakKeyDictionary[Lane, int]" = weakref.WeakKeyDictionary()
+    seen: set[type] = set()
+    original_run = LockstepScheduler.run
+
+    def guarded_getattribute(lane, name):
+        if results.get(lane):
+            raise AssertionError(f"{type(lane).__name__}.{name} read after result()")
+        value = object.__getattribute__(lane, name)
+        if name != "result":
+            return value
+
+        def counted_result(*args, **kwargs):
+            out = value(*args, **kwargs)
+            results[lane] = results.get(lane, 0) + 1
+            return out
+
+        return counted_result
+
+    def guarded_run(scheduler, lanes):
+        out = original_run(scheduler, lanes)
+        for index, lane in enumerate(lanes):
+            assert results.get(lane) == 1, (
+                f"lane {index} ({type(lane).__name__}): result() called "
+                f"{results.get(lane, 0)} times"
+            )
+            seen.add(type(lane))
+        return out
+
+    Lane.__getattribute__ = guarded_getattribute
+    LockstepScheduler.run = guarded_run
+    try:
+        yield seen
+    finally:
+        del Lane.__getattribute__
+        LockstepScheduler.run = original_run

@@ -27,6 +27,7 @@ from tests.engine.conformance import (
     assert_results_equal,
     assert_value_streams_identical,
     register,
+    terminal_result_guard,
 )
 
 
@@ -441,6 +442,27 @@ def test_engine_conformance_empty_ensemble(name):
 def test_engine_conformance_chunk_invariance(name):
     """Sharded execution converges bit-identically for every chunking."""
     CASES[name].chunked()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_engine_conformance_terminal_result(name):
+    """``result`` is called once per lane and nothing is read on it after."""
+    with terminal_result_guard():
+        CASES[name].lockstep()
+
+
+def test_engine_conformance_terminal_result_covers_lane_classes():
+    """Between them the cases run every shipped lane class under the guard."""
+    from repro.engine import Lane
+
+    def subclasses(cls):
+        return {sub for direct in cls.__subclasses__() for sub in {direct, *subclasses(direct)}}
+
+    with terminal_result_guard() as seen:
+        for case in CASES.values():
+            case.lockstep()
+    shipped = {cls for cls in subclasses(Lane) if cls.__module__.startswith("repro.")}
+    assert shipped and seen == shipped
 
 
 def test_engine_conformance_registry_covers_all_lanes():

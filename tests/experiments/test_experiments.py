@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentResult, format_table
+from repro.experiments import ExperimentResult, format_table, registry
 from repro.experiments import (
     ablation_combining,
     ablation_slope,
@@ -13,7 +13,7 @@ from repro.experiments import (
     fig18_opportunistic,
     overhead,
 )
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.runner import run_experiment
 
 
 class TestResultContainer:
@@ -136,7 +136,7 @@ class TestRunner:
             "fig19_traffic_load", "fig20_link_dynamics",
             "overhead", "ablation_combining", "ablation_slope",
         ):
-            assert name in EXPERIMENTS
+            assert name in registry.names()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from repro.experiments.registry import (
     experiment,
     parse_overrides,
 )
-from repro.experiments.runner import EXPERIMENTS, run_all, run_experiment, sweep
+from repro.experiments.runner import run_all, run_experiment, sweep
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,11 +167,6 @@ class TestSpecRun:
 
 
 class TestRunner:
-    def test_legacy_mapping_covers_registry(self):
-        assert set(EXPERIMENTS) == set(registry.names())
-        result = EXPERIMENTS["overhead"]()
-        assert isinstance(result, ExperimentResult)
-
     def test_run_experiment_with_preset_and_overrides(self):
         result = run_experiment("fig14", preset="smoke", overrides={"n_realizations": 10})
         assert result.config["n_realizations"] == 10
