@@ -12,8 +12,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.experiments.common import atomic_write_text
 
 #: Repository root (the directory that holds ``benchmarks/``).
@@ -54,22 +52,3 @@ def timed(fn, repeats: int = 1):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def series_match(a, b) -> bool:
-    """True when two ExperimentResults carry numerically identical series.
-
-    Shared by the batched-vs-sequential smoke benchmarks: every converted
-    experiment must produce the same series through both execution paths
-    before its timing ratio is reported.
-    """
-    if a.series.keys() != b.series.keys():
-        return False
-    for key in a.series:
-        first, second = a.series[key], b.series[key]
-        if first and isinstance(first[0], str):
-            if first != second:
-                return False
-        elif not np.allclose(first, second, rtol=1e-9, equal_nan=True):
-            return False
-    return True

@@ -6,8 +6,8 @@ trials — runs on this package: engines express their work as
 :class:`~repro.engine.lane.Lane` subclasses and hand them to a
 :class:`~repro.engine.scheduler.LockstepScheduler`, which owns chain
 resolution (``after=`` activation), the wave loop, and the chunked
-sharding / process-pool helpers (:func:`~repro.engine.scheduler.run_seed_chunks`,
-:func:`~repro.engine.scheduler.run_trials`).  The conformance kit in
+sharding / process-pool helpers (:func:`~repro.engine.scheduler.run_chunks`,
+:func:`~repro.engine.scheduler.run_seed_chunks`).  The conformance kit in
 ``tests/engine/conformance.py`` gives any registered lane class its
 lockstep-vs-sequential bit-identity proof.
 """
@@ -19,7 +19,6 @@ from repro.engine.scheduler import (
     resolve_chains,
     run_chunks,
     run_seed_chunks,
-    run_trials,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "resolve_chains",
     "run_chunks",
     "run_seed_chunks",
-    "run_trials",
 ]

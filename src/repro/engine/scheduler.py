@@ -10,9 +10,9 @@ This module owns the scheduling logic the three lockstep engines
   (with class-batched priming), advances live lanes (per lane or as
   stacked groups), and starts chained successors the moment their
   predecessor finishes;
-* :func:`run_seed_chunks` / :func:`run_chunks` / :func:`run_trials` —
-  the chunked sharding and process-pool helpers that split independent
-  trials or items across chunks and jobs without changing any output.
+* :func:`run_seed_chunks` / :func:`run_chunks` — the chunked sharding
+  and process-pool helpers that split independent trials or items across
+  chunks and jobs without changing any output.
 
 Determinism contract: the scheduler performs no draws of its own and
 fixes only *order* — root lanes prime and set up in input order, a lane
@@ -38,7 +38,6 @@ __all__ = [
     "chunk_bounds",
     "run_chunks",
     "run_seed_chunks",
-    "run_trials",
 ]
 
 
@@ -257,13 +256,14 @@ def run_seed_chunks(
 ) -> list:
     """Run ``chunk_fn(children, *args)`` over sharded per-trial seeds.
 
-    The lockstep-ensemble counterpart of :func:`run_trials`: trials are
-    seeded from ``np.random.SeedSequence(seed).spawn(n_trials)`` exactly as
-    there, but the callee receives whole *chunks* of children so it can
-    advance them as one lockstep ensemble.  ``chunk_fn`` must return one
-    result per child, in order, and must be picklable for ``jobs > 1``
-    (trials are independent, so sharding cannot change any output);
-    chunked results are concatenated back into trial order.
+    Trials are seeded from ``np.random.SeedSequence(seed).spawn(n_trials)``,
+    one child per trial, and the callee receives whole *chunks* of children
+    so it can advance them as one lockstep ensemble.  No state is shared
+    between trials, so seeded results are independent of execution order.
+    ``chunk_fn`` must return one result per child, in order, and must be
+    picklable for ``jobs > 1`` (trials are independent, so sharding cannot
+    change any output); chunked results are concatenated back into trial
+    order.
 
     ``chunk_size`` caps how many trials one lockstep call sees.  By default
     the trials split into near-equal shards of at most :data:`SEED_BLOCK`
@@ -285,47 +285,3 @@ def run_seed_chunks(
     children = np.random.SeedSequence(seed).spawn(n_trials)
     bounds = chunk_bounds(n_trials, jobs, chunk_size, max_width=SEED_BLOCK)
     return _run_shards(chunk_fn, children, jobs, args, bounds)
-
-
-def _run_seeded_trial(job: tuple) -> object:
-    """Process-pool entry point: rebuild the trial generator and run one trial."""
-    trial_fn, index, seed_seq = job
-    return trial_fn(index, np.random.default_rng(seed_seq))
-
-
-def run_trials(trial_fn, n_trials: int, seed: int | np.random.SeedSequence, jobs: int = 1) -> list:
-    """Collect the results of ``n_trials`` independent experiment trials.
-
-    Some experiments (e.g. the last-hop placements of Fig. 17) contain a
-    feedback loop — rate adaptation reacting to per-packet outcomes — that
-    cannot be expressed as one stacked array operation.  They still route
-    through the shared engine via this helper so every experiment has the
-    same trial entry point.
-
-    ``trial_fn`` is called as ``trial_fn(trial_index, rng)`` where ``rng``
-    is a generator spawned from ``seed`` for that trial alone
-    (``np.random.SeedSequence(seed).spawn(n_trials)``).  Because no state
-    is shared between trials, seeded results are *independent of execution
-    order* — shuffling, resuming or parallelising the trials produces
-    identical outputs — and ``jobs > 1`` runs them across a process pool
-    (``trial_fn`` must be picklable, i.e. a module-level function or
-    ``functools.partial`` over one).  Results are returned in trial order
-    either way.
-    """
-    if n_trials < 0:
-        raise ValueError("n_trials must be non-negative")
-    # Empty-ensemble guard (mirrors run_packet_ensemble's zero-packet
-    # guard): a zero-trial call invokes nothing and consumes no entropy,
-    # so experiments whose lane sets come up empty leave every stream
-    # exactly where the sequential path would.
-    if n_trials == 0:
-        return []
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(n_trials)
-    if jobs <= 1 or n_trials <= 1:
-        return [trial_fn(i, np.random.default_rng(child)) for i, child in enumerate(children)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    job_list = [(trial_fn, i, child) for i, child in enumerate(children)]
-    with ProcessPoolExecutor(max_workers=min(jobs, n_trials)) as pool:
-        return list(pool.map(_run_seeded_trial, job_list))

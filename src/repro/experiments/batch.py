@@ -17,7 +17,7 @@ array operations:
   responses on the occupied bins (used by ``ablation_combining``).
 
 Per-trial seeding, chunked sharding and process-pool scheduling live in
-the shared engine (:func:`repro.engine.run_trials`,
+the shared engine (:func:`repro.engine.run_chunks`,
 :func:`repro.engine.run_seed_chunks`).
 
 Determinism: the batched draws reproduce the exact generator-stream order

@@ -3,7 +3,7 @@
 ``python -m repro.experiments <command>``:
 
 ``list``
-    Table of every registered experiment (name, tags, batched, description).
+    Table of every registered experiment (name, tags, description).
 ``run``
     Run experiments (all, by name, or by ``--tag``) at a preset, optionally
     process-parallel (``--jobs``), with typed ``--set key=value`` config
@@ -191,8 +191,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     name_w = max(len(s.name) for s in specs)
     tags_w = max(len(",".join(s.tags)) for s in specs)
     for spec in specs:
-        batched = "batched" if spec.batched else "       "
-        print(f"{spec.name:<{name_w}}  {','.join(spec.tags):<{tags_w}}  {batched}  {spec.description}")
+        print(f"{spec.name:<{name_w}}  {','.join(spec.tags):<{tags_w}}  {spec.description}")
     return 0
 
 

@@ -140,17 +140,16 @@ def _preset_table(spec: ExperimentSpec) -> list[str]:
 def render_markdown() -> str:
     """The full EXPERIMENTS.md content."""
     parts = [_HEADER, "\n## Registry\n"]
-    parts.append("| experiment | tags | batched | description |")
-    parts.append("|---|---|---|---|")
+    parts.append("| experiment | tags | description |")
+    parts.append("|---|---|---|")
     for spec in registry.specs():
-        batched = "yes" if spec.batched else ""
         description = spec.description.replace("|", "\\|")
-        parts.append(f"| [`{spec.name}`](#{spec.name}) | {', '.join(spec.tags)} | {batched} | {description} |")
+        parts.append(f"| [`{spec.name}`](#{spec.name}) | {', '.join(spec.tags)} | {description} |")
     for spec in registry.specs():
         parts.append(f"\n## {spec.name}\n")
         parts.append(f"{spec.description}.")
         parts.append("")
-        parts.append(f"Tags: {', '.join(spec.tags)}." + (" Uses the batched ensemble kernels." if spec.batched else ""))
+        parts.append(f"Tags: {', '.join(spec.tags)}.")
         parts.append(f"Full reference: [docs/experiments/{spec.name}.md](docs/experiments/{spec.name}.md).")
         parts.append("")
         parts.append("```sh")
@@ -207,14 +206,7 @@ def render_experiment_page(spec: ExperimentSpec) -> str:
         "<!-- Generated by `python -m repro.experiments docs` from the experiment",
         "     registry (src/repro/experiments/registry.py). Do not edit by hand. -->",
         "",
-        f"Tags: {', '.join(spec.tags)}."
-        + (
-            " The Monte-Carlo core runs through the lockstep ensemble engines"
-            " (`batched=False` switches to the sequential oracle path, whose"
-            " seeded results are byte-identical)."
-            if spec.batched
-            else ""
-        ),
+        f"Tags: {', '.join(spec.tags)}.",
         "",
         "## Running it",
         "",

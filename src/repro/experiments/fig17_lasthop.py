@@ -13,21 +13,20 @@ from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.channel.propagation import PathLossModel
-from repro.engine import run_seed_chunks, run_trials
+from repro.engine import run_seed_chunks
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.lasthop.controller import SourceSyncController
-from repro.lasthop.simulation import simulate_downlink
 from repro.net.topology import Testbed
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
+from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
 
-__all__ = ["Config", "SPEC", "simulate_placement"]
+__all__ = ["Config", "SPEC"]
 
 
 @dataclass(frozen=True)
@@ -35,19 +34,17 @@ class Config:
     """Parameters of the Fig. 17 reproduction.
 
     ``jobs`` runs the (independent, per-trial-seeded) placements across a
-    process pool; results are identical for any value.  ``batched`` runs
-    the placement ensemble through the lockstep last-hop engine
+    process pool; results are identical for any value.  The placement
+    ensemble runs through the lockstep last-hop engine
     (:func:`repro.routing.ensemble.simulate_downlink_ensemble`): all
     placements advance packet-by-packet in waves with SampleRate state and
     delivery-probability tables held in stacked arrays, while each
-    placement's generator sees its sequential draw order — results match
-    the per-placement path (``batched=False``) bit-for-bit.
+    placement's generator sees its own sequential draw order.
     """
 
     n_placements: int = 25
     n_packets: int = 120
     seed: int = 17
-    batched: bool = True
     jobs: int = 1
     params: OFDMParams = DEFAULT_PARAMS
 
@@ -100,23 +97,6 @@ def _build_placement(
     return testbed, controller, client
 
 
-def simulate_placement(
-    rng: np.random.Generator,
-    n_packets: int = 150,
-    params: OFDMParams = DEFAULT_PARAMS,
-    ap_separation_m: float = 45.0,
-    min_reachable_snr_db: float = 5.0,
-    max_attempts: int = 20,
-) -> tuple[float, float]:
-    """(best-AP throughput, SourceSync throughput) for one random placement."""
-    testbed, controller, client = _build_placement(
-        rng, params, ap_separation_m, min_reachable_snr_db, max_attempts
-    )
-    best = simulate_downlink(testbed, controller, client, scheme="best_ap", n_packets=n_packets, rng=rng)
-    joint = simulate_downlink(testbed, controller, client, scheme="sourcesync", n_packets=n_packets, rng=rng)
-    return best.throughput_mbps, joint.throughput_mbps
-
-
 def _placement_ensemble_chunk(
     children: list[np.random.SeedSequence],
     n_packets: int,
@@ -124,16 +104,14 @@ def _placement_ensemble_chunk(
 ) -> list[tuple[float, float]]:
     """Run a chunk of placement trials through the lockstep last-hop engine.
 
-    Per lane the draw order matches a sequential :func:`simulate_placement`
-    exactly: placement/admission draws, then the best-AP stream, then the
-    SourceSync stream.  The two schemes share one generator, so each
-    placement contributes a *chained* lane pair (``after=``) and the whole
-    chunk — both schemes of every placement — advances as one ensemble
-    call whose retry sub-waves gather probabilities and airtimes across
-    schemes from one stacked table.
+    Each placement's generator is consumed in one order: placement and
+    admission draws, then the best-AP stream, then the SourceSync stream.
+    The two schemes share that generator, so each placement contributes a
+    *chained* lane pair (``after=``) and the whole chunk — both schemes of
+    every placement — advances as one ensemble call whose retry sub-waves
+    gather probabilities and airtimes across schemes from one stacked
+    table.
     """
-    from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
-
     rngs = [np.random.default_rng(child) for child in children]
     placements = [_build_placement(rng, params) for rng in rngs]
     lanes: list[DownlinkLane] = []
@@ -148,29 +126,6 @@ def _placement_ensemble_chunk(
         (results[2 * i].throughput_mbps, results[2 * i + 1].throughput_mbps)
         for i in range(len(placements))
     ]
-
-
-def _run_placement_ensemble(
-    n_placements: int,
-    n_packets: int,
-    seed: int,
-    params: OFDMParams,
-    jobs: int = 1,
-) -> list[tuple[float, float]]:
-    """Lockstep counterpart of the ``run_trials`` placement loop.
-
-    Per-trial seeding is shared with the sequential path through
-    :func:`repro.engine.run_seed_chunks`, which also shards the
-    lanes across a process pool (``jobs > 1``) without changing any output.
-    """
-    return run_seed_chunks(_placement_ensemble_chunk, n_placements, seed, jobs, n_packets, params)
-
-
-def _placement_trial(
-    _index: int, rng: np.random.Generator, n_packets: int, params: OFDMParams
-) -> tuple[float, float]:
-    """Module-level trial body so ``run_trials`` can pickle it for ``jobs > 1``."""
-    return simulate_placement(rng, n_packets=n_packets, params=params)
 
 
 @experiment(
@@ -193,31 +148,24 @@ def _run(config: Config) -> ExperimentResult:
     """Regenerate Fig. 17: CDFs of last-hop throughput for both schemes.
 
     Placements are independent trials, each with its own generator spawned
-    from the experiment seed — seeded results are independent of trial
-    execution order and parallelise over ``config.jobs`` processes without
-    changing.  Each trial contains a rate-adaptation feedback loop, so a
-    trial's packet stream stays sequential; with ``config.batched`` the
-    placements advance packet-by-packet in lockstep through
-    :func:`repro.routing.ensemble.simulate_downlink_ensemble`, which holds
-    the SampleRate decision state and the per-rate delivery/airtime tables
-    of every lane in stacked arrays (bit-identical results either way).
+    from the experiment seed by :func:`repro.engine.run_seed_chunks` —
+    seeded results are independent of trial execution order and
+    parallelise over ``config.jobs`` processes without changing.  Each
+    trial contains a rate-adaptation feedback loop, so a trial's packet
+    stream stays sequential; the placements advance packet-by-packet in
+    lockstep through :func:`repro.routing.ensemble.simulate_downlink_ensemble`,
+    which holds the SampleRate decision state and the per-rate
+    delivery/airtime tables of every lane in stacked arrays.
     """
     n_placements = config.n_placements
-    if config.batched:
-        pairs = _run_placement_ensemble(
-            n_placements,
-            n_packets=config.n_packets,
-            seed=config.seed,
-            params=config.params,
-            jobs=config.jobs,
-        )
-    else:
-        pairs = run_trials(
-            partial(_placement_trial, n_packets=config.n_packets, params=config.params),
-            n_placements,
-            seed=config.seed,
-            jobs=config.jobs,
-        )
+    pairs = run_seed_chunks(
+        _placement_ensemble_chunk,
+        n_placements,
+        config.seed,
+        config.jobs,
+        config.n_packets,
+        config.params,
+    )
     best_values = [best for best, _ in pairs]
     joint_values = [joint for _, joint in pairs]
 

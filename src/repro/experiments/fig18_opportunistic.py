@@ -17,13 +17,12 @@ single path).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.channel.propagation import PathLossModel
-from repro.engine import run_seed_chunks, run_trials
+from repro.engine import run_seed_chunks
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.net.topology import Testbed
@@ -34,11 +33,9 @@ from repro.routing.ensemble import (
     simulate_exor_ensemble,
     simulate_single_path_ensemble,
 )
-from repro.routing.exor import ExorConfig, simulate_exor
-from repro.routing.exor_sourcesync import simulate_exor_sourcesync
-from repro.routing.single_path import simulate_single_path
+from repro.routing.exor import ExorConfig
 
-__all__ = ["Config", "SPEC", "random_relay_topology", "simulate_topology"]
+__all__ = ["Config", "SPEC", "random_relay_topology"]
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,12 @@ class Config:
 
     Topologies are independent trials with spawned per-trial generators
     (seeded results do not depend on execution order; ``jobs`` runs them
-    across a process pool without changing any output).  ``batched`` runs
-    the whole topology ensemble through the lockstep mesh engine
+    across a process pool without changing any output).  The topology
+    ensemble runs through the lockstep mesh engine
     (:mod:`repro.routing.ensemble`): link priming, the source-broadcast
     phase, the priority-ordered forwarding rounds and the per-attempt
     probability tables all become stacked array operations, while every
-    topology's generator is consumed in its sequential order — results
-    match the per-topology path (``batched=False``) bit-for-bit.  Both
+    topology's generator is consumed in its own sequential order.  Both
     ExOR schemes of a topology run as one chained lane pair inside a
     single ensemble call.  ``chunk_topologies`` caps how many topologies
     one lockstep call carries; 0 keeps the engine's bounded default
@@ -65,7 +61,6 @@ class Config:
     n_topologies: int = 20
     batch_size: int = 24
     seed: int = 18
-    batched: bool = True
     jobs: int = 1
     chunk_topologies: int = 0
     params: OFDMParams = DEFAULT_PARAMS
@@ -117,34 +112,6 @@ def random_relay_topology(
     )
 
 
-def simulate_topology(
-    testbed: Testbed,
-    rate_mbps: float,
-    rng: np.random.Generator,
-    batch_size: int = 24,
-) -> tuple[float, float, float]:
-    """(single path, ExOR, ExOR+SourceSync) throughput for one topology."""
-    src, dst = 0, 1
-    relays = [n for n in testbed.node_ids if n not in (src, dst)]
-    config = ExorConfig(batch_size=batch_size)
-    single = simulate_single_path(testbed, src, dst, rate_mbps, n_packets=batch_size, rng=rng)
-    exor = simulate_exor(testbed, src, dst, rate_mbps, relays, config=config, rng=rng)
-    joint = simulate_exor_sourcesync(testbed, src, dst, rate_mbps, relays, config=config, rng=rng)
-    return single.throughput_mbps, exor.throughput_mbps, joint.throughput_mbps
-
-
-def _topology_trial(
-    _index: int,
-    rng: np.random.Generator,
-    rate_mbps: float,
-    batch_size: int,
-    params: OFDMParams,
-) -> tuple[float, float, float]:
-    """One independent (topology, all three schemes) trial for ``run_trials``."""
-    testbed = random_relay_topology(rng, params=params)
-    return simulate_topology(testbed, rate_mbps, rng, batch_size)
-
-
 def _topology_ensemble_chunk(
     children: list[np.random.SeedSequence],
     rate_mbps: float,
@@ -153,11 +120,10 @@ def _topology_ensemble_chunk(
 ) -> list[tuple[float, float, float]]:
     """Run a chunk of topology trials through the lockstep mesh engine.
 
-    Each lane's generator sees the identical draw order as a sequential
-    :func:`_topology_trial`: topology placement, canonical link priming,
-    the single-path transfer, then the two ExOR schemes — so a chunk of
-    any size (``jobs`` shards the children) reproduces the per-topology
-    path bit-for-bit.
+    Each topology's generator is consumed in one order: topology
+    placement, canonical link priming, the single-path transfer, then the
+    two ExOR schemes — so a chunk of any size (``jobs`` shards the
+    children) gives every topology the same results.
     """
     rngs = [np.random.default_rng(child) for child in children]
     testbeds = [random_relay_topology(rng, params=params) for rng in rngs]
@@ -207,13 +173,12 @@ def _run_topology_ensemble(
     jobs: int = 1,
     chunk_topologies: int = 0,
 ) -> list[tuple[float, float, float]]:
-    """Lockstep counterpart of the ``run_trials`` topology loop.
+    """One rate's (single path, ExOR, ExOR+SourceSync) throughputs per topology.
 
-    Per-trial seeding is shared with the sequential path through
-    :func:`repro.engine.run_seed_chunks`, which also shards the lanes
-    into bounded blocks, across a process pool when ``jobs > 1``; a
-    nonzero ``chunk_topologies`` caps the per-ensemble lane width
-    instead.  No sharding changes any output.
+    :func:`repro.engine.run_seed_chunks` spawns one generator per topology
+    from ``seed`` and shards the topologies into bounded blocks, across a
+    process pool when ``jobs > 1``; a nonzero ``chunk_topologies`` caps
+    the per-ensemble lane width instead.  No sharding changes any output.
     """
     return run_seed_chunks(
         _topology_ensemble_chunk,
@@ -252,28 +217,15 @@ def _run(config: Config) -> ExperimentResult:
     series: dict[str, list[float]] = {}
     summary: dict[str, float] = {}
     for rate in config.rates_mbps:
-        if config.batched:
-            triples = _run_topology_ensemble(
-                n_topologies,
-                rate_mbps=rate,
-                batch_size=batch_size,
-                seed=config.seed + int(rate),
-                params=config.params,
-                jobs=config.jobs,
-                chunk_topologies=config.chunk_topologies,
-            )
-        else:
-            triples = run_trials(
-                partial(
-                    _topology_trial,
-                    rate_mbps=rate,
-                    batch_size=batch_size,
-                    params=config.params,
-                ),
-                n_topologies,
-                seed=config.seed + int(rate),
-                jobs=config.jobs,
-            )
+        triples = _run_topology_ensemble(
+            n_topologies,
+            rate_mbps=rate,
+            batch_size=batch_size,
+            seed=config.seed + int(rate),
+            params=config.params,
+            jobs=config.jobs,
+            chunk_topologies=config.chunk_topologies,
+        )
         single_values = [single for single, _, _ in triples]
         exor_values = [exor for _, exor, _ in triples]
         joint_values = [joint for _, _, joint in triples]

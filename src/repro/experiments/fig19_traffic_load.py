@@ -53,9 +53,8 @@ class Config:
 
     ``loads`` is the offered-load axis (offered payload bits over the
     nominal link rate; the measured saturation point lands well below 1.0
-    on a lossy multi-hop mesh).  ``batched`` serves flows through the
-    lockstep mesh engine (flows as lanes, chained schemes); the per-flow
-    sequential path (``batched=False``) is the bit-identical oracle.
+    on a lossy multi-hop mesh).  Flows are served through the lockstep
+    mesh engine (flows as lanes, chained schemes);
     ``jobs``/``chunk_flows`` shard the flow set across processes / bound
     lane width without changing any output — every flow's service stream
     is keyed by (workload seed, flow index) alone.
@@ -80,7 +79,6 @@ class Config:
     n_relays: int = 3
     incast_relays: int = 2
     seed: int = 19
-    batched: bool = True
     jobs: int = 1
     chunk_flows: int = 0
     params: OFDMParams = DEFAULT_PARAMS
@@ -122,7 +120,6 @@ def _serve(
         factory,
         dst,
         schemes=_SCHEMES,
-        lockstep=config.batched,
         jobs=config.jobs,
         chunk_flows=config.chunk_flows,
     )

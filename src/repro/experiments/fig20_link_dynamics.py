@@ -66,10 +66,9 @@ class Config:
     (``grid_speeds_mbps``/``grid_loss_rates``) stacks a static, rate-
     dependent extra loss on top.  The link-local scheme's protection
     budget is the ``local_retry_limit``/``e2e_retry_limit``/
-    ``timeout_fraction``/``backoff_factor`` block.  ``batched`` serves
-    flows through the lockstep mesh engine; the per-flow sequential path
-    (``batched=False``) is the bit-identical oracle, and
-    ``jobs``/``chunk_flows`` shard flows without changing any output.
+    ``timeout_fraction``/``backoff_factor`` block.  Flows are served
+    through the lockstep mesh engine; ``jobs``/``chunk_flows`` shard flows
+    without changing any output.
     """
 
     loss_rates: tuple[float, ...] = (0.2, 0.5, 0.8)
@@ -96,7 +95,6 @@ class Config:
     empirical_packets: tuple[int, ...] = (1, 4, 16, 64)
     empirical_weights: tuple[float, ...] = (0.5, 0.3, 0.15, 0.05)
     seed: int = 20
-    batched: bool = True
     jobs: int = 1
     chunk_flows: int = 0
     params: OFDMParams = DEFAULT_PARAMS
@@ -274,7 +272,6 @@ def _run(config: Config) -> ExperimentResult:
                 factory,
                 dst=0,
                 schemes=SCHEMES,
-                lockstep=config.batched,
                 jobs=config.jobs,
                 chunk_flows=config.chunk_flows,
                 dynamics=config.dynamics_for(loss, burst),

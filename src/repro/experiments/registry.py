@@ -237,20 +237,6 @@ class ExperimentSpec:
     tags: tuple[str, ...] = ()
     summary_keys: Mapping[str, str] = field(default_factory=dict)
 
-    @property
-    def batched(self) -> bool:
-        """Whether the config has a ``batched`` field.
-
-        Such experiments run their Monte-Carlo core as lockstep lanes on
-        :mod:`repro.engine` (the routing and downlink lanes of
-        :mod:`repro.routing.ensemble`, or the flow lanes of
-        :mod:`repro.traffic.service`); the config's ``batched=False``
-        switches to the sequential oracle path, whose seeded results are
-        byte-identical.  The joint-frame experiments (fig12, fig13, fig15)
-        have one path only, :mod:`repro.core.ensemble`, and no such field.
-        """
-        return any(f.name == "batched" for f in dataclasses.fields(self.config_cls))
-
     def documents_summary_key(self, key: str) -> bool:
         """True when ``key`` matches one of the declared summary-key patterns."""
         return any(_summary_key_regex(pattern).fullmatch(key) for pattern in self.summary_keys)

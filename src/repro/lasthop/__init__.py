@@ -2,12 +2,11 @@
 
 from repro.lasthop.controller import Association, SourceSyncController
 from repro.lasthop.rate_adaptation import SampleRate
-from repro.lasthop.simulation import LastHopResult, simulate_downlink
+from repro.lasthop.simulation import LastHopResult
 
 __all__ = [
     "Association",
     "SourceSyncController",
     "SampleRate",
     "LastHopResult",
-    "simulate_downlink",
 ]

@@ -10,22 +10,16 @@ For each client placement the experiment of Fig. 17 compares:
   transmission is charged the §4.4 synchronization overhead.
 
 Both modes deliver a stream of packets and report goodput over consumed
-medium time.
+medium time.  :class:`repro.routing.ensemble.DownlinkLane` runs the
+stream, every placement of an ensemble in lockstep; this module holds its
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.lasthop.controller import SourceSyncController
-from repro.lasthop.rate_adaptation import SampleRate
-from repro.net.mac import CsmaState, MacTiming
-from repro.net.topology import Testbed
-from repro.rng import require_rng
-
-__all__ = ["LastHopResult", "simulate_downlink"]
+__all__ = ["LastHopResult"]
 
 
 @dataclass(frozen=True)
@@ -45,68 +39,3 @@ class LastHopResult:
         if self.total_packets == 0:
             return 0.0
         return self.delivered_packets / self.total_packets
-
-
-def simulate_downlink(
-    testbed: Testbed,
-    controller: SourceSyncController,
-    client: int,
-    scheme: str = "sourcesync",
-    n_packets: int = 200,
-    payload_bytes: int = 1460,
-    retry_limit: int = 7,
-    rng: np.random.Generator | None = None,
-    timing: MacTiming | None = None,
-) -> LastHopResult:
-    """Simulate a downlink packet stream to one client.
-
-    Parameters
-    ----------
-    scheme:
-        ``"sourcesync"`` for joint multi-AP transmission, ``"best_ap"`` for
-        the selective-diversity baseline (single best AP), or
-        ``"single_ap:<id>"`` to force a specific AP (used to report each
-        AP's stand-alone throughput).
-    """
-    rng = require_rng(rng, "simulate_downlink")
-    timing = timing if timing is not None else MacTiming(params=testbed.params)
-
-    if scheme == "sourcesync":
-        senders = controller.downlink_senders(client)
-    elif scheme == "best_ap":
-        senders = [controller.best_single_ap(client)]
-    elif scheme.startswith("single_ap:"):
-        senders = [int(scheme.split(":", 1)[1])]
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    n_cosenders = len(senders) - 1
-    adapter = SampleRate(payload_bytes=payload_bytes, timing=timing, rng=rng)
-    mac = CsmaState()
-    delivered = 0
-
-    for _ in range(n_packets):
-        success = False
-        attempts = 0
-        rate = adapter.choose_rate()
-        while attempts < retry_limit and not success:
-            attempts += 1
-            if n_cosenders > 0:
-                airtime = timing.joint_transaction_us(payload_bytes, rate, n_cosenders)
-            else:
-                airtime = timing.single_transaction_us(payload_bytes, rate)
-            success = testbed.attempt_delivery(senders, client, rate, payload_bytes, rng)
-            mac.account(airtime, success)
-        adapter.report(rate, success, attempts)
-        if success:
-            delivered += 1
-
-    throughput = mac.throughput_mbps(delivered * payload_bytes * 8)
-    return LastHopResult(
-        throughput_mbps=throughput,
-        delivered_packets=delivered,
-        total_packets=n_packets,
-        transmissions=mac.transmissions,
-        scheme=scheme,
-        senders=tuple(senders),
-    )

@@ -23,14 +23,21 @@ into a one-line localization:
   differ, and the first divergent value is mapped back to the consuming
   draw on each side.
 * :func:`compare_runs` packages the whole workflow: run two callables
-  (e.g. the lockstep and sequential paths of one experiment) under
+  (e.g. a lockstep ensemble and its sequential reference loop) under
   separate audits and report both divergence views.
 
-Typical use::
+Typical use, with ``make_lanes`` building fresh seeded
+:class:`~repro.routing.ensemble.ExorLane` objects on every call and the
+reference loops of ``tests/routing/reference_mesh.py``::
 
     from repro.lint.ledger import compare_runs
+    from repro.routing.ensemble import simulate_exor_ensemble
+    from tests.routing.reference_mesh import exor_lanes_in_sequence
 
-    diff = compare_runs(lambda: run(lockstep=True), lambda: run(lockstep=False))
+    diff = compare_runs(
+        lambda: simulate_exor_ensemble(make_lanes()),
+        lambda: exor_lanes_in_sequence(make_lanes()),
+    )
     print(diff.report())   # names the first divergent draw and its stack site
 """
 

@@ -9,8 +9,8 @@ from repro.routing.ensemble import (
     simulate_link_local_ensemble,
     simulate_single_path_ensemble,
 )
-from repro.routing.exor import ExorConfig, ExorResult, exor_priority, simulate_exor
-from repro.routing.exor_sourcesync import cp_increase_for_forwarders, simulate_exor_sourcesync
+from repro.routing.exor import ExorConfig, ExorResult, exor_priority
+from repro.routing.exor_sourcesync import cp_increase_for_forwarders
 from repro.routing.link_local import LinkLocalConfig, LinkLocalResult, simulate_link_local
 from repro.routing.single_path import SinglePathResult, simulate_single_path
 
@@ -23,9 +23,7 @@ __all__ = [
     "LinkLocalResult",
     "LinkLocalLane",
     "exor_priority",
-    "simulate_exor",
     "simulate_exor_ensemble",
-    "simulate_exor_sourcesync",
     "simulate_downlink_ensemble",
     "simulate_link_local",
     "simulate_link_local_ensemble",

@@ -2,11 +2,11 @@
 
 The sender-diversity routing experiments (§8.4, Fig. 18; §8.3, Fig. 17)
 are Monte-Carlo loops over *independent* topologies or client placements.
-PRs 1 and 3 batched the PHY pipeline and the joint-frame core, but each
-topology's ExOR transfer still ran a pure-Python event loop: per packet,
-per receiver, one dict-keyed probability lookup and one scalar Bernoulli
-draw.  This module advances many transfers *in lockstep* instead,
-following the same pattern as :mod:`repro.core.ensemble`:
+This module is the one orchestrator of their transfers: it advances many
+ExOR batches and downlink streams *in lockstep*, following the same
+pattern as :mod:`repro.core.ensemble`, instead of one pure-Python event
+loop per transfer (per packet, per receiver, one probability lookup and
+one scalar Bernoulli draw):
 
 * link realisations of every testbed are materialised with per-testbed
   draws in the canonical all-pairs order, while the surrounding pure
@@ -28,8 +28,8 @@ following the same pattern as :mod:`repro.core.ensemble`:
 Single-path and link-local transfers stop each hop at its first
 acknowledged attempt, so their uniforms cannot merge into stacked draws.
 Their ensemble entry points (:func:`simulate_single_path_ensemble`,
-:func:`simulate_link_local_ensemble`) call the sequential simulators once
-per lane in input order; both run the one transfer loop of
+:func:`simulate_link_local_ensemble`) call the per-transfer simulators
+once per lane in input order; both run the one transfer loop of
 :mod:`repro.routing.link_local`.
 
 Heterogeneous lanes
@@ -44,14 +44,16 @@ while the rest continue.
 Determinism contract
 --------------------
 Every RNG draw is made from the owning lane's generator in exactly the
-order the sequential code would make it: a turn's flattened
-packet-by-receiver draw consumes the same uniform stream as the loop of
-per-packet draws of :func:`repro.routing.exor.simulate_exor`, and
-stages that cannot merge draws (last-hop cleanup retries, downlink
-attempt loops) keep per-lane scalar draws in sequential order.  A
-lockstep run over lanes ``[l1, ..., ln]`` therefore produces *bit
-identical* results to running each lane's sequential simulation to
-completion, which ``tests/engine/test_exor_ensemble.py`` asserts.
+order a one-transfer-at-a-time event loop would make it: a turn's
+flattened packet-by-receiver draw consumes the same uniform stream as a
+loop of per-packet draws, and stages that cannot merge draws (last-hop
+cleanup retries, downlink attempt loops) keep per-lane scalar draws in
+sequential order.  A lockstep run over lanes ``[l1, ..., ln]`` therefore
+produces *bit identical* results to running each lane alone to
+completion.  The event loops themselves are kept as the test oracle
+(``tests/routing/reference_mesh.py``), and
+``tests/engine/test_exor_ensemble.py`` and the engine conformance kit
+assert the identity.
 
 Two lanes may share one generator only when they are *chained*: a lane
 constructed with ``after=<other lane>`` does not start (neither its
@@ -311,11 +313,10 @@ def _forwarding_turn(state: _ExorLaneState, index: int, higher_or: int) -> int:
     """One forwarder's turn: a flattened packet-by-receiver Bernoulli draw.
 
     The flattened ``(pending, receivers)`` draw consumes the lane
-    generator exactly as the per-packet forwarding draws of
-    :func:`~repro.routing.exor.simulate_exor` do (packets in ascending id order,
-    receivers in destination-then-priority order).  Returns the union of
-    newly-delivered packet bits so the caller can keep its running
-    higher-priority OR current.
+    generator exactly as per-packet forwarding draws would (packets in
+    ascending id order, receivers in destination-then-priority order).
+    Returns the union of newly-delivered packet bits so the caller can
+    keep its running higher-priority OR current.
     """
     config = state.lane.config
     holds = state.holds
@@ -585,14 +586,14 @@ class _ExorEngineLane(Lane):
 def simulate_exor_ensemble(lanes: list[ExorLane]) -> list[ExorResult]:
     """Advance many ExOR batch transfers in lockstep.
 
-    Bit-identical to calling :func:`repro.routing.exor.simulate_exor` once
-    per lane with the same arguments — every lane's generator is consumed
-    in its sequential order — while the probability priming is batched
-    across lanes and each phase runs as stacked array operations.  Lanes
-    may be fully heterogeneous (mixed batch sizes, topologies, rates and
-    retry depths); chained lanes (``after=...``) start the moment their
-    predecessor finishes, so dependent phases sharing one generator advance
-    inside the same schedule.  Scheduling is the shared engine's
+    Bit-identical to running each lane's transfer alone, one packet at a
+    time — every lane's generator is consumed in its sequential order —
+    while the probability priming is batched across lanes and each phase
+    runs as stacked array operations.  Lanes may be fully heterogeneous
+    (mixed batch sizes, topologies, rates and retry depths); chained lanes
+    (``after=...``) start the moment their predecessor finishes, so
+    dependent phases sharing one generator advance inside the same
+    schedule.  Scheduling is the shared engine's
     (:class:`repro.engine.LockstepScheduler`).
 
     Example::
@@ -609,26 +610,22 @@ def simulate_exor_ensemble(lanes: list[ExorLane]) -> list[ExorResult]:
 # ----------------------------------------------------------------------
 # Single-path and link-local transfers
 # ----------------------------------------------------------------------
-def simulate_single_path_ensemble(
-    lanes: list[ExorLane],
-    retry_limit: int = 8,
-) -> list[SinglePathResult]:
+def simulate_single_path_ensemble(lanes: list[ExorLane]) -> list[SinglePathResult]:
     """Single-path bulk transfers for an ensemble of lanes.
 
     One :func:`repro.routing.single_path.simulate_single_path` call per
-    lane, in input order, with ``n_packets = config.batch_size`` and the
-    lane config's payload, probe rate and dynamics.  Each retry loop stops
-    at the first acknowledged attempt, so its uniforms cannot merge into a
-    stacked draw; lanes sharing a generator are naturally sequential here
-    (list them in their dependency order; ``after`` is accepted but not
-    needed).
+    lane, in input order, with ``n_packets = config.batch_size``, that
+    function's default of 8 attempts per hop, and the lane config's
+    payload, probe rate and dynamics.  Each retry loop stops at the first
+    acknowledged attempt, so its uniforms cannot merge into a stacked
+    draw; lanes sharing a generator are naturally sequential here (list
+    them in their dependency order; ``after`` is accepted but not needed).
     """
     return [
         simulate_single_path(
             lane.testbed, lane.src, lane.dst, lane.rate_mbps,
             n_packets=lane.config.batch_size,
             payload_bytes=lane.config.payload_bytes,
-            retry_limit=retry_limit,
             rng=lane.rng,
             timing=lane.timing,
             probe_rate_mbps=lane.config.probe_rate_mbps,
@@ -705,7 +702,7 @@ class DownlinkLane:
 
 
 def _lane_senders(lane: DownlinkLane) -> list[int]:
-    """Resolve the transmitting APs exactly as :func:`simulate_downlink` does."""
+    """The APs that transmit under the lane's scheme (``ValueError`` if unknown)."""
     if lane.scheme == "sourcesync":
         return lane.controller.downlink_senders(lane.client)
     if lane.scheme == "best_ap":
@@ -718,9 +715,9 @@ def _lane_senders(lane: DownlinkLane) -> list[int]:
 def simulate_downlink_ensemble(lanes: list[DownlinkLane]) -> list[LastHopResult]:
     """Advance many last-hop downlink streams in lockstep.
 
-    Bit-identical to per-lane :func:`repro.lasthop.simulation.simulate_downlink`
-    calls: each lane's generator sees the identical draw sequence (the
-    SampleRate sampling draw, then one uniform per transmission attempt).
+    Bit-identical to streaming each lane alone, packet by packet: each
+    lane's generator sees the identical draw sequence (the SampleRate
+    sampling draw, then one uniform per transmission attempt).
     The SampleRate decision state of every lane is held in stacked arrays,
     per-(sender set, rate) delivery probabilities are precomputed with one
     batched EESM pass per lane, and each retry sub-wave is one stacked

@@ -18,23 +18,20 @@ at all its receivers is *not* charged: no mesh path calls
 :func:`cp_increase_for_forwarders`, so the mesh gains are computed as if
 that cost were zero (ROADMAP, "Reach §4.6 from the mesh, or delete it").
 
-The implementation wraps :func:`repro.routing.exor.simulate_exor` with
-``sender_diversity=True`` and adds the helper that computes the CP increase
-for a forwarder set from the testbed's propagation delays.
+The scheme is an :class:`repro.routing.ensemble.ExorLane` whose
+:class:`~repro.routing.exor.ExorConfig` sets ``sender_diversity=True``.
+This module adds the helper that computes the CP increase for a forwarder
+set from the testbed's propagation delays.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.core.sync.multi_receiver import optimize_wait_times
-from repro.net.mac import MacTiming
 from repro.net.topology import Testbed
-from repro.routing.exor import ExorConfig, ExorResult, simulate_exor
 
-__all__ = ["cp_increase_for_forwarders", "simulate_exor_sourcesync"]
+__all__ = ["cp_increase_for_forwarders"]
 
 
 def cp_increase_for_forwarders(
@@ -61,28 +58,3 @@ def cp_increase_for_forwarders(
     )
     solution = optimize_wait_times(t, lead_delays)
     return solution.cp_increase_samples()
-
-
-def simulate_exor_sourcesync(
-    testbed: Testbed,
-    src: int,
-    dst: int,
-    rate_mbps: float,
-    relays: list[int],
-    config: ExorConfig | None = None,
-    rng: np.random.Generator | None = None,
-    timing: MacTiming | None = None,
-) -> ExorResult:
-    """Simulate ExOR + SourceSync over one batch (the paper's combined scheme)."""
-    base = config if config is not None else ExorConfig()
-    joint_config = replace(base, sender_diversity=True)
-    return simulate_exor(
-        testbed,
-        src,
-        dst,
-        rate_mbps,
-        relays,
-        config=joint_config,
-        rng=rng,
-        timing=timing,
-    )

@@ -17,9 +17,9 @@ by :mod:`repro.analysis.fct` (FIFO by arrival), so service measurement
 parallelises across flows while contention stays exact.
 
 Every draw comes from the flow's own index-keyed service stream
-(:func:`repro.traffic.workload.flow_service_seed`), so the lockstep path,
-the per-flow sequential oracle (``lockstep=False``), any ``chunk_flows``
-setting and any ``jobs`` sharding produce bit-identical results.
+(:func:`repro.traffic.workload.flow_service_seed`), so a flow's results
+equal those of serving it alone, and any ``chunk_flows`` setting and any
+``jobs`` sharding produce bit-identical results.
 
 Topology builders for the two canonical scenarios live here too:
 :func:`relay_mesh` (one source, one destination, relays between — the
@@ -47,10 +47,8 @@ from repro.routing.ensemble import (
     simulate_link_local_ensemble,
     simulate_single_path_ensemble,
 )
-from repro.routing.exor import ExorConfig, simulate_exor
-from repro.routing.exor_sourcesync import simulate_exor_sourcesync
-from repro.routing.link_local import LinkLocalConfig, simulate_link_local
-from repro.routing.single_path import simulate_single_path
+from repro.routing.exor import ExorConfig
+from repro.routing.link_local import LinkLocalConfig
 from repro.traffic.workload import TrafficWorkload, flow_service_seed
 
 __all__ = [
@@ -158,7 +156,6 @@ def _service_chunk(
     rate_mbps: float,
     payload_bytes: int,
     schemes: tuple[str, ...],
-    lockstep: bool,
     dynamics: LinkDynamics | None = None,
     link_local: LinkLocalConfig | None = None,
 ) -> list[tuple[FlowService, ...]]:
@@ -166,10 +163,9 @@ def _service_chunk(
 
     ``rows`` is ``(flow_index, sender, arrival_us, size_packets)`` per
     flow.  Each flow's generator is rebuilt statelessly from
-    ``(seed, flow_index)``, so a chunk of any size — or the per-flow
-    sequential path — reproduces the identical draws.  ``dynamics``
-    attaches the same fault-injection spec to every scheme of every flow;
-    ``link_local`` supplies the retry/timeout knobs of the link-local
+    ``(seed, flow_index)``, so a chunk of any size reproduces the
+    identical draws.  ``dynamics`` attaches the same fault-injection spec
+    to every scheme of every flow; ``link_local`` supplies the retry/timeout knobs of the link-local
     scheme (its payload and dynamics fields are overridden to the chunk's).
     """
     testbed = testbed_factory()
@@ -185,55 +181,10 @@ def _service_chunk(
     )
     rngs = [np.random.default_rng(flow_service_seed(seed, index)) for index, _, _, _ in rows]
 
-    if not lockstep:
-        services: list[tuple[FlowService, ...]] = []
-        for (index, sender, _, size), rng in zip(rows, rngs):
-            config = replace(base, batch_size=size)
-            per_flow: list[FlowService] = []
-            if "single_path" in schemes:
-                single = simulate_single_path(
-                    testbed, sender, dst, rate_mbps,
-                    n_packets=size, payload_bytes=payload_bytes, rng=rng,
-                    dynamics=dynamics,
-                )
-                per_flow.append(
-                    FlowService(index, "single_path", single.elapsed_us,
-                                single.delivered_packets, size, single.transmissions)
-                )
-            if "exor" in schemes:
-                exor = simulate_exor(
-                    testbed, sender, dst, rate_mbps, relays_for[sender],
-                    config=config, rng=rng,
-                )
-                per_flow.append(
-                    FlowService(index, "exor", exor.elapsed_us,
-                                exor.delivered_packets, size, exor.transmissions)
-                )
-            if "sourcesync" in schemes:
-                joint = simulate_exor_sourcesync(
-                    testbed, sender, dst, rate_mbps, relays_for[sender],
-                    config=config, rng=rng,
-                )
-                per_flow.append(
-                    FlowService(index, "sourcesync", joint.elapsed_us,
-                                joint.delivered_packets, size, joint.transmissions)
-                )
-            if "link_local" in schemes:
-                local = simulate_link_local(
-                    testbed, sender, dst, rate_mbps,
-                    n_packets=size, config=ll_config, rng=rng,
-                )
-                per_flow.append(
-                    FlowService(index, "link_local", local.elapsed_us,
-                                local.delivered_packets, size, local.transmissions)
-                )
-            services.append(tuple(per_flow))
-        return services
-
-    # Lockstep path.  Lanes enter the engine in arrival order — the
-    # workload's start times order the lane set — and only active lanes
-    # advance each round; per-flow streams make the ordering cosmetic
-    # (results are keyed back to flow position afterwards).
+    # Lanes enter the engine in arrival order — the workload's start times
+    # order the lane set — and only active lanes advance each round;
+    # per-flow streams make the ordering cosmetic (results are keyed back
+    # to flow position afterwards).
     order = sorted(range(len(rows)), key=lambda k: (rows[k][2], rows[k][0]))
     prime_testbeds_lockstep([testbed], base.probe_rate_mbps, payload_bytes)
     # Probe priming materialised every pair's fading profile, so the
@@ -309,7 +260,6 @@ def simulate_flow_services(
     dst: int,
     *,
     schemes: Sequence[str] = SCHEMES,
-    lockstep: bool = True,
     jobs: int = 1,
     chunk_flows: int = 0,
     dynamics: LinkDynamics | None = None,
@@ -322,14 +272,14 @@ def simulate_flow_services(
     :func:`incast_mesh` works); every chunk rebuilds it identically, and
     canonical link priming keeps the testbed's own stream path-independent.
     ``chunk_flows`` caps how many flows one lockstep call carries (0 = one
-    shard per job); neither it nor ``jobs`` nor ``lockstep`` changes any
-    output.  ``dynamics`` injects the same bursty-link spec into every
-    scheme of every flow (each flow's trajectory comes from its own
-    service stream, so all execution paths stay bit-identical), and
-    ``link_local`` tunes the link-local scheme's retry/timeout/backoff
-    budget.  An empty workload returns empty lists without building the
-    testbed or touching any generator — the traffic layer's analogue of
-    the zero-packet ensemble guard.
+    shard per job); neither it nor ``jobs`` changes any output.
+    ``dynamics`` injects the same bursty-link spec into every scheme of
+    every flow (each flow's trajectory comes from its own service stream,
+    so every sharding stays bit-identical), and ``link_local`` tunes the
+    link-local scheme's retry/timeout/backoff budget.  An empty workload
+    returns empty lists without building the testbed or touching any
+    generator — the traffic layer's analogue of the zero-packet ensemble
+    guard.
     """
     ordered_schemes = _canonical_schemes(schemes)
     if jobs < 1:
@@ -349,7 +299,7 @@ def simulate_flow_services(
     flat = run_chunks(
         _service_chunk, rows, jobs,
         testbed_factory, dst, workload.seed,
-        workload.rate_mbps, workload.payload_bytes, ordered_schemes, lockstep,
+        workload.rate_mbps, workload.payload_bytes, ordered_schemes,
         dynamics, link_local,
         chunk_size=chunk_flows or None,
     )

@@ -5,7 +5,9 @@ packet ensembles, joint frames, ExOR, single-path, link-local recovery,
 downlink last hop and traffic flows — then runs the kit's
 parametrized checks over the registry: lockstep-vs-sequential identity,
 ledger audits, chained activation, empty ensembles, and chunking/jobs
-invariance (including non-dividing chunk widths).
+invariance (including non-dividing chunk widths).  The ExOR, downlink and
+traffic-flow cases take their sequential side from the reference event
+loops of ``tests/routing/reference_mesh.py``.
 
 Workloads here are deliberately tiny (a handful of packets, two lanes):
 the heavy per-engine behavioural suites live next door
@@ -29,6 +31,7 @@ from tests.engine.conformance import (
     register,
     terminal_result_guard,
 )
+from tests.routing import reference_mesh
 
 
 # ----------------------------------------------------------------------
@@ -161,15 +164,7 @@ def _exor_lockstep():
 
 
 def _exor_sequential():
-    from repro.routing.exor import simulate_exor
-
-    return [
-        simulate_exor(
-            lane.testbed, lane.src, lane.dst, lane.rate_mbps, lane.relays,
-            config=lane.config, rng=lane.rng,
-        )
-        for lane in _exor_lanes()
-    ]
+    return reference_mesh.exor_lanes_in_sequence(_exor_lanes())
 
 
 def _exor_chained_lockstep():
@@ -185,12 +180,11 @@ def _exor_chained_lockstep():
 
 
 def _exor_chained_sequential():
-    from repro.routing.exor import simulate_exor
-    from repro.routing.exor_sourcesync import simulate_exor_sourcesync
-
     (lane,) = _exor_lanes((7,))
-    exor = simulate_exor(lane.testbed, 0, 1, 6.0, [2, 3, 4], config=lane.config, rng=lane.rng)
-    joint = simulate_exor_sourcesync(
+    exor = reference_mesh.simulate_exor(
+        lane.testbed, 0, 1, 6.0, [2, 3, 4], config=lane.config, rng=lane.rng
+    )
+    joint = reference_mesh.simulate_exor_sourcesync(
         lane.testbed, 0, 1, 6.0, [2, 3, 4], config=lane.config, rng=lane.rng
     )
     return [exor, joint]
@@ -326,14 +320,15 @@ def _downlink_lockstep(seeds=(41, 42)):
 
 def _downlink_sequential(seeds=(41, 42)):
     from repro.experiments.fig17_lasthop import _build_placement
-    from repro.lasthop.simulation import simulate_downlink
 
     out = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         testbed, controller, client = _build_placement(rng)
-        out.append(simulate_downlink(testbed, controller, client, "best_ap", n_packets=15, rng=rng))
-        out.append(simulate_downlink(testbed, controller, client, "sourcesync", n_packets=15, rng=rng))
+        for scheme in ("best_ap", "sourcesync"):
+            out.append(reference_mesh.simulate_downlink(
+                testbed, controller, client, scheme, n_packets=15, rng=rng
+            ))
     return out
 
 
@@ -359,22 +354,23 @@ register(LaneCase(
 # ----------------------------------------------------------------------
 # Traffic flows (repro.traffic.service)
 # ----------------------------------------------------------------------
-def _traffic_run(lockstep: bool, jobs: int = 1, chunk_flows: int = 0):
+def _traffic_run(serve=None, jobs: int = 1, chunk_flows: int = 0):
+    """Three flows served by ``serve`` (default: the lockstep flow lanes)."""
     from repro.traffic import mice_elephants, poisson_workload, relay_mesh, simulate_flow_services
 
     mix = mice_elephants(mice_packets=1, elephant_packets=4, elephant_fraction=0.3)
     workload = poisson_workload(3, 0.2, mix, 12.0, 256, seed=21)
-    return simulate_flow_services(
+    return (serve or simulate_flow_services)(
         workload, partial(relay_mesh, 17, n_relays=2), dst=1,
-        lockstep=lockstep, jobs=jobs, chunk_flows=chunk_flows,
+        jobs=jobs, chunk_flows=chunk_flows,
     )
 
 
 def _traffic_chunked():
     """Every sharding (jobs, dividing and non-dividing chunks) is bit-equal."""
-    reference = _traffic_run(True)
+    reference = _traffic_run()
     for jobs, chunk_flows in ((1, 1), (1, 2), (2, 2), (1, 5)):
-        assert_results_equal(_traffic_run(True, jobs=jobs, chunk_flows=chunk_flows), reference)
+        assert_results_equal(_traffic_run(jobs=jobs, chunk_flows=chunk_flows), reference)
 
 
 def _traffic_empty():
@@ -397,8 +393,8 @@ def _traffic_empty():
 # asserted bit-identical above.
 register(LaneCase(
     name="traffic_flow",
-    lockstep=partial(_traffic_run, True),
-    sequential=partial(_traffic_run, False),
+    lockstep=_traffic_run,
+    sequential=partial(_traffic_run, reference_mesh.serve_flows),
     empty=_traffic_empty,
     chunked=_traffic_chunked,
 ))

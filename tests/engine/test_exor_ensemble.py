@@ -2,8 +2,9 @@
 
 The engine's contract is *bit identity*: a lockstep ensemble over lanes
 ``[l1, ..., ln]`` produces exactly the :class:`ExorResult` /
-:class:`SinglePathResult` / :class:`LastHopResult` values of running each
-lane's sequential simulation to completion under the same seeds.
+:class:`SinglePathResult` values of running each lane's sequential
+simulation to completion under the same seeds.  The sequential ExOR side
+is the reference event loop of ``tests/routing/reference_mesh.py``.
 """
 
 from dataclasses import replace
@@ -20,9 +21,9 @@ from repro.routing.ensemble import (
     simulate_exor_ensemble,
     simulate_single_path_ensemble,
 )
-from repro.routing.exor import ExorConfig, simulate_exor
-from repro.routing.exor_sourcesync import simulate_exor_sourcesync
+from repro.routing.exor import ExorConfig
 from repro.routing.single_path import simulate_single_path
+from tests.routing.reference_mesh import simulate_exor, simulate_exor_sourcesync
 
 
 def _spawned(n, seed):

@@ -517,13 +517,15 @@ def _run_per_frame(monkeypatch, name, overrides=None):
 def test_joint_batch_smoke_preset_equivalence(name, monkeypatch):
     """Lockstep == per-frame at smoke scale.  fig12, fig13 and fig15 run only
     the lockstep core path, so their per-frame side swaps in the reference
-    session; fig18 keeps its own ``batched`` switch."""
+    session; fig18's swaps in the reference mesh loops."""
     from repro.experiments import registry
+    from tests.routing.reference_mesh import patch_sequential_mesh
 
     spec = registry.get(name)
     batched = spec.run(spec.make_config("smoke"))
     if name == "fig18":
-        sequential = spec.run(spec.make_config("smoke", {"batched": False}))
+        patch_sequential_mesh(monkeypatch)
+        sequential = spec.run(spec.make_config("smoke"))
     else:
         sequential = _run_per_frame(monkeypatch, name)
     _assert_series_equal(batched, sequential)

@@ -141,7 +141,7 @@ def _scenario_traffic_flows() -> None:
 
     mix = mice_elephants(mice_packets=1, elephant_packets=4, elephant_fraction=0.3)
     workload = poisson_workload(3, 0.2, mix, 12.0, 256, seed=21)
-    simulate_flow_services(workload, partial(relay_mesh, 17, n_relays=2), dst=1, lockstep=True)
+    simulate_flow_services(workload, partial(relay_mesh, 17, n_relays=2), dst=1)
 
 
 SCENARIOS = {

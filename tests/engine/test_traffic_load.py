@@ -2,9 +2,9 @@
 
 The contract under test (see :mod:`repro.traffic.workload`): every stream
 of a workload seed is an index-keyed ``SeedSequence`` child, so the
-lockstep flows-as-lanes path, the per-flow sequential oracle, any chunk
-width, process-pool sharding and ``sweep --resume`` all produce
-bit-identical results.
+lockstep flows-as-lanes path, the per-flow sequential oracle
+(``tests/routing/reference_mesh.py``), any chunk width, process-pool
+sharding and ``sweep --resume`` all produce bit-identical results.
 
 This module is part of the ROADMAP quick-check group
 (``-k "smoke or joint_batch or exor_ensemble or sweep_fault or traffic_load"``).
@@ -26,6 +26,7 @@ from repro.traffic import (
     relay_mesh,
     simulate_flow_services,
 )
+from tests.routing.reference_mesh import serve_flows
 
 #: Small mix keeps per-flow transfers short without collapsing to one size.
 _MIX = mice_elephants(mice_packets=1, elephant_packets=4, elephant_fraction=0.3)
@@ -71,8 +72,8 @@ class TestFlowLaneBitIdentity:
         """Heterogeneous arrivals *and* sizes: the lane set is ragged."""
         workload = _poisson(n_flows=5, seed=21)
         factory = partial(relay_mesh, 17, n_relays=2)
-        lockstep = simulate_flow_services(workload, factory, dst=1, lockstep=True)
-        sequential = simulate_flow_services(workload, factory, dst=1, lockstep=False)
+        lockstep = simulate_flow_services(workload, factory, dst=1)
+        sequential = serve_flows(workload, factory, dst=1)
         assert lockstep == sequential
         for scheme in SCHEMES:
             assert [s.flow_index for s in lockstep[scheme]] == list(range(5))
@@ -81,8 +82,8 @@ class TestFlowLaneBitIdentity:
     def test_incast_lockstep_matches_sequential(self):
         burst = incast_workload((1, 2, 3), _MIX, _RATE_MBPS, _PAYLOAD, seed=9)
         factory = partial(incast_mesh, 13, n_senders=3, n_relays=2)
-        lockstep = simulate_flow_services(burst, factory, dst=0, lockstep=True)
-        sequential = simulate_flow_services(burst, factory, dst=0, lockstep=False)
+        lockstep = simulate_flow_services(burst, factory, dst=0)
+        sequential = serve_flows(burst, factory, dst=0)
         assert lockstep == sequential
 
     def test_chunk_width_cannot_change_results(self):
@@ -108,9 +109,10 @@ class TestFlowLaneBitIdentity:
         factory = partial(relay_mesh, 17, n_relays=2)
         subset = simulate_flow_services(workload, factory, dst=1, schemes=("exor", "sourcesync"))
         reordered = simulate_flow_services(
-            workload, factory, dst=1, schemes=("sourcesync", "exor"), lockstep=False
+            workload, factory, dst=1, schemes=("sourcesync", "exor")
         )
-        assert subset == reordered
+        sequential = serve_flows(workload, factory, dst=1, schemes=("exor", "sourcesync"))
+        assert subset == reordered == sequential
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown schemes"):
@@ -143,21 +145,6 @@ def _must_not_run(*args):
 
 class TestEmptyEnsembleGuards:
     """Regression: zero-trial calls invoke nothing and consume no entropy."""
-
-    def test_run_trials_zero_trials(self):
-        from repro.engine import run_trials
-
-        assert run_trials(_must_not_run, 0, seed=7) == []
-
-    def test_run_trials_zero_trials_leaves_seed_sequence_untouched(self):
-        from repro.engine import run_trials
-
-        shared = np.random.SeedSequence(7)
-        run_trials(_must_not_run, 0, seed=shared)
-        # A later spawn must hand out the same children as a fresh sequence:
-        # the zero-trial call reserved no spawn keys.
-        fresh = np.random.SeedSequence(7)
-        assert [c.spawn_key for c in shared.spawn(2)] == [c.spawn_key for c in fresh.spawn(2)]
 
     def test_run_seed_chunks_zero_trials(self):
         from repro.engine import run_seed_chunks

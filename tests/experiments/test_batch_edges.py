@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.engine import run_trials
 from repro.experiments.batch import run_packet_ensemble
 
 
@@ -34,35 +33,6 @@ class TestEmptyEnsemble:
         assert result.delivery_ratio == 1.0
 
 
-def _seeded_trial(index: int, rng: np.random.Generator) -> tuple[int, float]:
-    """Module-level so the process pool can pickle it."""
-    return index, float(rng.random())
-
-
-class TestRunTrials:
-    def test_results_in_trial_order(self):
-        results = run_trials(_seeded_trial, 6, seed=11)
-        assert [i for i, _ in results] == list(range(6))
-
-    def test_order_independent_under_same_seed(self):
-        """Shuffling execution order reproduces the same per-trial results."""
-        forward = run_trials(_seeded_trial, 8, seed=42)
-        children = np.random.SeedSequence(42).spawn(8)
-        order = list(reversed(range(8)))
-        shuffled = [_seeded_trial(i, np.random.default_rng(children[i])) for i in order]
-        assert sorted(shuffled) == sorted(forward)
-        assert dict(shuffled) == dict(forward)
-
-    def test_process_pool_identical_to_sequential(self):
-        sequential = run_trials(_seeded_trial, 5, seed=3, jobs=1)
-        parallel = run_trials(_seeded_trial, 5, seed=3, jobs=2)
-        assert sequential == parallel
-
-    def test_negative_trials_rejected(self):
-        with pytest.raises(ValueError):
-            run_trials(_seeded_trial, -1, seed=0)
-
-
 def test_fig17_jobs_overrides_are_deterministic():
     from repro.experiments import registry
 
@@ -85,6 +55,13 @@ def test_fig18_jobs_overrides_are_deterministic():
 def _square_chunk(children, offset):
     """Module-level chunk body so run_seed_chunks can pickle it."""
     return [offset + np.random.default_rng(child).integers(0, 1000) for child in children]
+
+
+def test_run_seed_chunks_negative_trials_rejected():
+    from repro.engine import run_seed_chunks
+
+    with pytest.raises(ValueError, match="non-negative"):
+        run_seed_chunks(_square_chunk, -1, 0, 1, 100)
 
 
 def test_run_seed_chunks_matches_unchunked():

@@ -1,5 +1,7 @@
 """EXPERIMENTS.md and docs/experiments/ are generated and must stay in sync."""
 
+import pytest
+
 from repro.experiments import registry
 from repro.experiments.docs import (
     DEFAULT_DOC_PATH,
@@ -73,18 +75,8 @@ def test_summary_key_patterns_match_generated_keys():
     assert not fig16.documents_summary_key("gain_db")
 
 
-def test_batched_flag_matches_config_switch():
-    """A spec reports ``batched`` exactly when its config accepts ``batched=False``.
-
-    The generated pages promise that ``batched=False`` switches to the
-    sequential oracle path; that promise must hold for every spec that
-    makes it, and no other spec may make it.
-    """
+def test_no_config_accepts_batched():
+    """Every experiment has one execution path: no config has a ``batched`` switch."""
     for spec in registry.specs():
-        try:
+        with pytest.raises(ValueError, match="unknown config fields"):
             spec.make_config("smoke", {"batched": False})
-        except ValueError:
-            accepted = False
-        else:
-            accepted = True
-        assert spec.batched == accepted, spec.name

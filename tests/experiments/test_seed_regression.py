@@ -14,15 +14,16 @@ Re-pinned with the batched joint-frame core path: the detector's
 also moves the coarse-CFO estimation window), fig12/fig15 now seed every
 (SNR, topology) cell from its own spawned generator, fig13 freezes the
 tracking loop during the measured CP sweep, and fig17/fig18 thread
-independent per-trial seeds through ``run_trials`` — all deliberate,
-order-independence-enabling changes (see CHANGES.md).
+independent per-trial seeds — all deliberate, order-independence-enabling
+changes (see CHANGES.md).
 
-For experiments with a ``batched`` field (the routing, last-hop and
-traffic experiments), the sequential oracle (``batched=False``)
-reproduces the default lockstep output at ``smoke`` byte for byte.  The
-joint-frame experiments (fig12, fig13, fig15) have no such field: they
-run only the lockstep core path, whose per-frame oracle is
-``tests/core/reference_session.py`` (checked in
+The mesh experiments (fig17–fig20) run only the lockstep lanes of
+:mod:`repro.routing.ensemble` and :mod:`repro.traffic.service`; with their
+entry points swapped for the reference loops of
+``tests/routing/reference_mesh.py`` they reproduce the lockstep output at
+``smoke`` byte for byte.  The joint-frame experiments (fig12, fig13,
+fig15) likewise run only the lockstep core path, whose per-frame oracle
+is ``tests/core/reference_session.py`` (checked in
 ``tests/engine/test_joint_batch.py``).
 """
 
@@ -32,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import registry
+from tests.routing.reference_mesh import patch_sequential_mesh
 
 #: experiment -> (summary key, value at the smoke preset's default seed).
 PINNED = {
@@ -50,7 +52,15 @@ PINNED = {
 }
 
 
-BATCHED = sorted(name for name in registry.names() if registry.get(name).batched)
+#: (experiment, seed override) pairs checked against the sequential oracle.
+MESH_ORACLE_CASES = [
+    ("fig17", None),
+    ("fig18", None),
+    ("fig18", 5),
+    ("fig19_traffic_load", None),
+    ("fig20_link_dynamics", None),
+    ("fig20_link_dynamics", 5),
+]
 
 
 def test_every_experiment_is_pinned():
@@ -76,12 +86,14 @@ def test_seed_override_changes_or_preserves_output_deterministically(name):
         np.testing.assert_array_equal(first.summary[summary_key], second.summary[summary_key])
 
 
-@pytest.mark.parametrize("name", BATCHED)
-def test_sequential_oracle_reproduces_default_smoke_output(name):
-    """``batched=False`` gives the default config's ``series``/``summary``."""
+@pytest.mark.parametrize("name,seed", MESH_ORACLE_CASES)
+def test_sequential_oracle_reproduces_default_smoke_output(name, seed, monkeypatch):
+    """The reference mesh loops give the lockstep ``series``/``summary``."""
     spec = registry.get(name)
-    lockstep = spec.run(spec.make_config("smoke"))
-    sequential = spec.run(spec.make_config("smoke", {"batched": False}))
+    config = spec.make_config("smoke", None if seed is None else {"seed": seed})
+    lockstep = spec.run(config)
+    patch_sequential_mesh(monkeypatch)
+    sequential = spec.run(config)
     assert json.dumps([lockstep.series, lockstep.summary], sort_keys=True) == json.dumps(
         [sequential.series, sequential.summary], sort_keys=True
     )

@@ -1,15 +1,24 @@
 """Cross-module integration tests: full SourceSync scenarios end to end."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.channel.propagation import PathLossModel
 from repro.core import JointTopology, SourceSyncConfig, SourceSyncSession
-from repro.lasthop import SourceSyncController, simulate_downlink
+from repro.lasthop import SourceSyncController
 from repro.net.topology import Testbed
 from repro.phy import bits as bitutils
 from repro.phy.params import DEFAULT_PARAMS as P
-from repro.routing import ExorConfig, simulate_exor, simulate_exor_sourcesync, simulate_single_path
+from repro.routing import (
+    DownlinkLane,
+    ExorConfig,
+    ExorLane,
+    simulate_downlink_ensemble,
+    simulate_exor_ensemble,
+    simulate_single_path,
+)
 
 
 class TestWaveformLevelPipeline:
@@ -68,7 +77,9 @@ class TestLinkLevelScenarios:
             path_loss=PathLossModel(exponent=3.5),
         )
         controller = SourceSyncController(testbed, ap_ids=[0, 1])
-        downlink = simulate_downlink(testbed, controller, 2, "sourcesync", n_packets=60, rng=rng)
+        [downlink] = simulate_downlink_ensemble(
+            [DownlinkLane(testbed, controller, 2, "sourcesync", rng, n_packets=60)]
+        )
         assert downlink.throughput_mbps >= 0.0
         assert downlink.delivered_packets <= 60
 
@@ -84,9 +95,13 @@ class TestLinkLevelScenarios:
             )
             config = ExorConfig(batch_size=12)
             singles.append(simulate_single_path(testbed, 0, 1, 12.0, n_packets=12, rng=rng).throughput_mbps)
-            exors.append(simulate_exor(testbed, 0, 1, 12.0, [2, 3, 4], config=config, rng=rng).throughput_mbps)
-            joints.append(
-                simulate_exor_sourcesync(testbed, 0, 1, 12.0, [2, 3, 4], config=config, rng=rng).throughput_mbps
+            exor = ExorLane(testbed, 0, 1, 12.0, [2, 3, 4], config, rng)
+            joint = ExorLane(
+                testbed, 0, 1, 12.0, [2, 3, 4], replace(config, sender_diversity=True), rng,
+                after=exor,
             )
+            exor_result, joint_result = simulate_exor_ensemble([exor, joint])
+            exors.append(exor_result.throughput_mbps)
+            joints.append(joint_result.throughput_mbps)
         assert np.mean(exors) > np.mean(singles)
         assert np.mean(joints) > np.mean(exors)

@@ -1,13 +1,19 @@
-"""Tests for last-hop diversity: SampleRate, controller/association, downlink simulation."""
+"""Tests for last-hop diversity: SampleRate, controller/association, downlink simulation.
+
+Downlink behaviour runs on the lockstep lanes of :mod:`repro.routing.ensemble`;
+their sequential oracle is ``tests/routing/reference_mesh.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.channel.propagation import PathLossModel
-from repro.lasthop import SampleRate, SourceSyncController, simulate_downlink
+from repro.lasthop import SampleRate, SourceSyncController
 from repro.net.mac import MacTiming
 from repro.net.topology import Testbed
 from repro.phy.rates import rate_for_mbps, rates_sorted
+from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
+from tests.routing.reference_mesh import simulate_downlink
 
 
 def _wlan(seed=0, client_pos=(20.0, 18.0)):
@@ -108,22 +114,27 @@ class TestDownlinkSimulation:
     def test_sourcesync_beats_best_ap_for_cell_edge_client(self):
         # Client roughly equidistant and far from both APs: the combined
         # transmission supports a higher rate (the §8.3 effect).
-        best_total, joint_total = 0.0, 0.0
+        lanes = []
         for seed in range(4):
             testbed, rng = _wlan(seed=seed, client_pos=(20.0, 26.0))
             controller = SourceSyncController(testbed, ap_ids=[0, 1])
-            best = simulate_downlink(testbed, controller, 2, "best_ap", n_packets=100, rng=rng)
-            joint = simulate_downlink(testbed, controller, 2, "sourcesync", n_packets=100, rng=rng)
-            best_total += best.throughput_mbps
-            joint_total += joint.throughput_mbps
+            best = DownlinkLane(testbed, controller, 2, "best_ap", rng, n_packets=100)
+            joint = DownlinkLane(
+                testbed, controller, 2, "sourcesync", rng, n_packets=100, after=best
+            )
+            lanes.extend([best, joint])
+        results = simulate_downlink_ensemble(lanes)
+        best_total = sum(r.throughput_mbps for r in results[0::2])
+        joint_total = sum(r.throughput_mbps for r in results[1::2])
         assert joint_total > best_total
 
     def test_schemes_report_their_senders(self):
         testbed, rng = _wlan(5)
         controller = SourceSyncController(testbed, ap_ids=[0, 1])
-        joint = simulate_downlink(testbed, controller, 2, "sourcesync", n_packets=10, rng=rng)
-        best = simulate_downlink(testbed, controller, 2, "best_ap", n_packets=10, rng=rng)
-        forced = simulate_downlink(testbed, controller, 2, "single_ap:1", n_packets=10, rng=rng)
+        joint = DownlinkLane(testbed, controller, 2, "sourcesync", rng, n_packets=10)
+        best = DownlinkLane(testbed, controller, 2, "best_ap", rng, n_packets=10, after=joint)
+        forced = DownlinkLane(testbed, controller, 2, "single_ap:1", rng, n_packets=10, after=best)
+        joint, best, forced = simulate_downlink_ensemble([joint, best, forced])
         assert len(joint.senders) == 2
         assert len(best.senders) == 1
         assert forced.senders == (1,)
@@ -132,12 +143,14 @@ class TestDownlinkSimulation:
         testbed, rng = _wlan(6)
         controller = SourceSyncController(testbed, ap_ids=[0, 1])
         with pytest.raises(ValueError):
-            simulate_downlink(testbed, controller, 2, "beamforming", rng=rng)
+            simulate_downlink_ensemble([DownlinkLane(testbed, controller, 2, "beamforming", rng)])
 
     def test_delivery_ratio_and_counts(self):
         testbed, rng = _wlan(7)
         controller = SourceSyncController(testbed, ap_ids=[0, 1])
-        result = simulate_downlink(testbed, controller, 2, "sourcesync", n_packets=40, rng=rng)
+        [result] = simulate_downlink_ensemble(
+            [DownlinkLane(testbed, controller, 2, "sourcesync", rng, n_packets=40)]
+        )
         assert result.total_packets == 40
         assert 0.0 <= result.delivery_ratio <= 1.0
         assert result.transmissions >= result.delivered_packets
@@ -146,14 +159,14 @@ class TestDownlinkSimulation:
         testbed, rng = _wlan(8)
         controller = SourceSyncController(testbed, ap_ids=[0, 1])
         timing = MacTiming(sifs_us=16.0)
-        result = simulate_downlink(
-            testbed, controller, 2, "sourcesync", n_packets=10, rng=rng, timing=timing
+        [result] = simulate_downlink_ensemble(
+            [DownlinkLane(testbed, controller, 2, "sourcesync", rng, n_packets=10, timing=timing)]
         )
         assert result.total_packets == 10
 
 
 class TestDownlinkEnsemble:
-    """Lockstep last-hop engine vs per-placement simulate_downlink."""
+    """Lockstep last-hop engine vs the per-placement reference loop."""
 
     def _placements(self, n, seed):
         out = []
@@ -169,8 +182,6 @@ class TestDownlinkEnsemble:
 
     @pytest.mark.parametrize("scheme", ["best_ap", "sourcesync", "single_ap:1"])
     def test_bit_identical_to_sequential_downlink(self, scheme):
-        from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
-
         sequential = [
             simulate_downlink(tb, controller, 2, scheme, n_packets=60, rng=rng)
             for tb, controller, rng in self._placements(5, seed=31)
@@ -183,8 +194,6 @@ class TestDownlinkEnsemble:
         assert batched == sequential
 
     def test_schemes_chain_on_one_generator(self):
-        from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
-
         sequential = []
         for tb, controller, rng in self._placements(4, seed=32):
             best = simulate_downlink(tb, controller, 2, "best_ap", n_packets=30, rng=rng)
@@ -202,8 +211,6 @@ class TestDownlinkEnsemble:
 
     def test_heterogeneous_packet_counts_and_retry_limits(self):
         """Mixed n_packets / retry_limit lanes == their per-placement runs."""
-        from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
-
         shapes = [(10, 7), (45, 3), (28, 1), (60, 5)]
         sequential = [
             simulate_downlink(tb, c, 2, "best_ap", n_packets=n, retry_limit=r, rng=rng)
@@ -221,8 +228,6 @@ class TestDownlinkEnsemble:
 
     def test_chained_schemes_single_ensemble_call(self):
         """best_ap -> sourcesync chained on one generator, as fig17 runs them."""
-        from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
-
         sequential = []
         for tb, controller, rng in self._placements(4, seed=34):
             best = simulate_downlink(tb, controller, 2, "best_ap", n_packets=25, rng=rng)
@@ -240,8 +245,6 @@ class TestDownlinkEnsemble:
     def test_chained_schemes_with_mixed_packet_counts(self):
         """Chains of different lengths interleave: one lane's second scheme
         starts while another lane's first scheme is still streaming."""
-        from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
-
         counts = [8, 40, 16]
         sequential = []
         for (tb, controller, rng), n in zip(self._placements(3, seed=35), counts):
@@ -261,8 +264,6 @@ class TestDownlinkEnsemble:
         """n_packets <= 0 lanes deliver nothing and leave the stream where
         the sequential zero-iteration loop would, so chained successors see
         identical draws."""
-        from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
-
         for n in (0, -1):
             sequential = []
             for tb, c, rng in self._placements(2, seed=37):
@@ -278,8 +279,6 @@ class TestDownlinkEnsemble:
             assert [(results[2 * i], results[2 * i + 1]) for i in range(2)] == sequential
 
     def test_unchained_shared_generator_rejected(self):
-        from repro.routing.ensemble import DownlinkLane, simulate_downlink_ensemble
-
         (tb1, c1, r1), (tb2, c2, _) = self._placements(2, seed=36)
         with pytest.raises(ValueError, match="share a generator"):
             simulate_downlink_ensemble(

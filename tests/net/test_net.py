@@ -423,9 +423,11 @@ class TestDeliveryTables:
 
     def test_etx_graph_cache_hit(self, monkeypatch):
         """Both schemes of a topology share one ETX graph build."""
+        from dataclasses import replace
+
         import repro.net.etx as etx_module
-        from repro.routing.exor import ExorConfig, simulate_exor
-        from repro.routing.exor_sourcesync import simulate_exor_sourcesync
+        from repro.routing.ensemble import ExorLane, simulate_exor_ensemble
+        from repro.routing.exor import ExorConfig
 
         builds = []
         original = etx_module._build_etx_graph
@@ -438,8 +440,11 @@ class TestDeliveryTables:
         tb = self._mesh(5)
         rng = np.random.default_rng(99)
         config = ExorConfig(batch_size=4)
-        simulate_exor(tb, 0, 1, 6.0, [2, 3], config=config, rng=rng)
-        simulate_exor_sourcesync(tb, 0, 1, 6.0, [2, 3], config=config, rng=rng)
+        exor = ExorLane(tb, 0, 1, 6.0, [2, 3], config, rng)
+        joint = ExorLane(
+            tb, 0, 1, 6.0, [2, 3], replace(config, sender_diversity=True), rng, after=exor
+        )
+        simulate_exor_ensemble([exor, joint])
         assert len(builds) == 1
 
     def test_exor_priority_cache_hit(self):

@@ -3,7 +3,8 @@
 The contract under test (see :mod:`repro.channel.dynamics`): fault
 injection only *modulates* delivery probabilities — it never changes how
 many uniforms a phase consumes or in which order — so every execution
-plan (lockstep engine, sequential oracle, any chunk width, process pools,
+plan (lockstep engine, the sequential oracle of
+``tests/routing/reference_mesh.py``, any chunk width, process pools,
 ``sweep --resume``) stays bit-identical under one seed, with or without
 dynamics attached.
 
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 
 import repro.routing.ensemble
-import repro.routing.exor
 import repro.routing.link_local
 from repro.channel.dynamics import (
     FIRST_SLOTS,
@@ -47,6 +47,7 @@ from repro.traffic import (
     relay_mesh,
     simulate_flow_services,
 )
+from tests.routing.reference_mesh import serve_flows
 
 #: A bursty process deep enough that recovery schemes visibly diverge.
 _GE = GilbertElliott.from_burst(3.0, 0.25, bad_multiplier=0.1)
@@ -510,8 +511,8 @@ class TestTrafficUnderDynamics:
         self.factory = partial(relay_mesh, 17, n_relays=2)
 
     def test_lockstep_matches_sequential(self):
-        lockstep = _serve(self.workload, self.factory, lockstep=True, dynamics=_DYNAMICS)
-        sequential = _serve(self.workload, self.factory, lockstep=False, dynamics=_DYNAMICS)
+        lockstep = _serve(self.workload, self.factory, dynamics=_DYNAMICS)
+        sequential = serve_flows(self.workload, self.factory, dst=1, dynamics=_DYNAMICS)
         assert lockstep == sequential
         for scheme in SCHEMES:
             assert [s.flow_index for s in lockstep[scheme]] == list(range(5))
@@ -556,12 +557,10 @@ class TestDrawLedgerAudit:
         factory = partial(relay_mesh, 17, n_relays=2)
         diff = compare_runs(
             lambda: simulate_flow_services(
-                workload, factory, dst=1, schemes=("exor", "sourcesync"),
-                lockstep=True, dynamics=_DYNAMICS,
+                workload, factory, dst=1, schemes=("exor", "sourcesync"), dynamics=_DYNAMICS,
             ),
-            lambda: simulate_flow_services(
-                workload, factory, dst=1, schemes=("exor", "sourcesync"),
-                lockstep=False, dynamics=_DYNAMICS,
+            lambda: serve_flows(
+                workload, factory, dst=1, schemes=("exor", "sourcesync"), dynamics=_DYNAMICS,
             ),
         )
         assert diff.identical, diff.report()
@@ -584,7 +583,7 @@ def _eager_from_loop(dynamics, node_ids, rate_mbps, rng):
 
 
 #: The modules that build lane trajectories, by their imported name.
-_TRAJECTORY_CALLERS = (repro.routing.exor, repro.routing.link_local, repro.routing.ensemble)
+_TRAJECTORY_CALLERS = (repro.routing.link_local, repro.routing.ensemble)
 
 
 class TestEagerOracle:

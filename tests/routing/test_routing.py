@@ -1,6 +1,12 @@
-"""Tests for single-path routing, ExOR and ExOR + SourceSync."""
+"""Tests for single-path routing, ExOR and ExOR + SourceSync.
+
+ExOR behaviour runs on the lockstep lanes of :mod:`repro.routing.ensemble`;
+the MAC-accounting checks instrument the sequential reference loop of
+``tests/routing/reference_mesh.py``, which the lanes match bit for bit.
+"""
 
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +19,15 @@ from repro.channel.propagation import PathLossModel
 from repro.phy.rates import rate_for_mbps
 from repro.routing import (
     ExorConfig,
+    ExorLane,
     LinkLocalConfig,
     cp_increase_for_forwarders,
-    simulate_exor,
-    simulate_exor_sourcesync,
+    simulate_exor_ensemble,
     simulate_link_local,
     simulate_single_path,
 )
 from repro.routing.link_local import _transfer
+from tests.routing import reference_mesh
 
 
 def _mesh(seed=0, lossy=True):
@@ -160,20 +167,21 @@ class TestExor:
     def test_batch_mostly_delivered(self):
         testbed, rng = _mesh(5)
         config = ExorConfig(batch_size=12)
-        result = simulate_exor(testbed, 0, 1, 6.0, relays=[2, 3, 4], config=config, rng=rng)
+        [result] = simulate_exor_ensemble([ExorLane(testbed, 0, 1, 6.0, [2, 3, 4], config, rng)])
         assert result.delivery_ratio > 0.7
         assert result.throughput_mbps > 0
 
     def test_forwarders_ordered_and_include_source(self):
         testbed, rng = _mesh(6)
         config = ExorConfig(batch_size=8)
-        result = simulate_exor(testbed, 0, 1, 6.0, relays=[2, 3, 4], config=config, rng=rng)
+        [result] = simulate_exor_ensemble([ExorLane(testbed, 0, 1, 6.0, [2, 3, 4], config, rng)])
         assert result.forwarders[-1] == 0  # source is the lowest-priority forwarder
         assert set(result.forwarders[:-1]).issubset({2, 3, 4})
 
     def test_no_joint_transmissions_without_diversity(self):
         testbed, rng = _mesh(7)
-        result = simulate_exor(testbed, 0, 1, 6.0, relays=[2, 3, 4], config=ExorConfig(batch_size=8), rng=rng)
+        config = ExorConfig(batch_size=8)
+        [result] = simulate_exor_ensemble([ExorLane(testbed, 0, 1, 6.0, [2, 3, 4], config, rng)])
         assert result.joint_transmissions == 0
 
     def test_exor_beats_single_path_on_lossy_mesh(self):
@@ -184,7 +192,7 @@ class TestExor:
             testbed, rng = _mesh(100 + seed)
             config = ExorConfig(batch_size=12)
             single = simulate_single_path(testbed, 0, 1, 6.0, n_packets=12, rng=rng)
-            exor = simulate_exor(testbed, 0, 1, 6.0, relays=[2, 3, 4], config=config, rng=rng)
+            [exor] = simulate_exor_ensemble([ExorLane(testbed, 0, 1, 6.0, [2, 3, 4], config, rng)])
             exor_total += exor.throughput_mbps
             single_total += single.throughput_mbps
         assert exor_total > single_total
@@ -192,8 +200,7 @@ class TestExor:
 
 class TestExorMacAccounting:
     def _record_mac(self, monkeypatch):
-        """Capture the CsmaState instances simulate_exor creates."""
-        import repro.routing.exor as exor_module
+        """Capture the CsmaState instances the reference loop creates."""
         from repro.net.mac import CsmaState
 
         created = []
@@ -203,14 +210,16 @@ class TestExorMacAccounting:
                 super().__init__(*args, **kwargs)
                 created.append(self)
 
-        monkeypatch.setattr(exor_module, "CsmaState", RecordingCsma)
+        monkeypatch.setattr(reference_mesh, "CsmaState", RecordingCsma)
         return created
 
     def test_failures_counted_in_broadcast_and_forwarding(self, monkeypatch):
         """A lossy mesh records failed attempts; success means some receiver heard."""
         created = self._record_mac(monkeypatch)
         testbed, rng = _mesh(12)
-        result = simulate_exor(testbed, 0, 1, 12.0, relays=[2, 3, 4], config=ExorConfig(batch_size=12), rng=rng)
+        result = reference_mesh.simulate_exor(
+            testbed, 0, 1, 12.0, relays=[2, 3, 4], config=ExorConfig(batch_size=12), rng=rng
+        )
         (mac,) = created
         assert mac.transmissions == result.transmissions
         assert 0 < mac.failures < mac.transmissions
@@ -219,7 +228,9 @@ class TestExorMacAccounting:
         """The success flag feeds CsmaState.failures alone, never throughput."""
         created = self._record_mac(monkeypatch)
         testbed, rng = _mesh(13)
-        result = simulate_exor(testbed, 0, 1, 6.0, relays=[2, 3, 4], config=ExorConfig(batch_size=10), rng=rng)
+        result = reference_mesh.simulate_exor(
+            testbed, 0, 1, 6.0, relays=[2, 3, 4], config=ExorConfig(batch_size=10), rng=rng
+        )
         (mac,) = created
         expected = result.delivered_packets * 1460 * 8 / mac.elapsed_us
         assert result.throughput_mbps == expected
@@ -228,9 +239,8 @@ class TestExorMacAccounting:
 class TestExorSourceSync:
     def test_joint_transmissions_used(self):
         testbed, rng = _mesh(8)
-        result = simulate_exor_sourcesync(
-            testbed, 0, 1, 12.0, relays=[2, 3, 4], config=ExorConfig(batch_size=10), rng=rng
-        )
+        config = ExorConfig(batch_size=10, sender_diversity=True)
+        [result] = simulate_exor_ensemble([ExorLane(testbed, 0, 1, 12.0, [2, 3, 4], config, rng)])
         assert result.joint_transmissions > 0
 
     def test_sourcesync_at_least_as_good_as_exor_on_aggregate(self):
@@ -238,16 +248,17 @@ class TestExorSourceSync:
         # few percent when links are already good; aggregated over several
         # topologies SourceSync must not lose more than that margin (the
         # positive gains are asserted by the Fig. 18 experiment tests).
-        joint_total, exor_total = 0.0, 0.0
+        config = ExorConfig(batch_size=10)
+        joint_config = replace(config, sender_diversity=True)
+        lanes = []
         for seed in range(6):
             testbed, rng = _mesh(200 + seed)
-            config = ExorConfig(batch_size=10)
-            exor = simulate_exor(testbed, 0, 1, 12.0, relays=[2, 3, 4], config=config, rng=rng)
-            joint = simulate_exor_sourcesync(
-                testbed, 0, 1, 12.0, relays=[2, 3, 4], config=config, rng=rng
-            )
-            exor_total += exor.throughput_mbps
-            joint_total += joint.throughput_mbps
+            exor = ExorLane(testbed, 0, 1, 12.0, [2, 3, 4], config, rng)
+            joint = ExorLane(testbed, 0, 1, 12.0, [2, 3, 4], joint_config, rng, after=exor)
+            lanes.extend([exor, joint])
+        results = simulate_exor_ensemble(lanes)
+        exor_total = sum(r.throughput_mbps for r in results[0::2])
+        joint_total = sum(r.throughput_mbps for r in results[1::2])
         assert joint_total >= 0.93 * exor_total
 
     def test_cp_increase_for_forwarders(self):
