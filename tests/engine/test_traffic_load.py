@@ -152,6 +152,16 @@ class TestEmptyEnsembleGuards:
         assert run_seed_chunks(_must_not_run, 0, 7, 1) == []
         assert run_seed_chunks(_must_not_run, 0, 7, 3, chunk_size=2) == []
 
+    def test_run_seed_chunks_zero_trials_leaves_seed_sequence_untouched(self):
+        from repro.engine import run_seed_chunks
+
+        shared = np.random.SeedSequence(7)
+        assert run_seed_chunks(_must_not_run, 0, shared, 1) == []
+        # A later spawn must hand out the same children as a fresh sequence:
+        # the zero-trial call reserved no spawn keys.
+        fresh = np.random.SeedSequence(7)
+        assert [c.spawn_key for c in shared.spawn(2)] == [c.spawn_key for c in fresh.spawn(2)]
+
 
 #: Near-zero backoff keeps any supervised retry cheap in tests.
 _FAST = RetryPolicy(backoff_base_s=0.01, backoff_jitter=0.1)

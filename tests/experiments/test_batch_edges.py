@@ -64,6 +64,43 @@ def test_run_seed_chunks_negative_trials_rejected():
         run_seed_chunks(_square_chunk, -1, 0, 1, 100)
 
 
+def _indexed_chunk(children):
+    """Module-level chunk body: each trial's spawn index and one draw."""
+    return [
+        (child.spawn_key[-1], float(np.random.default_rng(child).random())) for child in children
+    ]
+
+
+class TestRunSeedChunksTrialOrder:
+    """Results come back in trial order and equal a per-trial run in any order."""
+
+    def test_results_in_trial_order(self):
+        from repro.engine import run_seed_chunks
+
+        for jobs, chunk_size in ((1, None), (1, 2), (2, None), (3, 4)):
+            results = run_seed_chunks(_indexed_chunk, 6, 11, jobs, chunk_size=chunk_size)
+            assert [i for i, _ in results] == list(range(6)), (jobs, chunk_size)
+
+    def test_order_independent_under_same_seed(self):
+        """Running each trial alone, in reverse order, reproduces the ensemble."""
+        from repro.engine import run_seed_chunks
+
+        forward = run_seed_chunks(_indexed_chunk, 8, 42, 1, chunk_size=3)
+        children = np.random.SeedSequence(42).spawn(8)
+        shuffled = [_indexed_chunk([children[i]])[0] for i in reversed(range(8))]
+        assert sorted(shuffled) == forward
+
+    def test_process_pool_identical_to_sequential_across_seed_blocks(self):
+        """Default shards spanning several seed blocks: the pool changes nothing."""
+        from repro.engine import run_seed_chunks, scheduler
+
+        n_trials = 2 * scheduler.SEED_BLOCK + 3
+        sequential = run_seed_chunks(_indexed_chunk, n_trials, 3, 1)
+        parallel = run_seed_chunks(_indexed_chunk, n_trials, 3, 2)
+        assert sequential == parallel
+        assert [i for i, _ in sequential] == list(range(n_trials))
+
+
 def test_run_seed_chunks_matches_unchunked():
     from repro.engine import run_seed_chunks
 
