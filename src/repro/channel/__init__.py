@@ -8,7 +8,7 @@ from repro.channel.awgn import (
     measure_snr_db,
     noise_power_for_snr,
 )
-from repro.channel.composite import Link, Transmission, combine_at_receiver, link_for_snr
+from repro.channel.composite import Link, Transmission, link_for_snr
 from repro.channel.dynamics import (
     GilbertElliott,
     LinkDynamics,
@@ -25,10 +25,9 @@ from repro.channel.multipath import (
     MultipathChannel,
     MultipathProfile,
 )
-from repro.channel.oscillator import Oscillator, apply_cfo, cfo_from_ppm, relative_cfo_hz
+from repro.channel.oscillator import Oscillator, cfo_from_ppm, relative_cfo_hz
 from repro.channel.propagation import (
     PathLossModel,
-    fractional_delay,
     propagation_delay_s,
     propagation_delay_samples,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "linear_to_db",
     "Link",
     "Transmission",
-    "combine_at_receiver",
     "link_for_snr",
     "GilbertElliott",
     "LinkDynamics",
@@ -57,11 +55,9 @@ __all__ = [
     "DEFAULT_PROFILE",
     "WIGLAN_PROFILE",
     "Oscillator",
-    "apply_cfo",
     "cfo_from_ppm",
     "relative_cfo_hz",
     "PathLossModel",
     "propagation_delay_s",
     "propagation_delay_samples",
-    "fractional_delay",
 ]

@@ -3,11 +3,14 @@
 This module is the glue between individual channel impairments and the
 SourceSync experiments: a :class:`Link` bundles everything that happens to a
 signal between one sender and one receiver (path-loss gain, multipath,
-carrier-frequency offset, propagation delay), and :func:`combine_at_receiver`
-sums the contributions of several concurrent senders at a receiver — the
-"composite channel" of §5 of the paper — and adds thermal noise.
+carrier-frequency offset, propagation delay).  :func:`propagate_rows` is the
+one propagation kernel: it applies link ``i`` to waveform ``i`` for a stack
+of waveforms.  The composite channel of §5 of the paper is
+:func:`combine_ensemble_at_receiver`: for each trial of an ensemble it sums
+the contributions of several concurrent senders at a receiver and adds
+thermal noise.
 
-For Monte-Carlo ensembles, :func:`link_ensemble_for_snr` draws all link
+For Monte-Carlo link ensembles, :func:`link_ensemble_for_snr` draws all link
 realisations of a batch with one generator call and
 :func:`propagate_ensemble` carries a whole ``(n_packets, n_samples)``
 ensemble through per-packet links with one batched noise draw.
@@ -27,15 +30,12 @@ from repro.channel.multipath import (
     MultipathProfile,
     rayleigh_taps_batch,
 )
-from repro.channel.oscillator import apply_cfo
-from repro.channel.propagation import fractional_delay
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
 from repro.rng import require_rng
 
 __all__ = [
     "Link",
     "Transmission",
-    "combine_at_receiver",
     "combine_ensemble_at_receiver",
     "link_for_snr",
     "link_ensemble_for_snr",
@@ -79,46 +79,6 @@ class Link:
         """Average SNR this link delivers over the given noise power."""
         return float(10.0 * np.log10(max(self.received_power() / max(noise_power, 1e-30), 1e-30)))
 
-    def propagate(self, samples: np.ndarray, start_sample: float = 0.0) -> tuple[np.ndarray, float]:
-        """Apply the link to a transmitted waveform.
-
-        Parameters
-        ----------
-        samples:
-            Transmitted baseband samples.
-        start_sample:
-            Simulation time (in samples) at which the sender begins
-            transmitting; may be fractional (the symbol-level synchronizer
-            schedules co-sender transmissions at sub-sample resolution).
-
-        Returns
-        -------
-        (waveform, start)
-            ``waveform`` is the contribution of this sender as observed at
-            the receiver's antenna, starting at integer sample ``start`` of
-            the simulation timeline (the fractional part of delay + start is
-            realised inside the waveform via a frequency-domain delay).
-        """
-        samples = np.asarray(samples, dtype=np.complex128)
-        total_delay = float(start_sample) + float(self.delay_samples)
-        integer_delay = int(np.floor(total_delay))
-        fractional = total_delay - integer_delay
-
-        shaped = self.channel.apply(samples * self.gain)
-        if fractional > 1e-9:
-            shaped = fractional_delay(shaped, fractional)
-        # CFO rotation referenced to the receiver's absolute timeline so that
-        # concurrent senders rotate relative to each other exactly as their
-        # oscillators dictate.
-        rotated = apply_cfo(
-            shaped,
-            self.cfo_hz,
-            self.sample_rate_hz,
-            initial_phase=self.initial_phase,
-            start_sample=integer_delay,
-        )
-        return rotated, float(integer_delay)
-
 
 @dataclass
 class Transmission:
@@ -129,48 +89,6 @@ class Transmission:
     start_sample: float = 0.0
 
 
-def combine_at_receiver(
-    transmissions: list[Transmission],
-    noise_power: float = 0.0,
-    rng: np.random.Generator | None = None,
-    total_length: int | None = None,
-    leading_silence: int = 0,
-) -> np.ndarray:
-    """Superimpose concurrent transmissions at a receiver and add noise.
-
-    This realises the composite channel of §5: each sender's waveform is
-    independently delayed, faded and rotated by its own link, then all
-    contributions are summed sample-by-sample on the receiver's timeline.
-
-    Parameters
-    ----------
-    transmissions:
-        The concurrent (or sequential) transmissions to combine.
-    noise_power:
-        Complex noise power per sample added on top.
-    total_length:
-        Length of the returned waveform; defaults to just covering the last
-        contribution.
-    leading_silence:
-        Extra noise-only samples prepended before time zero of the timeline.
-    """
-    contributions: list[tuple[int, np.ndarray]] = []
-    end = 0
-    for tx in transmissions:
-        waveform, start = tx.link.propagate(tx.samples, tx.start_sample)
-        start_idx = int(start) + leading_silence
-        contributions.append((start_idx, waveform))
-        end = max(end, start_idx + waveform.size)
-    length = total_length if total_length is not None else end
-    length = max(length, end)
-    received = np.zeros(length, dtype=np.complex128)
-    for start_idx, waveform in contributions:
-        received[start_idx : start_idx + waveform.size] += waveform
-    if noise_power > 0:
-        received += awgn(length, noise_power, require_rng(rng, "combine_at_receiver"))
-    return received
-
-
 def propagate_rows(
     links: list[Link],
     samples: np.ndarray,
@@ -178,16 +96,19 @@ def propagate_rows(
 ) -> list[tuple[np.ndarray, float]]:
     """Apply link ``i`` to row ``i`` with the per-row stages batched.
 
-    The batched counterpart of calling :meth:`Link.propagate` once per row:
-    the channel convolutions run per row (a single C call each), while the
-    fractional-delay FFT pair — the expensive stage — is batched across all
-    rows that the scalar path would transform at the same FFT size, and the
-    CFO rotation is one stacked complex exponential.  Grouping by the
-    scalar path's own FFT size keeps each row bit-identical to
-    :meth:`Link.propagate`.
+    Each row is scaled by its link's gain and convolved with its channel
+    taps (a single C call per row); the integer part of start + delay
+    becomes the row's integer start, and the fractional part is realised
+    inside the waveform by a frequency-domain delay.  That FFT pair, the
+    expensive stage, is batched across all rows that transform at the same
+    power-of-two FFT size.  Finally each row is rotated by its link's CFO,
+    referenced to the receiver's absolute timeline, through one stacked
+    complex exponential.  Each row is bit-identical to the scalar
+    two-stage form kept as the test oracle (``propagate`` in
+    ``tests/core/reference_blocks.py``).
 
-    ``samples`` is ``(n_rows, n_samples)`` (equal-length rows); returns the
-    scalar method's ``(waveform, integer_start)`` pair per row.
+    ``samples`` is ``(n_rows, n_samples)`` (equal-length rows); returns one
+    ``(waveform, integer_start)`` pair per row.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim != 2 or samples.shape[0] != len(links):
@@ -248,19 +169,20 @@ def combine_ensemble_at_receiver(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite-channel superposition for an ensemble of independent trials.
 
-    The multi-sender counterpart of :func:`propagate_ensemble`: each trial
-    is one ``(transmissions, total_length)`` pair — the concurrent senders
-    of one joint frame — and every trial's contributions are superimposed
-    on its own receiver timeline exactly as :func:`combine_at_receiver`
-    would.  Per-trial noise is drawn from that trial's own generator, in
-    trial order and at the trial's own (unpadded) length, so an ensemble of
-    N trials consumes each generator's stream identically to N sequential
-    :func:`combine_at_receiver` calls.
+    Each trial is one ``(transmissions, total_length)`` pair, the
+    concurrent senders of one joint frame.  Every trial's contributions
+    are superimposed on its own receiver timeline, which starts with
+    ``leading_silence`` noise-only samples and is ``total_length`` long
+    (default: just covering the last contribution; grown to cover it).
+    Per-trial noise is drawn from that trial's own generator, in trial
+    order and at the trial's own (unpadded) length, so an ensemble of N
+    trials consumes each generator's stream exactly as N trials of one.
+    Each trial is bit-identical to the scalar one-trial combine kept as
+    the test oracle in ``tests/core/reference_blocks.py``.
 
     Returns ``(rows, lengths)``: a zero-padded ``(n_trials, max_len)``
     array of received waveforms plus each trial's true length.  The padding
-    carries no energy and no noise, mirroring what a sequential caller
-    would see for each trial.
+    carries no energy and no noise.
     """
     n_trials = len(trials)
     if not isinstance(rngs, list):
@@ -380,35 +302,29 @@ def propagate_ensemble(
 ) -> np.ndarray:
     """Send packet ``i`` of an ensemble through link ``i`` and add noise.
 
-    The Monte-Carlo counterpart of :func:`combine_at_receiver`: instead of
-    superimposing many senders at one receiver, each row of ``samples`` is
-    an independent packet observed through its own link realisation (the
-    typical link-level BER/PER ensemble).  Per-link propagation loops over
-    rows (each is a handful of C-speed vector ops and stays bit-identical
-    to :meth:`Link.propagate`), while the noise for the whole ensemble is
-    one batched draw in per-packet order (:func:`awgn_ensemble`).
+    The link-level counterpart of :func:`combine_ensemble_at_receiver`:
+    instead of superimposing many senders at one receiver, each row of
+    ``samples`` is an independent packet observed through its own link
+    realisation (the typical link-level BER/PER ensemble).  The rows
+    propagate through :func:`propagate_rows`, and the noise for the whole
+    ensemble is one batched draw in per-packet order (:func:`awgn_ensemble`).
 
     Returns a ``(n_packets, length)`` array of received waveforms, where
     ``length`` is ``total_length`` grown, if necessary, to cover the last
-    contribution — the same clamping convention as
-    :func:`combine_at_receiver`.
+    contribution.
     """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.ndim != 2 or samples.shape[0] != len(links):
-        raise ValueError("samples must have shape (n_links, n_samples)")
     waveforms: list[tuple[int, np.ndarray]] = []
     end = 0
-    for link, row in zip(links, samples):
-        waveform, start = link.propagate(row)
+    for waveform, start in propagate_rows(links, samples):
         start_idx = int(start) + leading_silence
         waveforms.append((start_idx, waveform))
         end = max(end, start_idx + waveform.size)
     length = max(total_length if total_length is not None else end, end)
-    received = np.zeros((samples.shape[0], length), dtype=np.complex128)
+    received = np.zeros((len(links), length), dtype=np.complex128)
     for i, (start_idx, waveform) in enumerate(waveforms):
         received[i, start_idx : start_idx + waveform.size] = waveform
     if noise_power > 0:
         received += awgn_ensemble(
-            samples.shape[0], length, noise_power, require_rng(rng, "propagate_ensemble")
+            len(links), length, noise_power, require_rng(rng, "propagate_ensemble")
         )
     return received

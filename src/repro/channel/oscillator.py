@@ -5,7 +5,8 @@ crystals of different nodes never run at exactly the same frequency (§5 of
 the paper, citing Meyr et al.).  The offset between a sender and a receiver
 makes the per-sender channel rotate during a packet — the effect the Joint
 Channel Estimator must track, and the reason the Smart Combiner is needed at
-all.  This module models those impairments.
+all.  This module models those oscillators; the rotation an offset causes
+is applied per link by :func:`repro.channel.composite.propagate_rows`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from repro.rng import require_rng
 
-__all__ = ["Oscillator", "apply_cfo", "cfo_from_ppm", "relative_cfo_hz"]
+__all__ = ["Oscillator", "cfo_from_ppm", "relative_cfo_hz"]
 
 
 def cfo_from_ppm(ppm: float, carrier_hz: float = 5.24e9) -> float:
@@ -71,32 +72,3 @@ def relative_cfo_hz(sender: Oscillator, receiver: Oscillator) -> float:
     """CFO experienced by ``receiver`` for a transmission from ``sender``."""
     return sender.cfo_to(receiver)
 
-
-def apply_cfo(
-    samples: np.ndarray,
-    cfo_hz: float,
-    sample_rate_hz: float,
-    initial_phase: float = 0.0,
-    start_sample: int = 0,
-) -> np.ndarray:
-    """Rotate a sample stream by a carrier frequency offset.
-
-    Parameters
-    ----------
-    samples:
-        Baseband samples as seen by the receiver.
-    cfo_hz:
-        Frequency offset (sender relative to receiver) in Hz.
-    sample_rate_hz:
-        Baseband sample rate.
-    initial_phase:
-        Carrier phase at sample index ``start_sample``.
-    start_sample:
-        Absolute index of the first sample, so that concatenated segments
-        rotate continuously.
-    """
-    samples = np.asarray(samples, dtype=np.complex128)
-    n = np.arange(start_sample, start_sample + samples.size)
-    phase = 2.0 * np.pi * cfo_hz * n / sample_rate_hz + initial_phase
-    rotation = np.exp(1j * phase)
-    return np.multiply(samples, rotation, out=rotation)

@@ -17,7 +17,7 @@ import numpy as np
 from repro.phy.params import SPEED_OF_LIGHT
 from repro.rng import require_rng
 
-__all__ = ["PathLossModel", "propagation_delay_s", "propagation_delay_samples", "fractional_delay"]
+__all__ = ["PathLossModel", "propagation_delay_s", "propagation_delay_samples"]
 
 
 @dataclass(frozen=True)
@@ -92,23 +92,3 @@ def propagation_delay_samples(distance_m: float, sample_rate_hz: float) -> float
     """Time of flight expressed in (fractional) baseband samples."""
     return propagation_delay_s(distance_m) * sample_rate_hz
 
-
-def fractional_delay(samples: np.ndarray, delay_samples: float, pad: int = 0) -> np.ndarray:
-    """Delay a sample stream by a possibly fractional number of samples.
-
-    Implemented in the frequency domain so sub-sample delays — the quantity
-    the symbol-level synchronizer must resolve to tens of nanoseconds — are
-    represented exactly.  The output is ``pad`` samples longer than the
-    input plus the integer part of the delay, with leading (near-)zeros.
-    """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if delay_samples < 0:
-        raise ValueError("delay must be non-negative; advance the other signals instead")
-    total = samples.size + int(np.ceil(delay_samples)) + pad
-    n_fft = int(2 ** np.ceil(np.log2(max(total, 2))))
-    spectrum = np.fft.fft(samples, n_fft)
-    freqs = np.fft.fftfreq(n_fft)
-    ramp = np.exp(-2j * np.pi * freqs * delay_samples)
-    shifted = np.multiply(spectrum, ramp, out=ramp)
-    out = np.fft.ifft(shifted)[:total]
-    return out

@@ -1,6 +1,6 @@
 """Joint Channel Estimator (JCE): per-sender channels, CFO, phase tracking (§5)."""
 
-from repro.core.channel_est.cfo import CfoEstimate, measure_cfo, precorrect_cfo
+from repro.core.channel_est.cfo import precorrect_cfo
 from repro.core.channel_est.joint_estimator import (
     JointChannelEstimate,
     composite_channel,
@@ -15,8 +15,6 @@ from repro.core.channel_est.phase_tracking import (
 )
 
 __all__ = [
-    "CfoEstimate",
-    "measure_cfo",
     "precorrect_cfo",
     "JointChannelEstimate",
     "composite_channel",

@@ -256,9 +256,10 @@ def _probe_legs_lockstep(jobs: list[_LegJob]) -> list[ProbeLegResult]:
 def _cfo_probes_lockstep(jobs: list[_LegJob]) -> list[float | None]:
     """One lockstep wave of CFO probes (no front-end draw, no slope estimate).
 
-    Returns one CFO estimate per job, or ``None`` where the probe was not
-    detected / the estimation window did not fit — the cases the sequential
-    :func:`repro.core.channel_est.cfo.measure_cfo` loop skips.
+    Returns one CFO estimate per job from the short-training-field
+    autocorrelation, or ``None`` where the probe was not detected or the
+    estimation window did not fit; the caller averages the estimates that
+    are left.
     """
     if not jobs:
         return []
@@ -407,7 +408,7 @@ def measure_delays_batch(
                 [float(np.mean(estimates)) if estimates else None for estimates in estimates_per_session]
             )
 
-        # CFO probes: n_probes=4 waves (the measure_cfo default), averaged.
+        # CFO probes: four waves, averaged over the detected ones (§5).
         cfo_estimates: list[list[float]] = [[] for _ in sessions]
         for _ in range(4):
             jobs = [

@@ -21,23 +21,25 @@ returning a :class:`~repro.core.receiver.JointReceiveResult`) and cheap
 the quantity of Fig. 12 — without building the data section.  It holds
 the per-session state; the exchanges themselves are orchestrated by
 :mod:`repro.core.ensemble`, which the per-frame methods call with a stack
-of one session.
+of one session.  The single-sender reference frame is a joint frame on the
+topology's lead-only copy (:meth:`JointTopology.lead_only`), so it runs
+through the same orchestrator, channel and receiver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.channel.composite import Link, Transmission, combine_at_receiver, link_for_snr
+from repro.channel.composite import Link, link_for_snr
 from repro.channel.multipath import DEFAULT_PROFILE, MultipathProfile
 from repro.channel.oscillator import Oscillator
 from repro.channel.propagation import propagation_delay_samples
 from repro.core.channel_est.joint_estimator import JointChannelEstimate
 from repro.core.config import SourceSyncConfig
 from repro.core.combining.stbc import SmartCombiner
-from repro.core.frame import JointFrameLayout, make_joint_frame_config
+from repro.core.frame import JointFrameLayout
 from repro.core.receiver import JointReceiveResult, JointReceiver
 from repro.core.sender import LeadSender
 from repro.core.sync.tracking import MisalignmentReport, WaitTimeTracker
@@ -111,6 +113,17 @@ class JointTopology:
     def n_cosenders(self) -> int:
         """Number of co-senders in the topology."""
         return len(self.cosenders)
+
+    def lead_only(self) -> "JointTopology":
+        """This topology with every co-sender removed: the lead sender alone."""
+        return replace(
+            self,
+            cosenders=[],
+            links_cosender_rx=[],
+            links_lead_cosender=[],
+            links_cosender_lead=[],
+            links_rx_cosender=[],
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -396,53 +409,22 @@ class SourceSyncSession:
         self,
         payload: bytes,
         rate_mbps: float = 6.0,
-        sender: str = "lead",
         genie_timing: bool = False,
     ) -> JointFrameOutcome:
-        """Transmit the same payload from a single sender (no co-senders).
+        """Transmit the same payload from the lead sender alone (no co-senders).
 
-        A reference for comparing a joint frame against one sender alone;
-        ``examples/quickstart.py`` and the session tests call it, and no
-        experiment does.
+        A reference for comparing a joint frame against one sender alone
+        (§6, §8.2).  The session runs its probe phase first if it has not
+        yet.  The frame is then one joint frame on the lead-only topology
+        (:meth:`JointTopology.lead_only`), drawn from this session's
+        generator: with no co-senders, its probe phase and schedule draw
+        nothing, so the frame draws only its packet id and the receiver's
+        noise.
         """
-        from repro.core.ensemble import _ensure_measured, _padded_symbol_count
+        from repro.core.ensemble import JointFrameJob, _ensure_measured, run_joint_frames_batch
 
         _ensure_measured([self])
-        topo = self.topology
-        frame_config = make_joint_frame_config(len(payload), rate_mbps, topo.params, None)
-        layout = JointFrameLayout(
-            params=topo.params,
-            n_cosenders=0,
-            n_data_symbols=_padded_symbol_count(self, frame_config),
-            sifs_us=self.config.sifs_us,
-        )
-        header = self.lead.make_header(
-            packet_id=int(self.rng.integers(0, 1 << 16)),
-            rate_mbps=rate_mbps,
-            data_cp_samples=layout.effective_data_cp,
-            n_cosenders=0,
-        )
-        if sender == "lead":
-            link = topo.link_lead_rx
-        else:
-            index = int(sender) if not isinstance(sender, int) else sender
-            link = topo.links_cosender_rx[index]
-        waveform = self.lead.build_waveform(
-            payload, self.lead.header_waveform(header, layout), layout, frame_config
-        )
-        leading_silence = 60
-        received = combine_at_receiver(
-            [Transmission(link=link, samples=waveform, start_sample=0.0)],
-            noise_power=topo.noise_power,
-            rng=self.rng,
-            leading_silence=leading_silence,
-        )
-        start_index = leading_silence + int(round(link.delay_samples)) if genie_timing else None
-        result = self.receiver.receive(received, layout, frame_config, start_index=start_index)
-        return JointFrameOutcome(
-            result=result,
-            true_misalignment_samples=(),
-            schedules_feasible=(),
-            layout=layout,
-            frame_config=frame_config,
-        )
+        alone = SourceSyncSession(self.topology.lead_only(), self.config, rng=self.rng)
+        job = JointFrameJob(payload, rate_mbps=rate_mbps, genie_timing=genie_timing)
+        ((outcome,),) = run_joint_frames_batch([alone], [[job]])
+        return outcome

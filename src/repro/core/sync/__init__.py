@@ -21,12 +21,7 @@ from repro.core.sync.multi_receiver import (
     optimize_wait_times,
     required_cp_increase,
 )
-from repro.core.sync.probe import (
-    ProbeLegResult,
-    PropagationDelayEstimate,
-    measure_propagation_delay,
-    probe_leg,
-)
+from repro.core.sync.probe import ProbeLegResult
 from repro.core.sync.tracking import MisalignmentReport, WaitTimeTracker, measure_misalignment
 
 __all__ = [
@@ -46,9 +41,6 @@ __all__ = [
     "misalignment_matrix",
     "required_cp_increase",
     "ProbeLegResult",
-    "PropagationDelayEstimate",
-    "measure_propagation_delay",
-    "probe_leg",
     "MisalignmentReport",
     "WaitTimeTracker",
     "measure_misalignment",

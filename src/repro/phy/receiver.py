@@ -62,7 +62,7 @@ from repro.phy.preamble import (
 )
 from repro.phy.transmitter import FrameConfig
 
-__all__ = ["ReceiveResult", "Receiver", "apply_cfo_correction"]
+__all__ = ["ReceiveResult", "Receiver"]
 
 _CODE = get_code()
 
@@ -89,14 +89,6 @@ class ReceiveResult:
     def success(self) -> bool:
         """True when the frame was detected and passed its CRC."""
         return self.detected and self.crc_ok
-
-
-def apply_cfo_correction(samples: np.ndarray, cfo_hz: float, sample_period_s: float) -> np.ndarray:
-    """Remove a carrier frequency offset from a sample stream."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    n = np.arange(samples.size)
-    ramp = np.exp(-2j * np.pi * cfo_hz * n * sample_period_s)
-    return np.multiply(samples, ramp, out=ramp)
 
 
 class Receiver:

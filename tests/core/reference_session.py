@@ -6,19 +6,18 @@ module keeps the straightforward per-frame form of each exchange as an
 independent oracle for it.  Every function takes the session as its first
 argument, reads and updates the same session state (``_states``,
 ``_delays_measured``) and draws from the session's generator in the same
-order, but runs one frame at a time through the scalar building blocks
-the library keeps for this purpose: :func:`measure_propagation_delay` and
-:func:`probe_leg` (which call :meth:`Link.propagate`), :func:`measure_cfo`
-and :func:`combine_at_receiver`.  The receiver is the session's own
-(``measure_header`` and ``receive``).
+order, but runs one frame at a time through the scalar building blocks of
+``reference_blocks.py``, which live beside it in ``tests/core/``:
+:func:`measure_propagation_delay` and :func:`probe_leg` (which call
+:func:`propagate`), :func:`measure_cfo` and :func:`combine_at_receiver`.
+The receiver is the session's own (``measure_header`` and ``receive``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.channel.composite import Transmission, combine_at_receiver
-from repro.core.channel_est.cfo import measure_cfo
+from repro.channel.composite import Transmission
 from repro.core.frame import JointFrameLayout, make_joint_frame_config
 from repro.core.sender import CoSender
 from repro.core.session import (
@@ -28,8 +27,13 @@ from repro.core.session import (
     SyncTrialResult,
 )
 from repro.core.sync.compensation import DelayBudget, compute_wait_time
-from repro.core.sync.probe import measure_propagation_delay, probe_leg
 from repro.core.sync.tracking import WaitTimeTracker
+from tests.core.reference_blocks import (
+    combine_at_receiver,
+    measure_cfo,
+    measure_propagation_delay,
+    probe_leg,
+)
 
 LEADING_SILENCE = 60
 
@@ -305,6 +309,50 @@ def run_joint_frame(
         result=result,
         true_misalignment_samples=true_misalignments(session, layout, starts),
         schedules_feasible=tuple(feasible),
+        layout=layout,
+        frame_config=frame_config,
+    )
+
+
+def run_single_sender_frame(
+    session: SourceSyncSession,
+    payload: bytes,
+    rate_mbps: float = 6.0,
+    genie_timing: bool = False,
+) -> JointFrameOutcome:
+    """The same payload from the lead sender alone, combined and received on its own."""
+    _ensure_measured(session)
+    topo = session.topology
+    frame_config = make_joint_frame_config(len(payload), rate_mbps, topo.params, None)
+    block = session.combiner.block_symbols
+    layout = JointFrameLayout(
+        params=topo.params,
+        n_cosenders=0,
+        n_data_symbols=int(np.ceil(frame_config.n_data_symbols / block) * block),
+        sifs_us=session.config.sifs_us,
+    )
+    header = session.lead.make_header(
+        packet_id=int(session.rng.integers(0, 1 << 16)),
+        rate_mbps=rate_mbps,
+        data_cp_samples=layout.effective_data_cp,
+        n_cosenders=0,
+    )
+    link = topo.link_lead_rx
+    waveform = session.lead.build_waveform(
+        payload, session.lead.header_waveform(header, layout), layout, frame_config
+    )
+    received = combine_at_receiver(
+        [Transmission(link=link, samples=waveform, start_sample=0.0)],
+        noise_power=topo.noise_power,
+        rng=session.rng,
+        leading_silence=LEADING_SILENCE,
+    )
+    start_index = LEADING_SILENCE + int(round(link.delay_samples)) if genie_timing else None
+    result = session.receiver.receive(received, layout, frame_config, start_index=start_index)
+    return JointFrameOutcome(
+        result=result,
+        true_misalignment_samples=(),
+        schedules_feasible=(),
         layout=layout,
         frame_config=frame_config,
     )

@@ -9,7 +9,6 @@ from repro.core.channel_est import (
     PerSenderPhaseTracker,
     composite_channel,
     estimate_sender_channel,
-    measure_cfo,
     pilot_owner,
     pilot_scale_pattern,
     precorrect_cfo,
@@ -19,6 +18,7 @@ from repro.phy.equalizer import ChannelEstimate
 from repro.phy.ofdm import assemble_symbol
 from repro.phy.params import DEFAULT_PARAMS as P
 from repro.phy.preamble import long_training_field, long_training_sequence_freq
+from tests.core.reference_blocks import measure_cfo
 
 
 class TestCfo:

@@ -55,7 +55,7 @@ from repro.phy.detection import detect_packet_autocorrelation, estimate_coarse_c
 from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf, estimate_noise_from_ltf
 from repro.phy.modulation import get_modulation
 from repro.phy.params import DEFAULT_PARAMS
-from repro.phy.receiver import apply_cfo_correction
+from tests.core.reference_blocks import apply_cfo_correction
 
 
 def reference_receive_many(receiver, jobs, correct_cfo=True):

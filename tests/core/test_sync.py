@@ -9,10 +9,8 @@ from repro.core.sync import (
     WaitTimeTracker,
     compute_wait_time,
     measure_misalignment,
-    measure_propagation_delay,
     misalignment_matrix,
     optimize_wait_times,
-    probe_leg,
     required_cp_increase,
     sifs_samples,
 )
@@ -20,6 +18,7 @@ from repro.hardware.frontend import RadioFrontend
 from repro.phy.equalizer import ChannelEstimate
 from repro.phy.params import DEFAULT_PARAMS as P
 from repro.phy.preamble import long_training_sequence_freq
+from tests.core.reference_blocks import measure_propagation_delay, probe_leg
 
 
 class TestCompensation:

@@ -11,6 +11,7 @@ engine, so the grouping-invariance test holds an ensemble of N sessions
 to N ensembles of one.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,9 +21,8 @@ from repro.core import JointTopology, SourceSyncConfig, SourceSyncSession
 from repro.core import ensemble as ens
 from repro.core import sender
 from repro.core.ensemble import run_sync_trials_batch
-from repro.core.sync import probe as probe_module
 from repro.phy import bits as bitutils
-from tests.core import reference_session as ref
+from tests.core import reference_blocks, reference_session as ref
 
 
 def _make_sessions(seeds, snr_db=14.0, lead_cosender_snr_db=18.0, n_cosenders=1):
@@ -186,9 +186,9 @@ class TestJointBatchExchanges:
                 with monkeypatch.context() as patch:
                     if case == "missed_probe" and (s, r) == (forced, forced_exchange):
                         patch.setattr(
-                            probe_module,
+                            reference_blocks,
                             "detect_packet_autocorrelation",
-                            _forced_miss(probe_module.detect_packet_autocorrelation, ...),
+                            _forced_miss(reference_blocks.detect_packet_autocorrelation, ...),
                         )
                     outcomes.append(
                         ref.run_header_exchange(
@@ -323,6 +323,52 @@ class TestJointBatchFrames:
                         state_b.tracker.wait_time_samples, rel=1e-9, abs=1e-12
                     )
         assert _rng_states_match(seq, bat)
+
+
+def _assert_same_bytes(a, b, path="outcome"):
+    """``a`` and ``b`` agree byte for byte, through dataclasses and containers."""
+    assert type(a) is type(b), path
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same_bytes(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), path
+        assert a.tobytes() == b.tobytes(), path
+    elif isinstance(a, (float, np.floating)):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), path
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for k, (x, y) in enumerate(zip(a, b)):
+            _assert_same_bytes(x, y, f"{path}[{k}]")
+    else:
+        assert a == b, path
+
+
+class TestJointBatchSingleSender:
+    """``run_single_sender_frame`` (a joint frame on the lead-only topology)
+    against the per-frame reference, which builds, combines and receives the
+    lead's frame on its own: every result field, the layout, the frame
+    config and the generator state afterwards agree byte for byte, so the
+    lead-only path draws exactly what the reference draws."""
+
+    @pytest.mark.parametrize("measured", [False, True], ids=["unmeasured", "measured"])
+    @pytest.mark.parametrize("genie", [False, True], ids=["acquired", "genie"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_joint_batch_single_sender_frame_matches_reference(self, seed, genie, measured):
+        n_cosenders = 1 + seed % 2
+        rate_mbps = (6.0, 12.0, 24.0)[seed % 3]
+        seq = _make_sessions([seed], snr_db=16.0, lead_cosender_snr_db=20.0, n_cosenders=n_cosenders)[0]
+        bat = _make_sessions([seed], snr_db=16.0, lead_cosender_snr_db=20.0, n_cosenders=n_cosenders)[0]
+        if measured:
+            ref.measure_delays(seq)
+            bat.measure_delays()
+        payload = bitutils.random_payload(30, np.random.default_rng(seed))
+        a = ref.run_single_sender_frame(seq, payload, rate_mbps, genie_timing=genie)
+        b = bat.run_single_sender_frame(payload, rate_mbps, genie_timing=genie)
+        _assert_same_bytes(a, b)
+        assert b.layout.n_cosenders == 0
+        assert bat._delays_measured
+        assert seq.rng.bit_generator.state == bat.rng.bit_generator.state
 
 
 class TestJointBatchGroupingInvariance:

@@ -6,8 +6,9 @@ import pytest
 from repro.channel.awgn import add_noise_for_snr, awgn
 from repro.channel.multipath import MultipathChannel
 from repro.phy.rates import RATE_TABLE, best_rate_for_snr, rate_for_mbps
-from repro.phy.receiver import Receiver, apply_cfo_correction
+from repro.phy.receiver import Receiver
 from repro.phy.transmitter import FrameConfig, Transmitter, encode_payload_to_symbols
+from tests.core.reference_blocks import apply_cfo_correction
 
 
 @pytest.fixture(scope="module")
