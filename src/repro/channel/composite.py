@@ -118,33 +118,39 @@ def propagate_rows(
         np.asarray(start_samples, dtype=np.float64), (n_rows,)
     )
 
-    shaped: list[np.ndarray] = []
+    # Each row as shaped by its link, replaced by its delayed form and
+    # dropped once its rotated row is built.
+    delayed: list[np.ndarray | None] = []
     integer_delays = np.zeros(n_rows, dtype=np.int64)
     fractionals = np.zeros(n_rows, dtype=np.float64)
     for i, link in enumerate(links):
         total_delay = float(starts[i]) + float(link.delay_samples)
         integer_delays[i] = int(np.floor(total_delay))
         fractionals[i] = total_delay - integer_delays[i]
-        shaped.append(link.channel.apply(samples[i] * link.gain))
+        delayed.append(link.channel.apply(samples[i] * link.gain))
 
     # Fractional delays, grouped by the FFT size the scalar path would pick.
     groups: dict[tuple[int, int], list[int]] = {}
     for i in range(n_rows):
         if fractionals[i] <= 1e-9:
             continue
-        total = shaped[i].size + int(np.ceil(fractionals[i]))
+        total = delayed[i].size + int(np.ceil(fractionals[i]))
         n_fft = int(2 ** np.ceil(np.log2(max(total, 2))))
-        groups.setdefault((n_fft, shaped[i].size), []).append(i)
-    delayed: list[np.ndarray] = list(shaped)
-    for (n_fft, _size), rows in groups.items():
-        block = np.stack([shaped[i] for i in rows])
+        groups.setdefault((n_fft, delayed[i].size), []).append(i)
+    for (n_fft, size), rows in groups.items():
+        block = np.stack([delayed[i] for i in rows])
         spectrum = np.fft.fft(block, n_fft, axis=-1)
-        freqs = np.fft.fftfreq(n_fft)
-        shift = np.exp(-2j * np.pi * freqs[None, :] * fractionals[rows][:, None])
-        out = np.fft.ifft(spectrum * shift, axis=-1)
+        del block
+        # The delay ramp is built in one buffer, and the spectrum is delayed
+        # and inverted in place; spectrum stays the left operand.
+        arg = -2j * np.pi * np.fft.fftfreq(n_fft)
+        shift = np.multiply(arg[None, :], fractionals[rows][:, None])
+        np.exp(shift, out=shift)
+        np.multiply(spectrum, shift, out=spectrum)
+        del shift
+        np.fft.ifft(spectrum, axis=-1, out=spectrum)
         for row_pos, i in enumerate(rows):
-            total = shaped[i].size + int(np.ceil(fractionals[i]))
-            delayed[i] = out[row_pos, :total]
+            delayed[i] = spectrum[row_pos, : size + int(np.ceil(fractionals[i]))]
 
     # CFO rotation referenced to each row's absolute receiver timeline.
     lengths = np.array([wave.size for wave in delayed], dtype=np.int64)
@@ -155,10 +161,11 @@ def propagate_rows(
     n = integer_delays[:, None] + np.arange(max_len)[None, :]
     phase = 2.0 * np.pi * cfo[:, None] * n / rate[:, None] + phase0[:, None]
     rotation = np.exp(1j * phase)
-    return [
-        (delayed[i] * rotation[i, : lengths[i]], float(integer_delays[i]))
-        for i in range(n_rows)
-    ]
+    rotated = []
+    for i in range(n_rows):
+        rotated.append((delayed[i] * rotation[i, : lengths[i]], float(integer_delays[i])))
+        delayed[i] = None
+    return rotated
 
 
 def combine_ensemble_at_receiver(

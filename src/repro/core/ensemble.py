@@ -47,9 +47,10 @@ Entry points
 * :func:`run_sync_trials_batch` — one schedule-only synchronization trial
   per session;
 * :func:`run_joint_frames_batch` — full joint frames; each wave's receive
-  front end (acquisition through depunctured LLRs) runs as the wave lands,
-  and the Viterbi decodes the LLR rows of each coded length one chunk at a
-  time as the waves fill it (the Fig. 13 core).
+  front end (acquisition through depunctured LLRs) and each frame's EVM
+  run as the wave lands, and the Viterbi decodes the LLR rows of each
+  coded length one chunk at a time as the waves fill it (the Fig. 13
+  core).
 
 Usage
 -----
@@ -79,6 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.metrics import evm_to_snr_db
 from repro.channel.awgn import awgn
 from repro.channel.composite import (
     Link,
@@ -107,7 +109,7 @@ from repro.phy.detection import (
 from repro.phy.equalizer import estimate_channel_ltf
 from repro.phy.params import OFDMParams
 from repro.phy.preamble import preamble
-from repro.phy.transmitter import FrameConfig
+from repro.phy.transmitter import FrameConfig, encode_payload_to_symbols
 
 __all__ = [
     "measure_delays_batch",
@@ -809,10 +811,11 @@ class _JointFrameContext:
     Every wave adds its combined rows to ``decoder`` as soon as they land:
     the front end (acquisition, CFO, channel estimation, data FFTs,
     tracking, combining, demapping) runs at once, so the received samples
-    die with their wave, and the Viterbi decodes each chunk of LLR rows as
-    the waves fill it.  Only the remainder, the CRC checks and result
-    assembly wait for ``decoder.finish``; the receiver performs no draws,
-    so no stage can perturb any lane's stream.
+    die with their wave, and each frame's equalized symbols are folded into
+    its EVM at once, so they die with their wave too.  The Viterbi decodes
+    each chunk of LLR rows as the waves fill it.  Only the remainder, the
+    CRC checks and result assembly wait for ``decoder.finish``; the
+    receiver performs no draws, so no stage can perturb any lane's stream.
     """
 
     def __init__(self, decoder: JointFrameDecoder) -> None:
@@ -823,6 +826,35 @@ class _JointFrameContext:
         # CP's frames in consecutive waves, so a section lives as long as
         # its CP's waves and is still built only once.
         self.data_sections: dict[JointFrameLayout, dict] = {}
+        # Transmitted constellation blocks the latest wave's EVMs used, per
+        # payload and bit chain (rate, scrambler seed, symbol count): a CP
+        # sweep encodes each payload's reference once, not once per CP.
+        self.references: dict[tuple, np.ndarray] = {}
+
+    def evm_snr_db(
+        self,
+        symbols: np.ndarray | None,
+        payload: bytes,
+        frame_config: FrameConfig,
+        previous: dict[tuple, np.ndarray],
+    ) -> float:
+        """EVM-implied SNR of one frame's equalized ``symbols``; NaN without them.
+
+        The reference block comes from ``previous`` (the memo of the wave
+        before) or is encoded, and is kept in :attr:`references`.  The
+        EVM is evaluated per frame: a mean across frames would round
+        differently.
+        """
+        if symbols is None:
+            return float("nan")
+        key = (payload, frame_config.rate, frame_config.scrambler_seed, frame_config.n_data_symbols)
+        if key not in self.references:
+            self.references[key] = (
+                previous[key] if key in previous else encode_payload_to_symbols(payload, frame_config)
+            )
+        reference = self.references[key]
+        n = min(reference.shape[0], symbols.shape[0])
+        return evm_to_snr_db(symbols[:n], reference[:n])
 
 
 class _JointFrameLane(Lane):
@@ -937,7 +969,9 @@ class _JointFrameLane(Lane):
                 if job.genie_timing
                 else None
             )
-            wave_info.append((wrapper, layout, frame_config, starts, all_feasible[lane], start_index))
+            wave_info.append(
+                (wrapper, job, layout, frame_config, starts, all_feasible[lane], start_index)
+            )
         wave_rows, wave_lengths = combine_ensemble_at_receiver(
             wave_trials,
             [entry[0].session.topology.noise_power for entry in built],
@@ -945,17 +979,25 @@ class _JointFrameLane(Lane):
             leading_silence=leading_silence,
         )
         # Transmission is done: keep only the sections of this wave's layouts.
-        ctx.data_sections = {info[1]: ctx.data_sections[info[1]] for info in wave_info}
-        receive_jobs = []
-        for (wrapper, layout, frame_config, starts, feasible, start_index), row, length in zip(
-            wave_info, wave_rows, wave_lengths
+        ctx.data_sections = {info[2]: ctx.data_sections[info[2]] for info in wave_info}
+        receive_jobs = [
+            (row[:length], int(length), layout, frame_config, start_index)
+            for (_, _, layout, frame_config, _, _, start_index), row, length in zip(
+                wave_info, wave_rows, wave_lengths
+            )
+        ]
+        symbols = ctx.decoder.add(receive_jobs)
+        # Fold each frame's symbols into its EVM as the wave lands; the
+        # references memo keeps only what this wave used.
+        previous, ctx.references = ctx.references, {}
+        for (wrapper, job, layout, frame_config, starts, feasible, _), frame_symbols in zip(
+            wave_info, symbols
         ):
-            receive_jobs.append((row[:length], int(length), layout, frame_config, start_index))
+            evm_snr_db = ctx.evm_snr_db(frame_symbols, job.payload, frame_config, previous)
             ctx.lane_meta.append(
-                (wrapper.s, wrapper.wave_index, layout, frame_config, starts, feasible)
+                (wrapper.s, wrapper.wave_index, layout, frame_config, starts, feasible, evm_snr_db)
             )
             wrapper.wave_index += 1
-        ctx.decoder.add(receive_jobs)
 
 
 def run_joint_frames_batch(
@@ -972,13 +1014,16 @@ def run_joint_frames_batch(
     wave is added to one :class:`~repro.core.receiver.JointFrameDecoder`
     as soon as it is combined: its receive front end (acquisition through
     depunctured LLRs) runs as one stack, so received samples never outlive
-    their wave, and the Viterbi decodes each coded length's rows one chunk
-    at a time as the waves fill it, so at most a chunk and a wave of LLR
-    rows are pending.  The receive stages are grouping-invariant, so the
-    results equal one ``receive_many`` over every frame.  Each distinct
-    sender data section is built once and shared read-only by the frames
-    that repeat it in consecutive waves; a wave drops the sections of
-    layouts it no longer uses.
+    their wave.  Each frame's equalized symbols are folded into its
+    outcome's ``evm_snr_db`` as soon as the wave is added, against the
+    transmitted constellation (encoded once per payload and bit chain), so
+    they never outlive their wave either.  The Viterbi decodes each coded
+    length's rows one chunk at a time as the waves fill it, so at most a
+    chunk and a wave of LLR rows are pending.  The receive stages are
+    grouping-invariant, so the results equal one ``receive_many`` over
+    every frame.  Each distinct sender data section is built once and
+    shared read-only by the frames that repeat it in consecutive waves; a
+    wave drops the sections of layouts it no longer uses.
     """
     if len(jobs_per_session) != len(sessions):
         raise ValueError("need one job list per session")
@@ -999,7 +1044,7 @@ def run_joint_frames_batch(
     results: list[list[JointFrameOutcome | None]] = [
         [None] * len(jobs) for jobs in jobs_per_session
     ]
-    for (s, wave, layout, frame_config, starts, feasible), result in zip(
+    for (s, wave, layout, frame_config, starts, feasible, evm_snr_db), result in zip(
         ctx.lane_meta, received_results
     ):
         session = sessions[s]
@@ -1010,5 +1055,6 @@ def run_joint_frames_batch(
             schedules_feasible=tuple(feasible),
             layout=layout,
             frame_config=frame_config,
+            evm_snr_db=evm_snr_db,
         )
     return results  # type: ignore[return-value]

@@ -22,10 +22,11 @@ prologue and one header stage, and the per-frame
 :meth:`JointReceiver.measure_header` and :meth:`JointReceiver.receive` are
 stacks of one.  ``receive_many`` is the degenerate case of the streaming
 :class:`JointFrameDecoder`, which splits the receive path at the LLRs: a
-front end that runs on each added stack at once and keeps no received
-samples, and a Viterbi that decodes the queued LLR rows one chunk at a
-time as they fill it, so a lockstep caller never holds more than a chunk
-and a wave of them.
+front end that runs on each added stack at once, keeps no received
+samples and returns the stack's equalized symbols to the caller, and a
+Viterbi that decodes the queued LLR rows one chunk at a time as they
+fill it, so a lockstep caller never holds more than a chunk and a wave
+of them.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class JointReceiveResult:
     snr_db: float = float("nan")
     per_subcarrier_snr_db: np.ndarray | None = field(default=None, repr=False)
     cfo_hz: float = 0.0
-    equalized_symbols: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def success(self) -> bool:
@@ -86,9 +86,10 @@ class _FrontRecord:
 
     ``detected``, ``starts`` and ``cfo`` have one entry per job; ``fits``
     lists the jobs whose whole frame fits their row.  For those jobs,
-    ``estimates`` and ``reports`` follow ``fits`` order, ``symbols`` maps a
-    job to its equalized data symbols, and ``frame_bytes`` maps a job to
-    its decoded frame bytes once :class:`JointFrameDecoder` has decoded it.
+    ``estimates`` and ``reports`` follow ``fits`` order, and ``frame_bytes``
+    maps a job to its decoded frame bytes once :class:`JointFrameDecoder`
+    has decoded it.  The equalized data symbols are not kept: the front end
+    hands them to the caller of :meth:`JointFrameDecoder.add`.
     """
 
     detected: np.ndarray
@@ -97,7 +98,6 @@ class _FrontRecord:
     fits: np.ndarray
     estimates: list[JointChannelEstimate] = field(default_factory=list)
     reports: list[MisalignmentReport] = field(default_factory=list)
-    symbols: dict[int, np.ndarray] = field(default_factory=dict)
     frame_bytes: dict[int, bytes] = field(default_factory=dict)
 
 
@@ -513,7 +513,9 @@ class JointReceiver:
         :meth:`~repro.phy.coding.convolutional.ConvolutionalCode.chunk_rows`
         rows, and the CRC check and result assembly per job.  A lockstep
         caller adds each batch of frames to one decoder as it arrives;
-        :meth:`receive` is a stack of one.
+        :meth:`receive` is a stack of one.  A caller that needs the
+        equalized data symbols reads them from
+        :meth:`JointFrameDecoder.add`.
 
         Grouping invariance: every stage computes a job's floats with
         per-row operations only (named complex-product operands, reductions
@@ -528,14 +530,15 @@ class JointReceiver:
         self,
         jobs: list[tuple[np.ndarray, int, JointFrameLayout, FrameConfig, int | None]],
         correct_cfo: bool = True,
-    ) -> tuple[_FrontRecord, list[_LlrBlock]]:
+    ) -> tuple[_FrontRecord, list[_LlrBlock], list[np.ndarray | None]]:
         """Everything of :meth:`receive_many` up to the LLRs, for a non-empty job stack.
 
         Locates each frame, estimates its channels and misalignment, and
         runs the data stage (:meth:`_data_llrs_batch`) once per stack of
-        jobs sharing ``(layout, frame_config)``.  Returns the record and
-        one LLR block per such stack; neither holds received samples, so
-        the caller may drop them before the Viterbi.
+        jobs sharing ``(layout, frame_config)``.  Returns the record, one
+        LLR block per such stack and each job's equalized data symbols
+        (``None`` where the frame was not equalized); none of them holds
+        received samples, so the caller may drop them before the Viterbi.
         """
         layout0 = jobs[0][2]
         params = layout0.params
@@ -557,9 +560,10 @@ class JointReceiver:
         )
         record = _FrontRecord(detected, starts, cfo, np.nonzero(fits)[0])
         blocks: list[_LlrBlock] = []
+        symbols: list[np.ndarray | None] = [None] * n
         idx = record.fits
         if idx.size == 0:
-            return record, blocks
+            return record, blocks, symbols
 
         sample_period = params.sample_period_s if correct_cfo else None
         header_frames = _frame_samples(
@@ -585,10 +589,10 @@ class JointReceiver:
                 [(active[stack], responses[stack]) for active, responses in slots],
                 layout, frame_config,
             )
-            for i, symbols in zip(members, decoded_symbols):
-                record.symbols[i] = symbols
+            for i, frame_symbols in zip(members, decoded_symbols):
+                symbols[i] = frame_symbols
             blocks.append((members, llrs, frame_config))
-        return record, blocks
+        return record, blocks, symbols
 
 
 class JointFrameDecoder:
@@ -620,17 +624,20 @@ class JointFrameDecoder:
         self,
         jobs: list[tuple[np.ndarray, int, JointFrameLayout, FrameConfig, int | None]],
         correct_cfo: bool = True,
-    ) -> None:
-        """Run the front end on ``jobs`` and queue their LLR rows.
+    ) -> list[np.ndarray | None]:
+        """Run the front end on ``jobs``, queue their LLR rows and return their symbols.
 
         ``jobs`` and ``correct_cfo`` are as in
         :meth:`JointReceiver.receive_many`.  Decodes every full chunk of
-        rows that is then pending.  The decoder keeps no received samples,
-        so the caller may drop ``jobs`` on return.
+        rows that is then pending.  Returns one array per job: its
+        combiner's equalized data symbols, ``(n_data_symbols,
+        n_data_subcarriers)``, or ``None`` where the frame was not
+        equalized.  The decoder keeps neither received samples nor
+        symbols, so the caller may drop ``jobs`` and the symbols on return.
         """
         if not jobs:
-            return
-        record, blocks = self.receiver._receive_front(jobs, correct_cfo)
+            return []
+        record, blocks, symbols = self.receiver._receive_front(jobs, correct_cfo)
         self._records.append(record)
         for members, llrs, frame_config in blocks:
             self._pending.setdefault(llrs.shape[1], []).append(
@@ -640,6 +647,7 @@ class JointFrameDecoder:
             chunk = _CODE.chunk_rows(coded_length)
             while sum(entry[1].size for entry in queue) >= chunk:
                 self._decode(queue, chunk)
+        return symbols
 
     def finish(self) -> list[JointReceiveResult]:
         """Decode the pending rows and return every added job's result, in order.
@@ -672,7 +680,6 @@ class JointFrameDecoder:
                     snr_db=snr_db,
                     per_subcarrier_snr_db=per_sc_snr,
                     cfo_hz=float(record.cfo[i]),
-                    equalized_symbols=record.symbols[i],
                 )
             results.extend(stack)
         return results

@@ -240,13 +240,22 @@ class SyncTrialResult:
 
 @dataclass
 class JointFrameOutcome:
-    """Everything produced by one full joint-frame simulation."""
+    """Everything produced by one full joint-frame simulation.
+
+    ``true_misalignment_samples`` and ``evm_snr_db`` are simulator-only
+    genie values.  ``evm_snr_db`` is the effective SNR implied by the error
+    vector magnitude of the receiver's equalized data symbols against the
+    transmitted constellation points (the Fig. 13 metric), NaN when the
+    frame was not equalized.  It is computed as each frame is received, so
+    no outcome holds the symbols themselves.
+    """
 
     result: JointReceiveResult
     true_misalignment_samples: tuple[float, ...]
     schedules_feasible: tuple[bool, ...]
     layout: JointFrameLayout
     frame_config: FrameConfig
+    evm_snr_db: float
 
 
 @dataclass

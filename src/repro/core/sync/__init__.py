@@ -8,9 +8,7 @@ from repro.core.sync.compensation import (
     sifs_samples,
 )
 from repro.core.sync.detection_delay import (
-    DetectionDelayEstimate,
     delay_samples_to_slope,
-    estimate_detection_delay,
     phase_slope_full_band,
     phase_slope_windowed,
     slope_to_delay_samples,
@@ -22,7 +20,7 @@ from repro.core.sync.multi_receiver import (
     required_cp_increase,
 )
 from repro.core.sync.probe import ProbeLegResult
-from repro.core.sync.tracking import MisalignmentReport, WaitTimeTracker, measure_misalignment
+from repro.core.sync.tracking import MisalignmentReport, WaitTimeTracker
 
 __all__ = [
     "DelayBudget",
@@ -30,8 +28,6 @@ __all__ = [
     "SIFS_US",
     "compute_wait_time",
     "sifs_samples",
-    "DetectionDelayEstimate",
-    "estimate_detection_delay",
     "phase_slope_windowed",
     "phase_slope_full_band",
     "slope_to_delay_samples",
@@ -43,5 +39,4 @@ __all__ = [
     "ProbeLegResult",
     "MisalignmentReport",
     "WaitTimeTracker",
-    "measure_misalignment",
 ]

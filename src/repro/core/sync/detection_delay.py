@@ -16,8 +16,6 @@ whole-band fit is also provided for the ablation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.phy.equalizer import ChannelEstimate
@@ -29,34 +27,7 @@ __all__ = [
     "phase_slope_full_band",
     "slope_to_delay_samples",
     "delay_samples_to_slope",
-    "estimate_detection_delay",
-    "estimate_detection_delays_batch",
-    "DetectionDelayEstimate",
 ]
-
-
-@dataclass(frozen=True)
-class DetectionDelayEstimate:
-    """Result of a phase-slope detection-delay estimate.
-
-    Attributes
-    ----------
-    delay_samples:
-        Estimated delay between the packet's first sample and the FFT window
-        the receiver actually used, in (fractional) samples.
-    slope_rad_per_subcarrier:
-        The underlying phase slope.
-    n_windows:
-        Number of subcarrier windows averaged.
-    """
-
-    delay_samples: float
-    slope_rad_per_subcarrier: float
-    n_windows: int
-
-    def delay_ns(self, params: OFDMParams = DEFAULT_PARAMS) -> float:
-        """Delay converted to nanoseconds for the given numerology."""
-        return self.delay_samples * params.sample_period_ns
 
 
 def _slope_of_window(offsets: np.ndarray, phases: np.ndarray) -> float:
@@ -230,38 +201,3 @@ def slope_to_delay_samples(slope_rad_per_subcarrier: float, params: OFDMParams =
 def delay_samples_to_slope(delay_samples: float, params: OFDMParams = DEFAULT_PARAMS) -> float:
     """Inverse of :func:`slope_to_delay_samples` (useful in tests)."""
     return 2.0 * np.pi * delay_samples / params.n_fft
-
-
-def estimate_detection_delay(
-    channel: ChannelEstimate | np.ndarray,
-    params: OFDMParams = DEFAULT_PARAMS,
-    window_bandwidth_hz: float = 3e6,
-) -> DetectionDelayEstimate:
-    """Estimate the packet-detection delay from a channel estimate.
-
-    The channel estimate must have been computed using the FFT window implied
-    by the (possibly late) detection instant; the returned delay is the
-    offset of that window from the true packet start, in samples.
-    """
-    slope, n_windows = phase_slope_windowed(channel, params, window_bandwidth_hz)
-    delay = slope_to_delay_samples(slope, params)
-    return DetectionDelayEstimate(
-        delay_samples=delay,
-        slope_rad_per_subcarrier=slope,
-        n_windows=n_windows,
-    )
-
-
-def estimate_detection_delays_batch(
-    responses: np.ndarray,
-    params: OFDMParams = DEFAULT_PARAMS,
-    window_bandwidth_hz: float = 3e6,
-) -> np.ndarray:
-    """Detection delays (samples) of a ``(n_channels, n_fft)`` response ensemble.
-
-    The vectorised counterpart of :func:`estimate_detection_delay`, used by
-    the batched joint-frame paths to convert many channel estimates (probe
-    legs, per-sender misalignment measurements) in one stacked pass.
-    """
-    slopes, _ = phase_slope_windowed_batch(responses, params, window_bandwidth_hz)
-    return slopes * params.n_fft / (2.0 * np.pi)

@@ -6,7 +6,11 @@ residual misalignment of every received *joint frame*: the receiver
 estimates the channel of the lead sender and of each co-sender, converts
 each channel's phase slope into a symbol-timing offset, and reports the
 difference (the misalignment) in its ACK.  The co-sender then nudges its
-wait time by the reported amount for the next transmission.
+wait time by the reported amount for the next transmission.  The receiver
+side is the joint receiver's header stage
+(:meth:`repro.core.receiver.JointReceiver.measure_header_batch`), which
+fits every sender's phase slope of a frame stack in one batched call and
+returns a :class:`MisalignmentReport` per frame.
 
 :class:`WaitTimeTracker` implements the co-sender side of that feedback
 loop, with an exponentially weighted correction so that measurement noise
@@ -19,11 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.sync.detection_delay import estimate_detection_delay
-from repro.phy.equalizer import ChannelEstimate
-from repro.phy.params import OFDMParams, DEFAULT_PARAMS
-
-__all__ = ["measure_misalignment", "WaitTimeTracker", "MisalignmentReport"]
+__all__ = ["WaitTimeTracker", "MisalignmentReport"]
 
 
 @dataclass(frozen=True)
@@ -51,30 +51,6 @@ class MisalignmentReport:
         if not self.misalignments_samples:
             return 0.0
         return float(np.max(np.abs(self.misalignments_samples)))
-
-
-def measure_misalignment(
-    lead_channel: ChannelEstimate,
-    cosender_channels: list[ChannelEstimate],
-    params: OFDMParams = DEFAULT_PARAMS,
-) -> MisalignmentReport:
-    """Measure sender misalignment from per-sender channel estimates.
-
-    Both channels must be estimated from the *same* receiver FFT-window
-    placement (which they are, inside the joint frame), so the difference of
-    their phase-slope offsets is exactly the relative misalignment of the
-    senders, independent of where the receiver put its window.
-    """
-    lead_offset = estimate_detection_delay(lead_channel, params).delay_samples
-    co_offsets = tuple(
-        estimate_detection_delay(ch, params).delay_samples for ch in cosender_channels
-    )
-    misalignments = tuple(lead_offset - off for off in co_offsets)
-    return MisalignmentReport(
-        lead_offset_samples=float(lead_offset),
-        cosender_offsets_samples=co_offsets,
-        misalignments_samples=misalignments,
-    )
 
 
 @dataclass

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.metrics import evm_to_snr_db
 from repro.core import JointTopology, SourceSyncSession, SourceSyncConfig
 from repro.core.ensemble import JointFrameJob, run_joint_frames_batch
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import experiment
 from repro.phy import bits as bitutils
 from repro.phy.params import OFDMParams, DEFAULT_PARAMS
-from repro.phy.transmitter import encode_payload_to_symbols
 
 __all__ = ["Config", "SPEC"]
 
@@ -36,16 +34,17 @@ __all__ = ["Config", "SPEC"]
 class Config:
     """Parameters of the Fig. 13 reproduction.
 
-    The whole cyclic-prefix sweep decodes as one joint-frame ensemble,
-    whose Viterbi decodes the frames in fixed-size chunks as the waves
-    arrive.  Frames are measured with the
+    The whole cyclic-prefix sweep decodes as one joint-frame ensemble:
+    each frame's EVM-implied SNR is taken as its wave is received, and the
+    Viterbi decodes the frames in fixed-size chunks as the waves arrive.
+    Frames are measured with the
     tracking loop *converged and frozen* — feedback is applied during the
     warm-up exchanges, not per measured frame — so the frames are
     independent.  ``n_topologies`` measures each chain over that many
     independent joint topologies and averages the per-CP SNR across them;
     every topology of both chains joins the same lockstep ensemble, so
     widening the sweep costs wider waves and more Viterbi chunks, not more
-    Python loops, and no more decoder memory.
+    Python loops, and no more memory than a wave and a Viterbi chunk.
     """
 
     cp_values_samples: tuple[int, ...] = (0, 2, 4, 6, 8, 12, 16, 20, 26, 32)
@@ -142,26 +141,15 @@ def _sweep_jobs(
     ]
 
 
-def _fold_sweep(
-    outcomes: list, payload: bytes, cp_values_samples: tuple[int, ...], n_frames: int
-) -> list[float]:
-    """Average effective SNR per CP value from the sweep's frame outcomes."""
-    reference_cache: dict[int, np.ndarray] = {}
+def _fold_sweep(outcomes: list, cp_values_samples: tuple[int, ...], n_frames: int) -> list[float]:
+    """Average effective SNR per CP value from the sweep's frame outcomes.
 
-    def effective_snr(outcome) -> float:
-        result = outcome.result
-        if result.equalized_symbols is None:
-            return float("nan")
-        key = outcome.frame_config.n_data_symbols
-        if key not in reference_cache:
-            reference_cache[key] = encode_payload_to_symbols(payload, outcome.frame_config)
-        reference = reference_cache[key]
-        n = min(reference.shape[0], result.equalized_symbols.shape[0])
-        return evm_to_snr_db(result.equalized_symbols[:n], reference[:n])
-
+    Each outcome carries its frame's EVM-implied SNR, NaN where the frame
+    was not equalized; NaN frames are left out of a CP's mean.
+    """
     snrs: list[float] = []
     for c in range(len(cp_values_samples)):
-        values = [effective_snr(outcome) for outcome in outcomes[c * n_frames : (c + 1) * n_frames]]
+        values = [outcome.evm_snr_db for outcome in outcomes[c * n_frames : (c + 1) * n_frames]]
         finite = [v for v in values if np.isfinite(v)]
         snrs.append(float(np.mean(finite)) if finite else float("nan"))
     return snrs
@@ -193,7 +181,9 @@ def _run(config: Config) -> ExperimentResult:
     sessions, form *one* joint-frame ensemble of ``2 * n_topologies``
     lockstep lanes, so the whole figure decodes in one streaming pass
     whose Viterbi takes the frames a fixed-size chunk at a time; every
-    session draws from its own generator.
+    session draws from its own generator.  The per-CP SNR averages each
+    frame's ``evm_snr_db``, which the ensemble computes from the equalized
+    symbols as the frame's wave is received, so no symbols are kept.
     """
     cp_values_samples, params, snr_fraction = config.cp_values_samples, config.params, config.snr_fraction
     chains = [
@@ -214,10 +204,7 @@ def _run(config: Config) -> ExperimentResult:
     ]
     outcome_lists = iter(run_joint_frames_batch(sessions, jobs))
     sourcesync_folds, baseline_folds = [
-        [
-            _fold_sweep(next(outcome_lists), payload, cp_values_samples, config.n_frames)
-            for _, payload in prepared
-        ]
+        [_fold_sweep(next(outcome_lists), cp_values_samples, config.n_frames) for _ in prepared]
         for _, prepared in chains
     ]
     sourcesync = _mean_over_topologies(sourcesync_folds)

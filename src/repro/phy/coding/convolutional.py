@@ -17,7 +17,8 @@ Both halves of the codec are batch-friendly:
   the even and odd metric halves (each tiled twice) to branch metrics
   gathered from a table of the ``2**n_outputs`` distinct values per step,
   precomputed for a block of steps at a time.  The single remaining Python
-  loop over trellis steps advances every packet of the ensemble, and the
+  loop over trellis steps advances every packet of the ensemble, the
+  survivor decisions are bit-packed eight packets to a byte, and the
   traceback is vectorised over packets as well.
   :meth:`ConvolutionalCode.decode` is a thin single-packet wrapper, which
   guarantees the batched and per-packet paths are bit-identical.
@@ -35,15 +36,17 @@ import numpy as np
 
 __all__ = ["ConvolutionalCode", "get_code"]
 
-#: Cap on decisions-array elements (steps x packets x states) held live per
-#: Viterbi pass.  Decisions are one byte each, so the array stays under
-#: 4 MiB; ConvolutionalCode.chunk_rows turns the cap into a packet count.
-#: decode_batch splits larger batches into chunks of that many packets,
-#: which changes nothing numerically (every packet's recursion is
-#: independent) but bounds memory the same way the receiver chunks its soft
-#: demapper.  The joint receiver's streaming decoder decodes its LLR rows a
-#: chunk at a time as they arrive: Fig. 13's 320 frames of 528 trellis
-#: steps fill two chunks of 124 mid-run and leave a remainder of 72.
+#: Cap on survivor decisions (steps x packets x states) held live per
+#: Viterbi pass; ConvolutionalCode.chunk_rows turns the cap into a packet
+#: count.  Decisions are bit-packed along the packet axis, so a full chunk
+#: holds 0.5 MiB of them (4 MiB at a byte each), plus one unpacked block of
+#: _TABLE_STEPS steps at a byte per decision.  decode_batch splits larger batches into chunks of
+#: that many packets, which changes nothing numerically (every packet's
+#: recursion is independent) but bounds memory the same way the receiver
+#: chunks its soft demapper.  The joint receiver's streaming decoder
+#: decodes its LLR rows a chunk at a time as they arrive: Fig. 13's 320
+#: frames of 528 trellis steps fill two chunks of 124 mid-run and leave a
+#: remainder of 72.
 _DECODE_CHUNK_ELEMS = 1 << 22
 
 #: Trellis steps whose branch-metric table decode_batch builds at a time.
@@ -257,9 +260,12 @@ class ConvolutionalCode:
         signed LLR sums, built for a block of steps at a time with the same
         left-to-right products and sums a per-branch evaluation would use.
         The compare keeps the first candidate on ties and lets NaN win as
-        ``argmax`` over the two candidates would.  Every operation is
-        elementwise per packet, so each batch row follows exactly the float
-        path a batch of one would, independent of the batch size.
+        ``argmax`` over the two candidates would.  The decisions of each
+        block of steps are bit-packed along the packet axis as the block
+        finishes, and the traceback unpacks one block at a time, so a pass
+        holds one bit per decision and one block of bytes.  Every operation
+        is elementwise per packet, so each batch row follows exactly the
+        float path a batch of one would, independent of the batch size.
         """
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.ndim != 2:
@@ -295,11 +301,15 @@ class ConvolutionalCode:
         branch0 = np.empty_like(metrics)
         branch1 = np.empty_like(metrics)
         first_nan = np.empty(metrics.shape, dtype=bool)
-        # decisions[step, s, b] is True where state s kept its first
-        # predecessor (2s mod S), as argmax over the two candidates would.
-        decisions = np.empty((n_steps, n_states, n_packets), dtype=bool)
+        # block[t, s, b] is True where state s kept its first predecessor
+        # (2s mod S) at step t of the current block, as argmax over the two
+        # candidates would.  Each finished block is bit-packed along the
+        # contiguous packet axis, eight packets per byte.
+        block = np.empty((min(_TABLE_STEPS, n_steps), n_states, n_packets), dtype=bool)
+        packed = np.empty((n_steps, n_states, -(-n_packets // 8)), dtype=np.uint8)
         for step in range(n_steps):
             if step % _TABLE_STEPS == 0:
+                table = None  # free the last block's table before building the next
                 table = self._branch_table(llr_steps[step : step + _TABLE_STEPS])
             np.take(table[step % _TABLE_STEPS], pattern[0], axis=0, out=branch0)
             np.take(table[step % _TABLE_STEPS], pattern[1], axis=0, out=branch1)
@@ -313,13 +323,18 @@ class ConvolutionalCode:
             # NaN; otherwise a NaN second candidate wins.  The kept value is
             # the maximum: NaN when either candidate is, and on a tie of
             # 0.0 and -0.0 the zero's sign is invisible to later compares.
-            keep = decisions[step]
+            keep = block[step % _TABLE_STEPS]
             np.greater_equal(cand0, cand1, out=keep)
             np.logical_or(keep, np.isnan(cand0, out=first_nan), out=keep)
             np.maximum(cand0, cand1, out=metrics)
+            if step % _TABLE_STEPS == _TABLE_STEPS - 1 or step == n_steps - 1:
+                lo = step - step % _TABLE_STEPS
+                packed[lo : step + 1] = np.packbits(block[: step + 1 - lo], axis=-1)
+        del block, table
 
         # Vectorised traceback: one state per packet, walked backwards with
-        # fancy indexing instead of a per-packet Python loop.
+        # fancy indexing instead of a per-packet Python loop, unpacking one
+        # block of decisions at a time.
         if terminated:
             state = np.zeros(n_packets, dtype=np.int64)
         else:
@@ -327,9 +342,13 @@ class ConvolutionalCode:
         rows = np.arange(n_packets)
         mask = n_states - 1
         bits = np.empty((n_packets, n_steps), dtype=np.uint8)
-        for step in range(n_steps - 1, -1, -1):
-            bits[:, step] = self._entry_bit[state]
-            state = ((state << 1) & mask) | ~decisions[step, state, rows]
+        for lo in reversed(range(0, n_steps, _TABLE_STEPS)):
+            hi = min(lo + _TABLE_STEPS, n_steps)
+            decisions = np.unpackbits(packed[lo:hi], axis=-1, count=n_packets).view(bool)
+            for step in range(hi - 1, lo - 1, -1):
+                bits[:, step] = self._entry_bit[state]
+                state = ((state << 1) & mask) | ~decisions[step - lo, state, rows]
+            del decisions
 
         if terminated and strip_tail:
             bits = bits[:, : max(n_steps - self.tail_bits, 0)]

@@ -6,8 +6,11 @@ each row (each trial) is bit-identical to the scalar one-waveform form that
 ``tests/core/reference_blocks.py`` keeps.  These tests hold them to that
 promise byte for byte, on links with random gains and taps, integer and
 fractional delays, nonzero starts and CFO, and hold
-:func:`propagate_ensemble` to its per-row form.
+:func:`propagate_ensemble` to its per-row form.  A memory test bounds the
+transient of :func:`propagate_rows` on a joint-frame-sized wave.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +101,31 @@ class TestPropagateRowsKernelOracle:
         # fractional rows spanned more than one FFT size where they could.
         assert whole >= 3
         assert len(fft_sizes) >= (2 if length == 250 else 1)
+
+    def test_kernel_oracle_propagate_rows_fractional_wave_transient(self):
+        """An 8-row wave of 2872 samples whose rows share a tap count and all
+        need a fractional delay, so they form one FFT block of 4096 points:
+        the FFT pair runs in place, so the kernel's transient stays within
+        2.5 MiB, and every row still equals the scalar form byte for byte."""
+        rng = np.random.default_rng(2872)
+        links = _random_links(rng, 8)
+        for link in links:
+            taps = rng.normal(size=8) + 1j * rng.normal(size=8)
+            link.channel = MultipathChannel(taps / 4.0)
+            link.delay_samples = float(rng.uniform(0.1, 0.9)) + float(rng.integers(0, 40))
+        samples = _random_waveforms(rng, len(links), 2872)
+        propagate_rows(links, samples)  # warm caches untraced
+        tracemalloc.start()
+        try:
+            rows = propagate_rows(links, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
+        for link, row, (waveform, integer_start) in zip(links, samples, rows):
+            expected, expected_start = propagate(link, row)
+            assert integer_start == expected_start
+            assert waveform.tobytes() == expected.tobytes()
 
 
 class TestCombineEnsembleKernelOracle:

@@ -16,7 +16,12 @@ orchestration of ``reference_session.py`` can run on it:
   times probe/response exchanges (§4.2c, Eq. 2) with it;
 * :func:`measure_cfo` averages the short-training-field CFO estimate over a
   few probes (§5), and :func:`apply_cfo_correction` removes an estimated
-  offset from a received stream.
+  offset from a received stream;
+* :func:`estimate_detection_delay` turns one channel estimate's windowed
+  phase slope into a detection delay (§4.2a), and
+  :func:`measure_misalignment` turns a lead and its co-senders' channels
+  into a misalignment report (§4.5), as the batched phase-slope fit of the
+  joint receiver's header stage does for a stack of frames.
 """
 
 from __future__ import annotations
@@ -27,14 +32,86 @@ import numpy as np
 
 from repro.channel.awgn import awgn
 from repro.channel.composite import Link, Transmission
-from repro.core.sync.detection_delay import estimate_detection_delay
+from repro.core.sync.detection_delay import phase_slope_windowed, slope_to_delay_samples
 from repro.core.sync.probe import ProbeLegResult, _acquisition_backoff, probe_waveform
+from repro.core.sync.tracking import MisalignmentReport
 from repro.hardware.frontend import RadioFrontend
 from repro.phy.detection import detect_packet_autocorrelation, estimate_coarse_cfo
-from repro.phy.equalizer import estimate_channel_ltf
+from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf
 from repro.phy.params import DEFAULT_PARAMS, OFDMParams
 from repro.phy.preamble import preamble, short_training_field
 from repro.rng import require_rng
+
+
+# ----------------------------------------------------------------------
+# Detection delay and misalignment from one channel estimate
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class DetectionDelayEstimate:
+    """Result of a phase-slope detection-delay estimate.
+
+    Attributes
+    ----------
+    delay_samples:
+        Estimated delay between the packet's first sample and the FFT window
+        the receiver actually used, in (fractional) samples.
+    slope_rad_per_subcarrier:
+        The underlying phase slope.
+    n_windows:
+        Number of subcarrier windows averaged.
+    """
+
+    delay_samples: float
+    slope_rad_per_subcarrier: float
+    n_windows: int
+
+    def delay_ns(self, params: OFDMParams = DEFAULT_PARAMS) -> float:
+        """Delay converted to nanoseconds for the given numerology."""
+        return self.delay_samples * params.sample_period_ns
+
+
+def estimate_detection_delay(
+    channel: ChannelEstimate | np.ndarray,
+    params: OFDMParams = DEFAULT_PARAMS,
+    window_bandwidth_hz: float = 3e6,
+) -> DetectionDelayEstimate:
+    """Estimate the packet-detection delay from a channel estimate.
+
+    The channel estimate must have been computed using the FFT window implied
+    by the (possibly late) detection instant; the returned delay is the
+    offset of that window from the true packet start, in samples.
+    """
+    slope, n_windows = phase_slope_windowed(channel, params, window_bandwidth_hz)
+    delay = slope_to_delay_samples(slope, params)
+    return DetectionDelayEstimate(
+        delay_samples=delay,
+        slope_rad_per_subcarrier=slope,
+        n_windows=n_windows,
+    )
+
+
+def measure_misalignment(
+    lead_channel: ChannelEstimate,
+    cosender_channels: list[ChannelEstimate],
+    params: OFDMParams = DEFAULT_PARAMS,
+) -> MisalignmentReport:
+    """Measure sender misalignment from per-sender channel estimates.
+
+    Both channels must be estimated from the *same* receiver FFT-window
+    placement (which they are, inside the joint frame), so the difference of
+    their phase-slope offsets is exactly the relative misalignment of the
+    senders, independent of where the receiver put its window.
+    """
+    lead_offset = estimate_detection_delay(lead_channel, params).delay_samples
+    co_offsets = tuple(
+        estimate_detection_delay(ch, params).delay_samples for ch in cosender_channels
+    )
+    misalignments = tuple(lead_offset - off for off in co_offsets)
+    return MisalignmentReport(
+        lead_offset_samples=float(lead_offset),
+        cosender_offsets_samples=co_offsets,
+        misalignments_samples=misalignments,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -10,15 +10,19 @@ order, but runs one frame at a time through the scalar building blocks of
 ``reference_blocks.py``, which live beside it in ``tests/core/``:
 :func:`measure_propagation_delay` and :func:`probe_leg` (which call
 :func:`propagate`), :func:`measure_cfo` and :func:`combine_at_receiver`.
-The receiver is the session's own (``measure_header`` and ``receive``).
+The receiver is the session's own (``measure_header``, and a
+:class:`~repro.core.receiver.JointFrameDecoder` of one frame, whose
+equalized symbols give the frame's EVM-implied SNR).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.metrics import evm_to_snr_db
 from repro.channel.composite import Transmission
 from repro.core.frame import JointFrameLayout, make_joint_frame_config
+from repro.core.receiver import JointFrameDecoder
 from repro.core.sender import CoSender
 from repro.core.session import (
     HeaderExchangeOutcome,
@@ -28,6 +32,7 @@ from repro.core.session import (
 )
 from repro.core.sync.compensation import DelayBudget, compute_wait_time
 from repro.core.sync.tracking import WaitTimeTracker
+from repro.phy.transmitter import encode_payload_to_symbols
 from tests.core.reference_blocks import (
     combine_at_receiver,
     measure_cfo,
@@ -260,6 +265,23 @@ def converge_tracking(session: SourceSyncSession, rounds: int = 4, compensate: b
         run_header_exchange(session, compensate=compensate, apply_tracking_feedback=True)
 
 
+def _receive(session, received, layout, frame_config, start_index, payload):
+    """Receive one frame on its own; return its result and EVM-implied SNR.
+
+    The SNR is the EVM of the frame's equalized symbols against the
+    payload's transmitted constellation, NaN when the frame was not
+    equalized.
+    """
+    decoder = JointFrameDecoder(session.receiver)
+    (symbols,) = decoder.add([(received, received.size, layout, frame_config, start_index)])
+    (result,) = decoder.finish()
+    if symbols is None:
+        return result, float("nan")
+    reference = encode_payload_to_symbols(payload, frame_config)
+    n = min(reference.shape[0], symbols.shape[0])
+    return result, evm_to_snr_db(symbols[:n], reference[:n])
+
+
 def run_joint_frame(
     session: SourceSyncSession,
     payload: bytes,
@@ -302,7 +324,7 @@ def run_joint_frame(
     start_index = (
         LEADING_SILENCE + int(round(topo.link_lead_rx.delay_samples)) if genie_timing else None
     )
-    result = session.receiver.receive(received, layout, frame_config, start_index=start_index)
+    result, evm_snr_db = _receive(session, received, layout, frame_config, start_index, payload)
     if apply_tracking_feedback and result.misalignment is not None:
         _feed_back(session, result.misalignment, starts, active)
     return JointFrameOutcome(
@@ -311,6 +333,7 @@ def run_joint_frame(
         schedules_feasible=tuple(feasible),
         layout=layout,
         frame_config=frame_config,
+        evm_snr_db=evm_snr_db,
     )
 
 
@@ -348,11 +371,12 @@ def run_single_sender_frame(
         leading_silence=LEADING_SILENCE,
     )
     start_index = LEADING_SILENCE + int(round(link.delay_samples)) if genie_timing else None
-    result = session.receiver.receive(received, layout, frame_config, start_index=start_index)
+    result, evm_snr_db = _receive(session, received, layout, frame_config, start_index, payload)
     return JointFrameOutcome(
         result=result,
         true_misalignment_samples=(),
         schedules_feasible=(),
         layout=layout,
         frame_config=frame_config,
+        evm_snr_db=evm_snr_db,
     )

@@ -7,7 +7,6 @@ from repro.channel.awgn import awgn
 from repro.channel.multipath import MultipathChannel
 from repro.core.sync.detection_delay import (
     delay_samples_to_slope,
-    estimate_detection_delay,
     phase_slope_full_band,
     phase_slope_windowed,
     slope_to_delay_samples,
@@ -15,6 +14,7 @@ from repro.core.sync.detection_delay import (
 from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf
 from repro.phy.params import DEFAULT_PARAMS as P
 from repro.phy.preamble import long_training_field, ltf_symbol
+from tests.core.reference_blocks import estimate_detection_delay
 
 
 def _channel_estimate_with_offset(offset: int, channel=None, noise=0.0, seed=0):

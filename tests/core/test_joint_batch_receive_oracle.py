@@ -26,6 +26,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import evm_to_snr_db
 from repro.core import JointTopology, SourceSyncConfig, SourceSyncSession
 from repro.core import ensemble as ens
 from repro.core import sender as sender_module
@@ -44,8 +45,6 @@ from repro.core.combining.stbc import SmartCombiner
 from repro.core.frame import JointFrameLayout, make_joint_frame_config
 from repro.core.receiver import JointFrameDecoder, JointReceiveResult, JointReceiver, _CODE
 from repro.core.sender import LeadSender, build_data_section
-from repro.core.sync.detection_delay import estimate_detection_delay
-from repro.core.sync.tracking import measure_misalignment
 from repro.experiments import registry
 from repro.phy import bits as bitutils
 from repro.phy.coding import convolutional
@@ -55,11 +54,21 @@ from repro.phy.detection import detect_packet_autocorrelation, estimate_coarse_c
 from repro.phy.equalizer import ChannelEstimate, estimate_channel_ltf, estimate_noise_from_ltf
 from repro.phy.modulation import get_modulation
 from repro.phy.params import DEFAULT_PARAMS
-from tests.core.reference_blocks import apply_cfo_correction
+from repro.phy.transmitter import encode_payload_to_symbols
+from tests.core.reference_blocks import (
+    apply_cfo_correction,
+    estimate_detection_delay,
+    measure_misalignment,
+)
 
 
 def reference_receive_many(receiver, jobs, correct_cfo=True):
-    """``receive_many`` with the per-job data loop the stacked stage replaced."""
+    """``receive_many`` with the per-job data loop the stacked stage replaced.
+
+    Returns the results and each job's equalized data symbols (``None``
+    where the frame was not equalized), as ``JointFrameDecoder.add``
+    returns them.
+    """
     layout0 = jobs[0][2]
     params = layout0.params
     n = len(jobs)
@@ -80,6 +89,7 @@ def reference_receive_many(receiver, jobs, correct_cfo=True):
         ok[sub] = fits
         starts[sub] = np.maximum(acquired, 0)
     results = [None] * n
+    symbols = [None] * n
     total = np.array([job[2].total_samples for job in jobs], dtype=np.int64)
     fits_frame = ok & (starts + total <= lengths)
     for i in range(n):
@@ -89,7 +99,7 @@ def reference_receive_many(receiver, jobs, correct_cfo=True):
             results[i] = JointReceiveResult(False, False, b"", start_index=int(starts[i]))
     idx = np.nonzero(fits_frame)[0]
     if idx.size == 0:
-        return results
+        return results, symbols
     # Scalar CFO per row: the batched estimator must not depend on its stack.
     cfo = np.zeros(n)
     if correct_cfo:
@@ -188,9 +198,9 @@ def reference_receive_many(receiver, jobs, correct_cfo=True):
             snr_db=float(10.0 * np.log10(max(np.mean(10.0 ** (per_sc_snr / 10.0)), 1e-15))),
             per_subcarrier_snr_db=per_sc_snr,
             cfo_hz=float(cfo[i]),
-            equalized_symbols=decoded_by_job[i][: frame_config.n_data_symbols],
         )
-    return results
+        symbols[i] = decoded_by_job[i][: frame_config.n_data_symbols]
+    return results, symbols
 
 
 def _ltf_symbols(window, params):
@@ -272,11 +282,41 @@ def _assert_same_results(got, want):
         assert a.payload == b.payload
         assert a.cfo_hz == b.cfo_hz
         assert a.snr_db == b.snr_db or (np.isnan(a.snr_db) and np.isnan(b.snr_db))
-        if b.equalized_symbols is None:
-            assert a.equalized_symbols is None
+        if b.per_subcarrier_snr_db is None:
+            assert a.per_subcarrier_snr_db is None
         else:
-            assert np.array_equal(a.equalized_symbols, b.equalized_symbols)
             assert np.array_equal(a.per_subcarrier_snr_db, b.per_subcarrier_snr_db)
+
+
+def _assert_same_symbols(got, want):
+    """Per-job equalized symbols agree exactly, ``None`` matching ``None``."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+        else:
+            assert np.array_equal(a, b)
+
+
+def _receive_with_symbols(receiver, jobs, correct_cfo=True):
+    """``receive_many`` through a decoder: the results and ``add``'s symbols."""
+    decoder = JointFrameDecoder(receiver)
+    symbols = decoder.add(jobs, correct_cfo)
+    return decoder.finish(), symbols
+
+
+def _assert_matches_per_job_loop(receiver, jobs, correct_cfo=True):
+    """``receive_many`` against the per-job loop, and the symbols ``add`` returns.
+
+    Returns the ``receive_many`` results.
+    """
+    want, want_symbols = reference_receive_many(receiver, jobs, correct_cfo)
+    results = receiver.receive_many(jobs, correct_cfo)
+    _assert_same_results(results, want)
+    streamed, symbols = _receive_with_symbols(receiver, jobs, correct_cfo)
+    _assert_same_results(streamed, want)
+    _assert_same_symbols(symbols, want_symbols)
+    return results
 
 
 def _sessions(seeds, config, n_cosenders=1, snr_db=16.0):
@@ -333,28 +373,26 @@ class TestJointBatchReceiveOracle:
     def test_joint_batch_receive_mixed_cps_match_per_job_loop(self, monkeypatch):
         receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
         assert len({(job[2], job[3]) for job in jobs}) == 3
-        results = receiver.receive_many(jobs)
+        results = _assert_matches_per_job_loop(receiver, jobs)
         assert any(r.crc_ok for r in results)
-        _assert_same_results(results, reference_receive_many(receiver, jobs))
 
     def test_joint_batch_receive_inactive_cosender_slot(self, monkeypatch):
         receiver, jobs = _cp_sweep_jobs(
             monkeypatch, SourceSyncConfig(), n_cosenders=2, active=(0,)
         )
-        results = receiver.receive_many(jobs)
+        results = _assert_matches_per_job_loop(receiver, jobs)
         assert any(r.channels.cosenders[1] is None for r in results)
-        _assert_same_results(results, reference_receive_many(receiver, jobs))
 
     def test_joint_batch_receive_without_pilot_sharing(self, monkeypatch):
         receiver, jobs = _cp_sweep_jobs(
             monkeypatch, SourceSyncConfig(pilot_sharing=False), n_cosenders=2, active=(1,)
         )
-        _assert_same_results(receiver.receive_many(jobs), reference_receive_many(receiver, jobs))
+        _assert_matches_per_job_loop(receiver, jobs)
 
     @pytest.mark.parametrize("scheme", ["naive", "qostbc", "alamouti"])
     def test_joint_batch_receive_other_combiners(self, monkeypatch, scheme):
         receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig(combiner_scheme=scheme))
-        _assert_same_results(receiver.receive_many(jobs), reference_receive_many(receiver, jobs))
+        _assert_matches_per_job_loop(receiver, jobs)
 
     def test_joint_batch_receive_undetected_and_non_fitting_rows(self, monkeypatch):
         receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig(), genie=False)
@@ -365,23 +403,19 @@ class TestJointBatchReceiveOracle:
             (samples[: length - 200], length - 200, layout, frame_config, 61),
             (samples, length, layout, frame_config, length),
         ]
-        results = receiver.receive_many(jobs)
+        results = _assert_matches_per_job_loop(receiver, jobs)
         assert all(r.detected for r in results[:-3])
         assert not results[-3].detected and results[-3].start_index == -1
         assert not results[-2].detected and results[-2].start_index == 61
         assert not results[-1].detected and results[-1].start_index == length
-        _assert_same_results(results, reference_receive_many(receiver, jobs))
-        _assert_same_results(
-            receiver.receive_many(jobs, correct_cfo=False),
-            reference_receive_many(receiver, jobs, correct_cfo=False),
-        )
+        _assert_matches_per_job_loop(receiver, jobs, correct_cfo=False)
 
     def test_joint_batch_receive_large_stacks(self, monkeypatch):
         # Stacks this large make numpy reuse temporaries as ufunc outputs,
         # which must not change any float.
         receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
         jobs = jobs * 20
-        _assert_same_results(receiver.receive_many(jobs), reference_receive_many(receiver, jobs))
+        _assert_matches_per_job_loop(receiver, jobs)
 
     def test_joint_batch_receive_long_frames_match_sequential_receive(self, monkeypatch):
         # 800 bytes at 6 Mbps make frames of more than 16384 samples (256 KiB
@@ -400,14 +434,16 @@ class TestJointBatchReceiveOracle:
         receiver = sessions[0].receiver
         assert min(job[2].total_samples for job in jobs) > 16384
         for correct_cfo in (True, False):
-            results = receiver.receive_many(jobs, correct_cfo=correct_cfo)
-            for (samples, length, layout, frame_config, start), got in zip(jobs, results):
+            results, symbols = _receive_with_symbols(receiver, jobs, correct_cfo)
+            for job, got, got_symbols in zip(jobs, results, symbols):
+                samples, length, layout, frame_config, start = job
                 want = receiver.receive(samples[:length], layout, frame_config, start, correct_cfo)
+                _, (want_symbols,) = _receive_with_symbols(receiver, [job], correct_cfo)
                 assert got.detected and want.detected
                 assert got.start_index == want.start_index
                 assert got.cfo_hz == want.cfo_hz
                 assert got.crc_ok == want.crc_ok and got.payload == want.payload
-                assert np.array_equal(got.equalized_symbols, want.equalized_symbols)
+                assert np.array_equal(got_symbols, want_symbols)
                 assert got.misalignment == want.misalignment
                 assert got.snr_db == want.snr_db
             if correct_cfo:
@@ -416,15 +452,14 @@ class TestJointBatchReceiveOracle:
     def test_joint_batch_receive_single_job(self, monkeypatch):
         receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
         for job in jobs[:3]:
-            _assert_same_results(
-                receiver.receive_many([job]), reference_receive_many(receiver, [job])
-            )
+            _assert_matches_per_job_loop(receiver, [job])
 
     def test_joint_batch_receive_no_fitting_job(self, monkeypatch):
         receiver, jobs = _cp_sweep_jobs(monkeypatch, SourceSyncConfig())
         samples, length, layout, frame_config, start = jobs[0]
         short = [(samples[:500], 500, layout, frame_config, start)]
-        _assert_same_results(receiver.receive_many(short), reference_receive_many(receiver, short))
+        results = _assert_matches_per_job_loop(receiver, short)
+        assert not results[0].detected
 
 
 def _uneven_jobs():
@@ -475,7 +510,50 @@ class TestJointBatchStreaming:
             if r < len(session_jobs)
         ]
         assert all(result.crc_ok for result in streamed)
-        _assert_same_results(streamed, sessions[0].receiver.receive_many(jobs))
+        results, symbols = _receive_with_symbols(sessions[0].receiver, jobs)
+        _assert_same_results(streamed, results)
+        # Each outcome's EVM is its frame's symbols, as one stack decodes
+        # them, against its own payload's constellation.
+        frames = [
+            (outcomes[s][r], session_jobs[r].payload)
+            for r in range(len(waves))
+            for s, session_jobs in enumerate(jobs_per_session)
+            if r < len(session_jobs)
+        ]
+        for (outcome, payload), frame_symbols in zip(frames, symbols):
+            reference = encode_payload_to_symbols(payload, outcome.frame_config)
+            want = evm_to_snr_db(frame_symbols, reference)
+            assert np.float64(outcome.evm_snr_db).tobytes() == np.float64(want).tobytes()
+
+    def test_joint_batch_symbols_die_with_their_wave(self, monkeypatch):
+        # Each frame's equalized symbols are folded into its EVM as its wave
+        # is added: once a wave has been sent and received, neither its
+        # symbol arrays nor the combiner output they view are alive.
+        owners = []
+        waves = []
+        original_add = JointFrameDecoder.add
+
+        def tracking_add(self, jobs, correct_cfo=True):
+            symbols = original_add(self, jobs, correct_cfo)
+            for frame_symbols in symbols:
+                owner = frame_symbols if frame_symbols.base is None else frame_symbols.base
+                owners.append(weakref.ref(owner))
+            return symbols
+
+        advance = ens._JointFrameLane.advance_lanes
+
+        def checking_advance(cls, lanes):
+            advance(lanes)
+            gc.collect()
+            waves.append(len(owners))
+            assert all(ref() is None for ref in owners)
+
+        monkeypatch.setattr(JointFrameDecoder, "add", tracking_add)
+        monkeypatch.setattr(ens._JointFrameLane, "advance_lanes", classmethod(checking_advance))
+        sessions = _sessions([531, 532, 533], SourceSyncConfig())
+        outcomes = ens.run_joint_frames_batch(sessions, _uneven_jobs())
+        assert waves == [3, 5, 6]
+        assert all(np.isfinite(outcome.evm_snr_db) for session in outcomes for outcome in session)
 
     def test_joint_batch_wave_samples_die_with_their_wave(self, monkeypatch):
         # At every Viterbi flush, no finished wave's received rows are
@@ -499,7 +577,7 @@ class TestJointBatchStreaming:
         def tracking_add(self, jobs, correct_cfo=True):
             adding.append(jobs)
             try:
-                original_add(self, jobs, correct_cfo)
+                return original_add(self, jobs, correct_cfo)
             finally:
                 adding.pop()
 
@@ -644,17 +722,17 @@ class TestJointBatchDecodeWorkingSet:
         original_front = JointReceiver._receive_front
 
         def tracking_front(self, jobs, correct_cfo=True):
-            record, llr_blocks = original_front(self, jobs, correct_cfo)
+            record, llr_blocks, symbols = original_front(self, jobs, correct_cfo)
             for _, llrs, _ in llr_blocks:
                 owner = llrs if llrs.base is None else llrs.base
                 blocks.append((llrs.shape[1], weakref.ref(owner), owner.size // llrs.shape[1]))
-            return record, llr_blocks
+            return record, llr_blocks, symbols
 
         original_add = JointFrameDecoder.add
         wave_sizes = []
 
         def checking_add(self, jobs, correct_cfo=True):
-            original_add(self, jobs, correct_cfo)
+            symbols = original_add(self, jobs, correct_cfo)
             wave_sizes.append(len(jobs))
             gc.collect()
             for coded_length in {length for length, _, _ in blocks}:
@@ -662,6 +740,7 @@ class TestJointBatchDecodeWorkingSet:
                     n for length, ref, n in blocks if length == coded_length and ref() is not None
                 )
                 assert alive <= _CODE.chunk_rows(coded_length) + max(wave_sizes)
+            return symbols
 
         monkeypatch.setattr(JointReceiver, "_receive_front", tracking_front)
         monkeypatch.setattr(JointFrameDecoder, "add", checking_add)

@@ -8,7 +8,6 @@ from repro.core.sync import (
     DelayBudget,
     WaitTimeTracker,
     compute_wait_time,
-    measure_misalignment,
     misalignment_matrix,
     optimize_wait_times,
     required_cp_increase,
@@ -18,7 +17,7 @@ from repro.hardware.frontend import RadioFrontend
 from repro.phy.equalizer import ChannelEstimate
 from repro.phy.params import DEFAULT_PARAMS as P
 from repro.phy.preamble import long_training_sequence_freq
-from tests.core.reference_blocks import measure_propagation_delay, probe_leg
+from tests.core.reference_blocks import measure_misalignment, measure_propagation_delay, probe_leg
 
 
 class TestCompensation:

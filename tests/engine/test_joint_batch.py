@@ -232,8 +232,9 @@ class TestJointBatchExchanges:
 
 
 def _assert_frames_close(a, b, exact_report=True):
-    """Equal decisions and decoded bytes; the misalignment report exact
-    unless ``exact_report`` is off; other floats to ``rtol=1e-9``."""
+    """Equal decisions and decoded bytes; the misalignment report and the
+    EVM-implied SNR exact (NaN matching NaN) unless ``exact_report`` is
+    off; other floats to ``rtol=1e-9``."""
     assert a.result.detected == b.result.detected
     assert a.result.crc_ok == b.result.crc_ok
     assert a.result.payload == b.result.payload
@@ -248,12 +249,10 @@ def _assert_frames_close(a, b, exact_report=True):
             rtol=1e-9,
             atol=1e-12,
         )
-    if a.result.equalized_symbols is None:
-        assert b.result.equalized_symbols is None
+    if exact_report:
+        assert np.float64(a.evm_snr_db).tobytes() == np.float64(b.evm_snr_db).tobytes()
     else:
-        np.testing.assert_allclose(
-            a.result.equalized_symbols, b.result.equalized_symbols, rtol=1e-9, atol=1e-12
-        )
+        np.testing.assert_allclose(a.evm_snr_db, b.evm_snr_db, rtol=1e-9, equal_nan=True)
     assert a.schedules_feasible == b.schedules_feasible
     np.testing.assert_allclose(
         a.true_misalignment_samples, b.true_misalignment_samples, rtol=1e-9, equal_nan=True
@@ -445,6 +444,28 @@ class TestJointBatchMemory:
         assert self._fig12_loop_peak(8) <= 1.25 * self._fig12_loop_peak(2)
 
     @staticmethod
+    def _fig13_peak(n_frames):
+        from repro.experiments import registry
+
+        spec = registry.get("fig13")
+        config = spec.make_config("smoke", {"n_frames": n_frames})
+        spec.run(config)  # warm caches untraced
+        tracemalloc.start()
+        try:
+            spec.run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_joint_batch_fig13_peak_independent_of_wave_count(self):
+        """Each wave's equalized symbols are folded into EVMs as it lands, so
+        sending twice the waves does not hold twice the symbols.  (Doubling
+        ``n_topologies`` widens every wave instead, which the wave-bounded
+        working set grows with.)"""
+        assert self._fig13_peak(8) <= 1.25 * self._fig13_peak(4)
+
+    @staticmethod
     def _cp_sweep(monkeypatch, spy_advance=None):
         sessions = _make_sessions([401, 402], snr_db=20.0, lead_cosender_snr_db=25.0)
         ens.measure_delays_batch(sessions)
@@ -500,7 +521,8 @@ class TestJointBatchMemory:
 def _run_per_frame(monkeypatch, name, overrides=None):
     """Run experiment ``name`` at ``smoke`` with every lockstep entry point
     that fig12, fig13 and fig15 call swapped for the per-frame reference:
-    each session runs its exchanges and frames one at a time."""
+    each session runs its exchanges and frames one at a time.  Returns the
+    result and the ``evm_snr_db`` of every frame fig13 received."""
     from repro.experiments import fig12_sync_error, fig13_cp_reduction, fig15_power_gains
     from repro.experiments import registry
 
@@ -521,7 +543,7 @@ def _run_per_frame(monkeypatch, name, overrides=None):
         ]
 
     def run_joint_frames_batch(sessions, jobs_per_session):
-        return [
+        outcomes = [
             [
                 ref.run_joint_frame(
                     session,
@@ -539,7 +561,9 @@ def _run_per_frame(monkeypatch, name, overrides=None):
             ]
             for session, jobs in zip(sessions, jobs_per_session)
         ]
+        return _record_evms(frame_evms, outcomes)
 
+    frame_evms = []
     for module in (fig12_sync_error, fig15_power_gains):
         monkeypatch.setattr(module, "measure_delays_batch", measure_delays_batch)
         monkeypatch.setattr(module, "converge_tracking_batch", converge_tracking_batch)
@@ -556,38 +580,65 @@ def _run_per_frame(monkeypatch, name, overrides=None):
         lambda self, rounds=4, compensate=True: ref.converge_tracking(self, rounds, compensate),
     )
     spec = registry.get(name)
-    return spec.run(spec.make_config("smoke", overrides))
+    return spec.run(spec.make_config("smoke", overrides)), frame_evms
+
+
+def _record_evms(frame_evms, outcomes):
+    """Append every outcome's ``evm_snr_db`` as its bytes; return ``outcomes``."""
+    frame_evms.extend(
+        np.float64(outcome.evm_snr_db).tobytes() for frames in outcomes for outcome in frames
+    )
+    return outcomes
+
+
+def _run_lockstep(monkeypatch, name, overrides=None):
+    """``name`` at ``smoke`` on the lockstep path, with fig13's frame EVMs as bytes."""
+    from repro.experiments import fig13_cp_reduction, registry
+
+    frame_evms = []
+    lockstep = fig13_cp_reduction.run_joint_frames_batch
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            fig13_cp_reduction,
+            "run_joint_frames_batch",
+            lambda sessions, jobs: _record_evms(frame_evms, lockstep(sessions, jobs)),
+        )
+        spec = registry.get(name)
+        return spec.run(spec.make_config("smoke", overrides)), frame_evms
 
 
 @pytest.mark.parametrize("name", ["fig12", "fig13", "fig15", "fig18"])
 def test_joint_batch_smoke_preset_equivalence(name, monkeypatch):
     """Lockstep == per-frame at smoke scale.  fig12, fig13 and fig15 run only
     the lockstep core path, so their per-frame side swaps in the reference
-    session; fig18's swaps in the reference mesh loops."""
+    session; fig18's swaps in the reference mesh loops.  fig13's frames
+    agree on their EVM-implied SNR byte for byte."""
     from repro.experiments import registry
     from tests.routing.reference_mesh import patch_sequential_mesh
 
     spec = registry.get(name)
-    batched = spec.run(spec.make_config("smoke"))
+    batched, batched_evms = _run_lockstep(monkeypatch, name)
     if name == "fig18":
         patch_sequential_mesh(monkeypatch)
-        sequential = spec.run(spec.make_config("smoke"))
+        sequential, sequential_evms = spec.run(spec.make_config("smoke")), []
     else:
-        sequential = _run_per_frame(monkeypatch, name)
+        sequential, sequential_evms = _run_per_frame(monkeypatch, name)
     _assert_series_equal(batched, sequential)
+    assert batched_evms == sequential_evms
+    assert bool(batched_evms) == (name == "fig13")
 
 
 def test_joint_batch_fig13_multi_topology_equivalence(monkeypatch):
     """fig13's widened chains (n_topologies > 1): both chains' sessions fold
     into one joint-frame ensemble and must still match the per-frame
-    reference sweeps of each session, summary included."""
-    from repro.experiments import registry
-
-    spec = registry.get("fig13")
+    reference sweeps of each session, summary included, and every frame's
+    EVM-implied SNR byte for byte."""
     overrides = {"n_topologies": 3}
-    batched = spec.run(spec.make_config("smoke", overrides))
-    sequential = _run_per_frame(monkeypatch, "fig13", overrides)
+    batched, batched_evms = _run_lockstep(monkeypatch, "fig13", overrides)
+    sequential, sequential_evms = _run_per_frame(monkeypatch, "fig13", overrides)
     _assert_series_equal(batched, sequential)
+    assert len(batched_evms) == 2 * 3 * 3
+    assert batched_evms == sequential_evms
     assert batched.summary.keys() == sequential.summary.keys()
     for key in batched.summary:
         np.testing.assert_allclose(

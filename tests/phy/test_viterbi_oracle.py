@@ -5,8 +5,11 @@ comparing the two checks nothing about the add-compare-select recursion
 itself.  The reference below is the straightforward decoder the radix-2
 implementation replaced: a gather of both predecessor metrics, per-branch
 sign sums and ``argmax`` over the two candidates.  Decoded bits must be
-identical on every input, including ties, erasures and NaN.
+identical on every input, including ties, erasures and NaN, and however
+the bit-packed survivor decisions split into bytes and blocks of steps.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +155,66 @@ class TestViterbiOracle:
     def test_viterbi_huge_llrs_take_the_guarded_path(self, code):
         rng = np.random.default_rng(19)
         _assert_matches(code, rng.normal(0, 1, (3, 2 * 30)) * 1e306)
+
+
+class TestViterbiPackedDecisions:
+    """The survivor decisions are bit-packed along the packet axis, eight
+    packets to a byte, one block of ``_TABLE_STEPS`` steps at a time."""
+
+    @pytest.mark.parametrize("n_packets", [1, 7, 9, 124])
+    @pytest.mark.parametrize("n_steps", [37, 100, 130])
+    def test_viterbi_packed_packet_and_step_counts(self, code, n_packets, n_steps):
+        # Packet counts that leave a partial byte and step counts that leave
+        # a partial block of steps.
+        assert n_steps % convolutional._TABLE_STEPS != 0
+        rng = np.random.default_rng(100 * n_packets + n_steps)
+        info = rng.integers(0, 2, (n_packets, n_steps - code.tail_bits)).astype(np.uint8)
+        llrs = 1.0 - 2.0 * code.encode(info).astype(float)
+        llrs += rng.normal(0, 1.2, llrs.shape)
+        _assert_matches(code, llrs)
+        _assert_matches(code, llrs, terminated=False)
+
+    @pytest.mark.parametrize("n_packets", [1, 7, 9])
+    def test_viterbi_packed_four_state_code(self, n_packets):
+        k3 = ConvolutionalCode(3, (0o5, 0o7))
+        assert k3.n_states == 4
+        rng = np.random.default_rng(30 + n_packets)
+        info = rng.integers(0, 2, (n_packets, 75)).astype(np.uint8)
+        llrs = 1.0 - 2.0 * k3.encode(info).astype(float)
+        assert np.array_equal(_assert_matches(k3, llrs), info)
+        llrs += rng.normal(0, 1.0, llrs.shape)
+        _assert_matches(k3, llrs)
+        _assert_matches(k3, llrs, terminated=False, strip_tail=False)
+
+    @pytest.mark.parametrize("n_packets", [7, 9])
+    def test_viterbi_packed_ties_and_nan(self, code, n_packets):
+        rng = np.random.default_rng(40 + n_packets)
+        ties = rng.integers(-1, 2, (n_packets, 2 * 70)).astype(float)
+        ties[0] = 0.0
+        _assert_matches(code, ties)
+        _assert_matches(code, ties, terminated=False)
+        nan_rows = rng.normal(0, 1, (n_packets, 2 * 70))
+        nan_rows[n_packets - 1, 5] = np.nan
+        nan_rows[1, 2 * 66] = np.nan
+        nan_rows[2, 9] = np.inf
+        _assert_matches(code, nan_rows)
+        _assert_matches(code, nan_rows, terminated=False)
+
+    def test_viterbi_packed_decisions_bound_the_pass(self, code):
+        # Fig. 13's full Viterbi chunk: 124 frames of 528 trellis steps,
+        # whose one-byte decisions alone used to take 4 MiB.
+        n_packets, n_steps = 124, 528
+        assert code.chunk_rows(2 * n_steps) == n_packets
+        rng = np.random.default_rng(50)
+        llrs = rng.normal(0, 1, (n_packets, 2 * n_steps))
+        code.decode_batch(llrs[:1])
+        tracemalloc.start()
+        try:
+            code.decode_batch(llrs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_steps * code.n_states * n_packets // 2
 
 
 class TestGetCode:
